@@ -62,7 +62,6 @@ from .recovery import average_filter, recovery_eval
 from .selfaware import (
     ErrorTable,
     OmegaCalibration,
-    SelfAwarePolicy,
     abstain_decide,
     calibrate_omega,
     selfaware_sweep,

@@ -155,7 +155,7 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
     n = len(x0)
     if y.shape != (n,):
         raise ValidationError("need one target label per image")
-    layers, flat = network.spec.layers, network._flat
+    layers, weights = network.spec.layers, network.weights
 
     x = x0.copy()
     best_obj = np.full(n, np.inf)
@@ -177,7 +177,7 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
         if idx.size == 0:
             break
         xa = x[idx]
-        logits, tape, _ = forward_pass(layers, flat, xa, keep_tape=True)
+        logits, tape, _ = forward_pass(layers, weights, xa, keep_tape=True)
         losses, grad = softmax_cross_entropy(logits, y[idx])
         probs = softmax_batch(logits)
         conf = probs[np.arange(len(idx)), y[idx]]
@@ -293,11 +293,11 @@ def gradient_sign_attack_batch(network: Network, images, targets,
     n = len(x0)
     if y.shape != (n,):
         raise ValidationError("need one target label per image")
-    layers, flat = network.spec.layers, network._flat
+    layers, weights = network.spec.layers, network.weights
     x = x0.copy()
     steps = max(1, cfg.max_iterations)
     for _ in range(steps):
-        logits, tape, _ = forward_pass(layers, flat, x, keep_tape=True)
+        logits, tape, _ = forward_pass(layers, weights, x, keep_tape=True)
         _, grad = softmax_cross_entropy(logits, y)
         gx = backward_pass(tape, grad).input
         x = np.clip(x - cfg.step_size * np.sign(gx), 0.0, 1.0)

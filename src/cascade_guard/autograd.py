@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .tensor import (
-    ConvFilterBank,
     _conv_backward,
     _conv_forward,
     _conv_out_dims,
@@ -123,14 +122,6 @@ def infer_shapes(input_dims, layers):
     return shapes
 
 
-def _layer_params(entry):
-    # Weights may arrive as a ConvFilterBank or as a plain (weights, bias) pair.
-    if isinstance(entry, ConvFilterBank):
-        return entry.weights, entry.biases
-    w, b = entry
-    return w, b
-
-
 @dataclass
 class ForwardTape:
     """Activations recorded by one forward evaluation, consumed by backward."""
@@ -156,6 +147,9 @@ class Gradients:
 def forward_pass(layers, weights, x, keep_tape=False, capture_conv=False):
     """Run the stack on a batch (N, H, W, C) of images.
 
+    weights has one entry per layer, as in Network.weights: a (weights,
+    biases) pair for conv and dense layers, None otherwise.
+
     Returns (logits, tape, captured) where logits are the pre-softmax scores,
     tape is None unless keep_tape, and captured lists the post-ReLU output of
     every conv layer (the conv output itself when no ReLU follows) when
@@ -172,7 +166,7 @@ def forward_pass(layers, weights, x, keep_tape=False, capture_conv=False):
         if isinstance(layer, ConvLayer):
             if capture_conv and pending_conv:
                 captured.append(a)
-            w, b = _layer_params(entry)
+            w, b = entry
             if keep_tape:
                 records.append(("conv", a, w, layer))
             a = _conv_forward(a, w, b, layer.stride, layer.padding)
@@ -196,7 +190,7 @@ def forward_pass(layers, weights, x, keep_tape=False, capture_conv=False):
             if capture_conv and pending_conv:
                 captured.append(a)
             pending_conv = False
-            w, b = _layer_params(entry)
+            w, b = entry
             flat = a.reshape(a.shape[0], -1)
             if flat.shape[1] != w.shape[1]:
                 raise ValidationError(

@@ -336,14 +336,10 @@ def detector_score_batch(model: CascadeModel, network, images) -> np.ndarray:
     """
     exit_stage, scores = _batch_scores(model, network, images)
     taus = np.array([stage.tau for stage in model.stages])
-    out = np.empty(len(exit_stage))
-    for i, exited_at in enumerate(exit_stage):
-        if exited_at < 0:
-            k = len(model.stages) - 1
-            out[i] = scores[i, k] - taus[k] + SURVIVOR_OFFSET
-        else:
-            out[i] = scores[i, exited_at - 1] - taus[exited_at - 1]
-    return out
+    survived = exit_stage < 0
+    col = np.where(survived, len(model.stages) - 1, exit_stage - 1)
+    margin = scores[np.arange(len(exit_stage)), col] - taus[col]
+    return np.where(survived, margin + SURVIVOR_OFFSET, margin)
 
 
 def detector_score(model: CascadeModel, network, image: Tensor) -> float:

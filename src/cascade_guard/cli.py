@@ -22,6 +22,7 @@ from .attacks import (
     gradient_box_attack_batch,
     gradient_sign_attack_batch,
 )
+from .autograd import DenseLayer, forward_pass
 from .cascade import (
     CascadeConfig,
     best_threshold_accuracy,
@@ -299,25 +300,13 @@ def _cmd_census(args):
 def _flat_layer_features(net, images, layer):
     """Rows of flattened activations: the first dense layer's input, or conv m."""
     if layer == "penultimate":
-        from .autograd import ConvLayer, DenseLayer, MaxPoolLayer, ReluLayer
-        from .tensor import _conv_forward, _maxpool_forward, _relu_forward
-
         spec = net.spec
-        dense_pos = [i for i, l in enumerate(spec.layers) if isinstance(l, DenseLayer)]
-        if not dense_pos:
+        head = next((i for i, l in enumerate(spec.layers) if isinstance(l, DenseLayer)), None)
+        if head is None:
             raise ValidationError("network has no dense layer to take features from")
         flat = []
-        for start in range(0, len(images), 256):
-            a = np.asarray(images[start : start + 256], dtype=np.float64)
-            for pos, (lay, wt) in enumerate(zip(spec.layers, net._flat)):
-                if pos == dense_pos[0]:
-                    break
-                if isinstance(lay, ConvLayer):
-                    a = _conv_forward(a, wt[0], wt[1], lay.stride, lay.padding)
-                elif isinstance(lay, ReluLayer):
-                    a = _relu_forward(a)
-                elif isinstance(lay, MaxPoolLayer):
-                    a, _ = _maxpool_forward(a, lay.window, lay.stride)
+        for start, stop in _chunked(len(images), 256):
+            a, _, _ = forward_pass(spec.layers[:head], net.weights[:head], images[start:stop])
             flat.append(a.reshape(len(a), -1))
         return np.concatenate(flat)
     m = int(layer)

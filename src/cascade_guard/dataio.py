@@ -332,11 +332,16 @@ def _f64_to_b64(arr) -> str:
 
 
 def _b64_to_f64(text, shape, what) -> np.ndarray:
+    """Decode a float64 payload; shape None takes the length from the payload."""
     try:
         raw = base64.b64decode(text.encode("ascii"), validate=True)
     except Exception as exc:
         raise FormatError(f"corrupt base64 payload in {what}: {exc}") from None
+    if len(raw) % 8:
+        raise FormatError(f"payload in {what} has {len(raw)} bytes, not a multiple of 8")
     arr = np.frombuffer(raw, dtype="<f8")
+    if shape is None:
+        shape = (arr.size,)
     expected = int(np.prod(shape))
     if arr.size != expected:
         raise FormatError(f"payload in {what} has {arr.size} values, expected {expected}")
@@ -376,6 +381,8 @@ def _load_json(path) -> dict:
 
 
 def _require(payload: dict, key: str, path):
+    if not isinstance(payload, dict):
+        raise FormatError(f"artifact {path} has an entry that is not an object")
     if key not in payload:
         raise FormatError(f"artifact {path} is missing key {key!r}")
     return payload[key]
@@ -473,27 +480,19 @@ def spec_to_json(spec) -> dict:
 
 
 def save_network(path, network):
-    from .tensor import ConvFilterBank
+    from .autograd import ConvLayer
 
     entries = []
-    for idx, entry in enumerate(network.weights):
+    for idx, (layer, entry) in enumerate(zip(network.spec.layers, network.weights)):
         if entry is None:
             continue
-        if isinstance(entry, ConvFilterBank):
-            entries.append({
-                "layer": idx, "kind": "conv",
-                "shape": list(entry.weights.shape),
-                "weights": _f64_to_b64(entry.weights),
-                "biases": _f64_to_b64(entry.biases),
-            })
-        else:
-            w, b = entry
-            entries.append({
-                "layer": idx, "kind": "dense",
-                "shape": list(w.shape),
-                "weights": _f64_to_b64(w),
-                "biases": _f64_to_b64(b),
-            })
+        w, b = entry
+        entries.append({
+            "layer": idx, "kind": "conv" if isinstance(layer, ConvLayer) else "dense",
+            "shape": list(w.shape),
+            "weights": _f64_to_b64(w),
+            "biases": _f64_to_b64(b),
+        })
     payload = {
         "version": ARTIFACT_VERSION,
         "spec": spec_to_json(network.spec),
@@ -572,22 +571,21 @@ def load_detector(path):
     seed = int(metadata.get("seed", 0))
     banks = []
     for i, entry in enumerate(_require(payload, "pca_banks", path)):
-        e_raw = _require(entry, "e", path)
-        raw = base64.b64decode(e_raw.encode("ascii"))
-        k = len(raw) // 8
+        mean = _b64_to_f64(_require(entry, "e", path), None, path)
+        k = mean.size
         banks.append(PcaBank(
             layer_index=int(_require(entry, "layer", path)),
-            mean=_b64_to_f64(e_raw, (k,), path),
+            mean=mean,
             components=_b64_to_f64(_require(entry, "W", path), (k, k), path),
             stds=_b64_to_f64(_require(entry, "s", path), (k,), path),
             epsilon=float(epsilons[i]) if epsilons else 1e-8,
         ))
     stages = []
     for i, entry in enumerate(_require(payload, "stages", path)):
-        w_raw = _require(entry, "w", path)
-        dim = len(base64.b64decode(w_raw.encode("ascii"))) // 8
+        weights = _b64_to_f64(_require(entry, "w", path), None, path)
+        dim = weights.size
         svm = LinearSvm(
-            weights=_b64_to_f64(w_raw, (dim,), path),
+            weights=weights,
             bias=float(_require(entry, "b", path)),
             c=svm_c,
             seed=seed,

@@ -27,10 +27,8 @@ __all__ = [
     "layer_feature_vector",
     "stat_matrix",
     "feature_matrix",
-    "feature_names",
     "SpectralReport",
     "spectral_report",
-    "write_feature_csv",
 ]
 
 PERCENTILES = (25.0, 50.0, 75.0)
@@ -70,11 +68,12 @@ class PcaBank:
 
 
 def _pixels(layer_output) -> np.ndarray:
+    # One H x W x K output as a one-row (1, H*W, K) pixel batch.
     arr = layer_output.array if isinstance(layer_output, Tensor) else np.asarray(
         layer_output, dtype=np.float64)
     if arr.ndim != 3:
         raise ValidationError(f"layer output must be H x W x K, got shape {arr.shape}")
-    return arr.reshape(-1, arr.shape[2])
+    return arr.reshape(1, -1, arr.shape[2])
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
@@ -90,18 +89,15 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
 def fit_pca_bank(layer_outputs, layer_index: int, epsilon: float = 1e-8) -> PcaBank:
     """Fit mean, projection and stds from normal-image layer outputs.
 
-    Accepts an (N, H, W, K) array or a list of H x W x K outputs; every pixel
-    of every image is one sample. Requires at least K samples.
+    layer_outputs is an (N, H, W, K) array, as layer_outputs_batch returns per
+    conv layer; every pixel of every image is one sample. Requires at least K
+    samples.
     """
-    if isinstance(layer_outputs, np.ndarray) and layer_outputs.ndim == 4:
-        k = layer_outputs.shape[3]
-        samples = layer_outputs.reshape(-1, k)
-    else:
-        parts = [_pixels(out) for out in layer_outputs]
-        if not parts:
-            raise ValidationError("need at least one layer output")
-        samples = np.concatenate(parts)
-        k = samples.shape[1]
+    batch = np.asarray(layer_outputs, dtype=np.float64)
+    if batch.ndim != 4:
+        raise ValidationError(f"layer outputs must be N x H x W x K, got shape {batch.shape}")
+    k = batch.shape[3]
+    samples = batch.reshape(-1, k)
     n = samples.shape[0]
     if n < k:
         raise ValidationError(f"need at least {k} pixel samples, got {n}")
@@ -117,39 +113,50 @@ def fit_pca_bank(layer_outputs, layer_index: int, epsilon: float = 1e-8) -> PcaB
                    stds=stds, epsilon=float(epsilon))
 
 
-def pca_statistic(layer_output, bank: PcaBank) -> np.ndarray:
-    """Mean absolute std-normalized projection coefficient per dimension."""
-    pixels = _pixels(layer_output)
-    if pixels.shape[1] != bank.k:
+def _pca_rows(pixels: np.ndarray, bank: PcaBank) -> np.ndarray:
+    # (N, P, K) pixels -> (N, K) mean absolute std-normalized projections.
+    if pixels.shape[2] != bank.k:
         raise ValidationError(
-            f"layer output has {pixels.shape[1]} channels but bank expects {bank.k}"
+            f"layer output has {pixels.shape[2]} channels but bank expects {bank.k}"
         )
     z = (pixels - bank.mean) @ bank.components / bank.stds
-    return np.abs(z).mean(axis=0)
+    return np.abs(z).mean(axis=1)
+
+
+def _order_rows(pixels: np.ndarray) -> np.ndarray:
+    # (N, P, K) pixels -> (N, 5K) per-channel [min | max | p25 | p50 | p75].
+    # Percentiles interpolate linearly at rank (p / 100) * (P - 1) of the
+    # sorted pixels.
+    npix = pixels.shape[1]
+    sorted_vals = np.sort(pixels, axis=1)
+    pcs = []
+    for p in PERCENTILES:
+        rank = (p / 100.0) * (npix - 1)
+        lo = int(np.floor(rank))
+        frac = rank - lo
+        lo_vals = sorted_vals[:, lo, :]
+        if lo + 1 >= npix:
+            pcs.append(lo_vals)
+        else:
+            pcs.append(lo_vals + (sorted_vals[:, lo + 1, :] - lo_vals) * frac)
+    return np.concatenate([pixels.min(axis=1), pixels.max(axis=1)] + pcs, axis=1)
+
+
+def pca_statistic(layer_output, bank: PcaBank) -> np.ndarray:
+    """Mean absolute std-normalized projection coefficient per dimension."""
+    return _pca_rows(_pixels(layer_output), bank)[0]
 
 
 def extremal_stats(layer_output) -> np.ndarray:
     """Per-channel minimum then maximum over all pixels: a 2K vector."""
     pixels = _pixels(layer_output)
-    return np.concatenate([pixels.min(axis=0), pixels.max(axis=0)])
+    return _order_rows(pixels)[0, : 2 * pixels.shape[2]]
 
 
-def _percentile_rows(sorted_vals: np.ndarray, p: float) -> np.ndarray:
-    # Linear interpolation at rank (p / 100) * (n - 1) in the sorted sample.
-    n = sorted_vals.shape[0]
-    rank = (p / 100.0) * (n - 1)
-    lo = int(np.floor(rank))
-    frac = rank - lo
-    if lo + 1 >= n:
-        return sorted_vals[lo].copy()
-    return sorted_vals[lo] + (sorted_vals[lo + 1] - sorted_vals[lo]) * frac
-
-
-def percentile_stats(layer_output, ps=PERCENTILES) -> np.ndarray:
-    """Per-channel percentiles over all pixels, concatenated per percentile."""
+def percentile_stats(layer_output) -> np.ndarray:
+    """Per-channel 25th, 50th and 75th percentiles over all pixels, concatenated."""
     pixels = _pixels(layer_output)
-    sorted_vals = np.sort(pixels, axis=0)
-    return np.concatenate([_percentile_rows(sorted_vals, p) for p in ps])
+    return _order_rows(pixels)[0, 2 * pixels.shape[2] :]
 
 
 @dataclass
@@ -193,48 +200,30 @@ class LayerStatVector:
 def layer_feature_vector(network, image: Tensor, layer_index: int,
                          bank: PcaBank) -> LayerStatVector:
     """Statistic vector of one conv layer (1-based index) for one image."""
-    from .victim import layer_outputs
+    from .victim import layer_outputs_batch
 
-    outputs = layer_outputs(network, image)
+    outputs = layer_outputs_batch(network, [image])
     if not 1 <= layer_index <= len(outputs):
         raise ValidationError(
             f"layer index {layer_index} out of range (network has {len(outputs)} conv layers)"
         )
-    out = outputs[layer_index - 1]
-    ex = extremal_stats(out)
-    pc = percentile_stats(out)
-    k = out.channels
+    row = stat_matrix(outputs[layer_index - 1], bank)[0]
+    k = bank.k
     return LayerStatVector(
         layer_index=int(layer_index),
-        pca=pca_statistic(out, bank),
-        mins=ex[:k], maxs=ex[k:],
-        p25=pc[:k], p50=pc[k : 2 * k], p75=pc[2 * k :],
+        pca=row[:k], mins=row[k : 2 * k], maxs=row[2 * k : 3 * k],
+        p25=row[3 * k : 4 * k], p50=row[4 * k : 5 * k], p75=row[5 * k :],
     )
 
 
 def stat_matrix(layer_batch: np.ndarray, bank: PcaBank) -> np.ndarray:
-    """(N, 6K) statistic rows for a batch of layer outputs (N, H, W, K)."""
+    """(N, 6K) statistic rows for a batch of layer outputs (N, H, W, K).
+
+    Each row is ordered [pca | min | max | p25 | p50 | p75], as in LayerStatVector.
+    """
     n, h, w, k = layer_batch.shape
-    if k != bank.k:
-        raise ValidationError(f"batch has {k} channels but bank expects {bank.k}")
     pixels = layer_batch.reshape(n, h * w, k)
-    z = (pixels - bank.mean) @ bank.components / bank.stds
-    pca = np.abs(z).mean(axis=1)
-    mins = pixels.min(axis=1)
-    maxs = pixels.max(axis=1)
-    sorted_vals = np.sort(pixels, axis=1)
-    pcs = []
-    npix = h * w
-    for p in PERCENTILES:
-        rank = (p / 100.0) * (npix - 1)
-        lo = int(np.floor(rank))
-        frac = rank - lo
-        if lo + 1 >= npix:
-            pcs.append(sorted_vals[:, lo, :].copy())
-        else:
-            lo_vals = sorted_vals[:, lo, :]
-            pcs.append(lo_vals + (sorted_vals[:, lo + 1, :] - lo_vals) * frac)
-    return np.concatenate([pca, mins, maxs] + pcs, axis=1)
+    return np.concatenate([_pca_rows(pixels, bank), _order_rows(pixels)], axis=1)
 
 
 def feature_matrix(network, images, banks, upto_layer=None, chunk=256) -> np.ndarray:
@@ -253,31 +242,6 @@ def feature_matrix(network, images, banks, upto_layer=None, chunk=256) -> np.nda
     return np.concatenate(
         [stat_matrix(per_layer[m], banks[m]) for m in range(upto)], axis=1
     )
-
-
-def feature_names(banks, upto_layer=None) -> list[str]:
-    """Column names matching feature_matrix, channel-ordered per statistic."""
-    banks = list(banks)
-    upto = len(banks) if upto_layer is None else int(upto_layer)
-    names = []
-    for bank in banks[:upto]:
-        for stat in ("pca", "min", "max", "p25", "p50", "p75"):
-            names.extend(f"L{bank.layer_index}_{stat}_{ch}" for ch in range(bank.k))
-    return names
-
-
-def write_feature_csv(path, matrix: np.ndarray, banks, upto_layer=None):
-    names = feature_names(banks, upto_layer)
-    if matrix.ndim != 2 or matrix.shape[1] != len(names):
-        raise ValidationError(
-            f"matrix has {matrix.shape[1] if matrix.ndim == 2 else '?'} columns, "
-            f"expected {len(names)}"
-        )
-    lines = [",".join(["image"] + names)]
-    for i, row in enumerate(matrix):
-        lines.append(",".join([str(i)] + [repr(float(v)) for v in row]))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
 
 
 @dataclass

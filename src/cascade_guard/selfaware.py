@@ -20,7 +20,6 @@ from .victim import predict_batch
 __all__ = [
     "OmegaCalibration",
     "ErrorTable",
-    "SelfAwarePolicy",
     "MixtureItem",
     "SweepPoint",
     "calibrate_omega",
@@ -149,29 +148,6 @@ def abstain_decide(p_omega: float, p_err: float, e_q: float, e_a: float) -> str:
         raise ValidationError("costs must be positive")
     expected_predict = p_omega * p_err + (1.0 - p_omega) * e_q
     return "predict" if expected_predict < e_a else "abstain"
-
-
-@dataclass(frozen=True)
-class SelfAwarePolicy:
-    """Bundle of the abstain rule's ingredients for one deployment.
-
-    e_q defaults to 10; pass random_guess_error(classes) for the
-    uniform-guessing fallback (C - 1) / C.
-    """
-
-    e_a: float
-    calibration: OmegaCalibration
-    error_table: ErrorTable
-    e_q: float = 10.0
-
-    def __post_init__(self):
-        if self.e_q <= 0 or self.e_a <= 0:
-            raise ValidationError("costs must be positive")
-
-    def decide(self, score: float, predicted_class: int) -> str:
-        p_omega = float(self.calibration.p_normal(score))
-        return abstain_decide(p_omega, self.error_table.p_err(predicted_class),
-                              self.e_q, self.e_a)
 
 
 @dataclass(frozen=True)

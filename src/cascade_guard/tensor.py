@@ -294,7 +294,7 @@ def dense(input: Tensor, weights, bias) -> np.ndarray:
         )
     if b.shape != (w.shape[0],):
         raise ValidationError(f"need {w.shape[0]} bias entries, got shape {b.shape}")
-    out = w @ flat + b
+    out = _dense_forward(flat[None], w, b)[0]
     if not np.isfinite(out).all():
         raise ValidationError("dense produced non-finite values")
     return out

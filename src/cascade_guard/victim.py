@@ -23,7 +23,7 @@ from .autograd import (
     softmax_cross_entropy,
 )
 from .errors import TrainingError, ValidationError
-from .tensor import ConvFilterBank, Tensor
+from .tensor import Tensor
 
 __all__ = [
     "NetworkSpec",
@@ -106,9 +106,14 @@ def default_victim_spec() -> NetworkSpec:
 
 
 class Network:
-    """An immutable trained network: spec, weights and training metadata."""
+    """An immutable trained network: spec, weights and training metadata.
 
-    __slots__ = ("spec", "weights", "metadata", "_flat")
+    `weights` has one entry per layer: a read-only float64 (weights, biases)
+    pair for conv and dense layers, None for every other layer. Conv weights
+    are (K, kH, kW, C_in); dense weights have one row per output unit.
+    """
+
+    __slots__ = ("spec", "weights", "metadata")
 
     def __init__(self, spec: NetworkSpec, weights, metadata=None):
         weights = list(weights)
@@ -116,51 +121,35 @@ class Network:
             raise ValidationError(
                 f"got {len(weights)} weight entries for {len(spec.layers)} layers"
             )
-        shapes = spec.shapes()
+        shape_in = (spec.input_dims,) + tuple(spec.shapes())
         normalized = []
-        flat = []
-        shape_in = (spec.input_dims,) + tuple(shapes)
-        for idx, layer in enumerate(spec.layers):
-            entry = weights[idx]
-            prev = shape_in[idx]
+        for idx, (layer, entry, prev) in enumerate(zip(spec.layers, weights, shape_in)):
             if isinstance(layer, ConvLayer):
-                if isinstance(entry, ConvFilterBank):
-                    bank = entry
-                else:
-                    w, b = entry
-                    bank = ConvFilterBank(w, b, stride=layer.stride, padding=layer.padding)
+                kind = "conv"
                 expect = (layer.filters, layer.kernel, layer.kernel, prev[2])
-                if bank.weights.shape != expect:
-                    raise ValidationError(
-                        f"conv layer {idx} weights {bank.weights.shape} != {expect}"
-                    )
-                if bank.stride != layer.stride or bank.padding != layer.padding:
-                    raise ValidationError(f"conv layer {idx} bank stride/padding mismatch")
-                normalized.append(bank)
-                flat.append((bank.weights, bank.biases))
             elif isinstance(layer, DenseLayer):
-                w = np.array(entry[0], dtype=np.float64)
-                b = np.array(entry[1], dtype=np.float64)
-                in_dim = int(np.prod(prev))
-                if w.shape != (layer.units, in_dim) or b.shape != (layer.units,):
-                    raise ValidationError(
-                        f"dense layer {idx} weights {w.shape} != ({layer.units}, {in_dim})"
-                    )
-                if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                    raise ValidationError(f"dense layer {idx} weights are non-finite")
-                w.flags.writeable = False
-                b.flags.writeable = False
-                normalized.append((w, b))
-                flat.append((w, b))
+                kind = "dense"
+                expect = (layer.units, int(np.prod(prev)))
             else:
                 if entry is not None:
                     raise ValidationError(f"layer {idx} ({layer!r}) takes no weights")
                 normalized.append(None)
-                flat.append(None)
+                continue
+            w = np.array(entry[0], dtype=np.float64)
+            b = np.array(entry[1], dtype=np.float64)
+            if w.shape != expect or b.shape != expect[:1]:
+                raise ValidationError(
+                    f"{kind} layer {idx} weights {w.shape}, biases {b.shape} "
+                    f"!= {expect}, {expect[:1]}"
+                )
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValidationError(f"{kind} layer {idx} weights are non-finite")
+            w.flags.writeable = False
+            b.flags.writeable = False
+            normalized.append((w, b))
         self.spec = spec
         self.weights = tuple(normalized)
         self.metadata = dict(metadata or {})
-        self._flat = tuple(flat)
 
 
 @dataclass
@@ -302,7 +291,7 @@ def _accuracy(network: Network, images, labels, chunk=512) -> float:
 def predict(network: Network, image: Tensor) -> PredictionRecord:
     """Full prediction record for one image; never mutates the network."""
     _check_image(network.spec, image)
-    logits, _, _ = forward_pass(network.spec.layers, network._flat, image.array[None])
+    logits, _, _ = forward_pass(network.spec.layers, network.weights, image.array[None])
     raw = logits[0]
     probs = softmax_batch(logits)[0]
     return PredictionRecord(raw=raw, probs=probs, label=int(np.argmax(raw)))
@@ -311,7 +300,7 @@ def predict(network: Network, image: Tensor) -> PredictionRecord:
 def predict_batch(network: Network, images):
     """(raw, probs, labels) arrays for a batch; bit-identical to predict()."""
     batch = _as_batch(network.spec, images)
-    logits, _, _ = forward_pass(network.spec.layers, network._flat, batch)
+    logits, _, _ = forward_pass(network.spec.layers, network.weights, batch)
     probs = softmax_batch(logits)
     return logits, probs, np.argmax(logits, axis=1)
 
@@ -320,7 +309,7 @@ def layer_outputs(network: Network, image: Tensor):
     """Post-ReLU output tensor of every conv layer, in depth order."""
     _check_image(network.spec, image)
     _, _, captured = forward_pass(
-        network.spec.layers, network._flat, image.array[None], capture_conv=True
+        network.spec.layers, network.weights, image.array[None], capture_conv=True
     )
     return [Tensor._wrap(c[0]) for c in captured]
 
@@ -331,7 +320,7 @@ def layer_outputs_batch(network: Network, images, chunk=256):
     parts = None
     for start in range(0, len(batch), chunk):
         _, _, captured = forward_pass(
-            network.spec.layers, network._flat, batch[start : start + chunk],
+            network.spec.layers, network.weights, batch[start : start + chunk],
             capture_conv=True,
         )
         if parts is None:

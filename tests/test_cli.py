@@ -1,3 +1,4 @@
+import base64
 import json
 from pathlib import Path
 
@@ -192,3 +193,28 @@ class TestExitCodes:
                     "--out", blocker / "sub"])
         assert code == 2
         assert capsys.readouterr().err.startswith("ERROR 2:")
+
+    @pytest.mark.parametrize("kind, field, corrupt", [
+        ("pca_banks", "e", lambda v: v[:-1]),
+        ("stages", "w", lambda v: v[:-1]),
+        ("stages", None, lambda v: 5),
+        ("pca_banks", "e", lambda v: 5),
+        ("stages", "w", lambda v: base64.b64encode(bytes(7)).decode("ascii")),
+    ], ids=["padding-e", "padding-w", "stage-not-object", "e-not-string", "7-byte-w"])
+    def test_corrupt_detector_is_validation_error(self, pipeline, tmp_path, capsys,
+                                                  kind, field, corrupt):
+        payload = json.loads((pipeline / "det.json").read_text())
+        entries = payload[kind]
+        if field is None:
+            entries[0] = corrupt(entries[0])
+        else:
+            entries[0][field] = corrupt(entries[0][field])
+        bad = tmp_path / "det.json"
+        bad.write_text(json.dumps(payload))
+        code = run(["evaluate", "--detector", bad, "--net", pipeline / "net.json",
+                    "--normals", pipeline / "bank",
+                    "--adversarials", pipeline / "advs_test",
+                    "--out-csv", tmp_path / "eval.csv"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("ERROR 1:") and err.count("\n") == 1

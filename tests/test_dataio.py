@@ -148,7 +148,7 @@ class TestNetworkArtifact:
         net = dataio.load_network(p1)
         dataio.save_network(p2, net)
         assert p1.read_bytes() == p2.read_bytes()
-        for a, b in zip(net._flat, victim_bundle.network._flat):
+        for a, b in zip(net.weights, victim_bundle.network.weights):
             if a is None:
                 continue
             assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])

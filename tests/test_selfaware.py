@@ -7,8 +7,6 @@ from cascade_guard.errors import ValidationError
 from cascade_guard.selfaware import (
     ErrorTable,
     MixtureItem,
-    OmegaCalibration,
-    SelfAwarePolicy,
     abstain_decide,
     calibrate_omega,
     random_guess_error,
@@ -111,6 +109,10 @@ class TestAbstainDecide:
         with pytest.raises(ValidationError):
             abstain_decide(1.5, 0.1, 10.0, 2.0)
 
+    def test_costs_validated(self):
+        with pytest.raises(ValidationError, match="costs"):
+            abstain_decide(0.5, 0.1, -1.0, 2.0)
+
     @settings(max_examples=200, deadline=None)
     @given(
         p_omega=st.floats(0, 1, width=64),
@@ -147,15 +149,6 @@ class TestErrorTable:
     def test_random_guess_error(self):
         assert random_guess_error(10) == 0.9
         assert random_guess_error(2) == 0.5
-
-
-class TestPolicy:
-    def test_costs_validated(self):
-        cal = OmegaCalibration(slope=-1.0, intercept=0.0)
-        table = ErrorTable(per_class=np.zeros(2), counts=np.zeros(2, dtype=int),
-                           global_rate=0.1)
-        with pytest.raises(ValidationError):
-            SelfAwarePolicy(e_q=-1.0, e_a=2.0, calibration=cal, error_table=table)
 
 
 @pytest.fixture(scope="module")

@@ -67,13 +67,13 @@ class TestNetwork:
         spec = dense_only_spec(4, 2)
         with pytest.raises(ValidationError, match="dense layer"):
             Network(spec, [(np.zeros((3, 4)), np.zeros(3)), None])
-
-    def test_bank_stride_must_match_spec(self):
         spec = NetworkSpec((3, 3, 1), 1,
                            (ConvLayer(1, 2), ReluLayer(), DenseLayer(1), SoftmaxLayer()))
-        bad = ConvFilterBank(np.ones((1, 2, 2, 1)), stride=2)
-        with pytest.raises(ValidationError, match="stride"):
-            Network(spec, [bad, None, (np.ones((1, 4)), np.zeros(1)), None])
+        dense = (np.ones((1, 4)), np.zeros(1))
+        with pytest.raises(ValidationError, match="conv layer"):
+            Network(spec, [(np.ones((1, 3, 3, 1)), np.zeros(1)), None, dense, None])
+        with pytest.raises(ValidationError, match="conv layer"):
+            Network(spec, [(np.ones((1, 2, 2, 1)), np.zeros(2)), None, dense, None])
 
 
 class TestTrainVictim:
@@ -157,7 +157,7 @@ class TestPredict:
         ident = np.zeros((8, 1, 1, 8))
         for k in range(8):
             ident[k, 0, 0, k] = 1.0
-        weights = list(net.weights[:3]) + [ConvFilterBank(ident)] + list(net.weights[3:])
+        weights = list(net.weights[:3]) + [(ident, np.zeros(8))] + list(net.weights[3:])
         bigger = Network(NetworkSpec(spec.input_dims, spec.classes, layers), weights)
         img = victim_bundle.dataset.tensor(3)
         assert np.allclose(predict(net, img).raw, predict(bigger, img).raw,
@@ -174,7 +174,7 @@ class TestLayerOutputs:
         net = victim_bundle.network
         img = victim_bundle.dataset.tensor(2)
         outs = layer_outputs(net, img)
-        want = relu(conv2d(img, net.weights[0]))
+        want = relu(conv2d(img, ConvFilterBank(*net.weights[0])))
         assert np.array_equal(outs[0].array, want.array)
 
 
