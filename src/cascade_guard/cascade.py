@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .featstats import feature_matrix
+from .featstats import feature_matrix, stat_matrix
 from .tensor import Tensor
+from .victim import layer_outputs_batch
 
 __all__ = [
     "LinearSvm",
@@ -249,6 +250,7 @@ def train_cascade(normal_pool, adv_train, network, banks, config=CascadeConfig()
         svm = train_svm(x, y, c=config.svm_c, seed=config.seed, iters=config.svm_iters)
         adv_scores = svm.decision_scores(adv_feats[:, cols])
         tau = calibrate_threshold(adv_scores, np.ones(n_p), config.target_tpr)
+        pool_scores = svm.decision_scores(pool_feats[alive, cols])
 
         if val_feats is not None:
             sn = svm.decision_scores(val_feats[0][val_alive_n, cols])
@@ -258,12 +260,10 @@ def train_cascade(normal_pool, adv_train, network, banks, config=CascadeConfig()
             val_alive_n = val_alive_n[sn >= tau]
             val_alive_a = val_alive_a[sa >= tau]
         else:
-            pool_scores_now = svm.decision_scores(pool_feats[alive, cols])
-            fpr = float((pool_scores_now >= tau).mean())
+            fpr = float((pool_scores >= tau).mean())
             tpr = float((adv_scores >= tau).mean())
 
         stages.append(CascadeStage(layer_index=m, svm=svm, tau=tau, fpr=fpr, tpr=tpr))
-        pool_scores = svm.decision_scores(pool_feats[alive, cols])
         alive = alive[pool_scores >= tau]
 
     return CascadeModel(
@@ -291,20 +291,29 @@ class CascadeDecision:
 
 
 def _batch_scores(model: CascadeModel, network, images):
-    feats = feature_matrix(network, images, model.banks, upto_layer=len(model.stages))
-    dims = np.cumsum([6 * b.k for b in model.banks[: len(model.stages)]])
-    n = len(feats)
+    # One forward pass; stage k appends layer-k statistics of its survivors
+    # only, so an image that exits costs no deeper statistics.
+    per_layer = layer_outputs_batch(network, images)
+    if len(per_layer) < len(model.stages):
+        raise ValidationError(
+            f"network exposes {len(per_layer)} conv layers but the detector has "
+            f"{len(model.stages)} stages"
+        )
+    n = len(per_layer[0])
     exit_stage = np.full(n, -1, dtype=np.int64)
     scores = np.full((n, len(model.stages)), np.nan)
     alive = np.arange(n)
-    for i, stage in enumerate(model.stages):
+    feats = np.empty((n, 0))
+    for i, (stage, bank) in enumerate(zip(model.stages, model.banks)):
         if alive.size == 0:
             break
-        s = stage.svm.decision_scores(feats[alive, : dims[i]])
+        feats = np.concatenate([feats, stat_matrix(per_layer[i][alive], bank)], axis=1)
+        s = stage.svm.decision_scores(feats)
         scores[alive, i] = s
         exited = s < stage.tau
         exit_stage[alive[exited]] = i + 1
         alive = alive[~exited]
+        feats = feats[~exited]
     return exit_stage, scores
 
 
@@ -360,11 +369,22 @@ class RocCurve:
         return list(zip(self.thresholds.tolist(), self.fpr.tolist(), self.tpr.tolist()))
 
 
+def _sweep_counts(scores, labels):
+    """Thresholds (inf, then distinct scores descending); tp and fp at or above each."""
+    thresholds = np.concatenate([[np.inf], np.unique(scores)[::-1]])
+    pos = np.sort(scores[labels])
+    neg = np.sort(scores[~labels])
+    tp = pos.size - np.searchsorted(pos, thresholds, side="left")
+    fp = neg.size - np.searchsorted(neg, thresholds, side="left")
+    return thresholds, tp, fp
+
+
 def roc_auc(scores, labels) -> RocCurve:
     """Full-sweep ROC plus AUC equal to the tie-aware pair statistic.
 
-    AUC is computed from average ranks, which matches exhaustive pair counting
-    (1 per correctly ordered pair, 0.5 per tie) exactly.
+    AUC counts, for each adversarial, the normals scoring below it plus half
+    those tied with it, which matches exhaustive pair counting (1 per
+    correctly ordered pair, 0.5 per tie) exactly.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(bool)
@@ -375,28 +395,12 @@ def roc_auc(scores, labels) -> RocCurve:
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("ROC needs both classes present")
 
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average 1-based rank
-        i = j + 1
-    u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
-    auc = u / (n_pos * n_neg)
-
-    uniq = np.unique(scores)[::-1]
-    thresholds = np.concatenate([[np.inf], uniq])
-    fpr = np.empty(len(thresholds))
-    tpr = np.empty(len(thresholds))
-    for i, t in enumerate(thresholds):
-        flagged = scores >= t
-        fpr[i] = (flagged & ~labels).sum() / n_neg
-        tpr[i] = (flagged & labels).sum() / n_pos
-    return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr, auc=float(auc))
+    pos = scores[labels]
+    neg = np.sort(scores[~labels])
+    twice_u = np.searchsorted(neg, pos, side="left") + np.searchsorted(neg, pos, side="right")
+    auc = twice_u.sum() / 2.0 / (n_pos * n_neg)
+    thresholds, tp, fp = _sweep_counts(scores, labels)
+    return RocCurve(thresholds=thresholds, fpr=fp / n_neg, tpr=tp / n_pos, auc=float(auc))
 
 
 def compose_rates(stage_rates) -> tuple[float, float]:
@@ -424,10 +428,9 @@ def accuracy_at_threshold(scores, labels, threshold: float) -> float:
 def best_threshold_accuracy(scores, labels) -> tuple[float, float]:
     """(threshold, accuracy) of the most accurate operating point on the sweep."""
     scores = np.asarray(scores, dtype=np.float64)
-    candidates = np.concatenate([[np.inf], np.unique(scores)[::-1]])
-    best = (float("inf"), -1.0)
-    for t in candidates:
-        acc = accuracy_at_threshold(scores, labels, t)
-        if acc > best[1]:
-            best = (float(t), acc)
-    return best
+    labels = np.asarray(labels).astype(bool)
+    thresholds, tp, fp = _sweep_counts(scores, labels)
+    tn = (~labels).sum() - fp
+    accuracy = (tp + tn) / scores.size
+    best = int(np.argmax(accuracy))
+    return float(thresholds[best]), float(accuracy[best])

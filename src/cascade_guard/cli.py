@@ -25,6 +25,7 @@ from .attacks import (
 from .autograd import DenseLayer, forward_pass
 from .cascade import (
     CascadeConfig,
+    accuracy_at_threshold,
     best_threshold_accuracy,
     cascade_predict_batch,
     detector_score_batch,
@@ -36,7 +37,6 @@ from .featstats import fit_pca_bank, spectral_report
 from .recovery import recovery_eval
 from .selfaware import (
     ErrorTable,
-    MixtureItem,
     calibrate_omega,
     random_guess_error,
     selfaware_sweep,
@@ -260,7 +260,7 @@ def _cmd_evaluate(args):
     images, _ = _split_images(normals, args.split)
     scores, labels = _scores_and_labels(model, net, images, records)
     curve = roc_auc(scores, labels)
-    acc_calibrated = float(((scores >= 0.0) == labels).mean())
+    acc_calibrated = accuracy_at_threshold(scores, labels, 0.0)
     _, acc_best = best_threshold_accuracy(scores, labels)
     rows = [(_fmt(t), _fmt(f), _fmt(tp))
             for t, f, tp in zip(curve.thresholds, curve.fpr, curve.tpr)]
@@ -377,19 +377,18 @@ def _cmd_selfaware(args):
     images, labels = _split_images(normals, args.split)
     val_images, val_labels = _split_images(normals, "val")
     table = ErrorTable.from_validation(net, val_images, val_labels)
-    from .tensor import Tensor
-
-    items = [MixtureItem(Tensor(img), False, int(lab))
-             for img, lab in zip(images, labels)]
-    items += [MixtureItem(r.image, True, r.original_label) for r in records]
-    batch = np.stack([it.image.array for it in items])
+    batch = np.concatenate([images, np.stack([r.image.array for r in records])])
+    is_adv = np.arange(len(batch)) >= len(images)
+    true_labels = np.concatenate([labels, [
+        -1 if r.original_label is None else r.original_label for r in records]])
     scores = detector_score_batch(model, net, batch)
-    is_adv = np.array([it.is_adversarial for it in items])
+    _, _, predicted = predict_batch(net, batch)
     calibration = calibrate_omega(scores, is_adv)
     lo, hi, count = (float(v) for v in args.ea_range.split(":"))
     e_a_values = np.linspace(lo, hi, int(count))
     e_q = random_guess_error(net.spec.classes) if args.eq_random_guess else args.eq
-    points = selfaware_sweep(items, net, model, calibration, table, e_q, e_a_values)
+    points = selfaware_sweep(scores, predicted, is_adv, true_labels, calibration, table,
+                             e_q, e_a_values)
     rows = [(_fmt(p.e_a), _fmt(p.abstain_fraction), _fmt(p.retained_accuracy),
              _fmt(p.expected_loss)) for p in points]
     _write_csv(args.out_csv,

@@ -302,7 +302,7 @@ def load_dataset(dir_path) -> Dataset:
     d = Path(dir_path)
     payload = _load_json(d / "manifest.json")
     _check_version(payload, d / "manifest.json")
-    splits = _require(payload, "splits", d / "manifest.json")
+    splits = _require(payload, "splits", d / "manifest.json", dict)
     base = load_idx(d / "images.idx", d / "labels.idx")
     tags = np.full(base.n, "train", dtype="<U5")
     for tag in SPLIT_TAGS:
@@ -380,12 +380,15 @@ def _load_json(path) -> dict:
     return payload
 
 
-def _require(payload: dict, key: str, path):
+def _require(payload: dict, key: str, path, kind=object):
     if not isinstance(payload, dict):
         raise FormatError(f"artifact {path} has an entry that is not an object")
     if key not in payload:
         raise FormatError(f"artifact {path} is missing key {key!r}")
-    return payload[key]
+    value = payload[key]
+    if not isinstance(value, kind):
+        raise FormatError(f"artifact {path} has {key!r} that is not a {kind.__name__}")
+    return value
 
 
 def _check_version(payload: dict, path):
@@ -413,7 +416,7 @@ def save_tensor(path, tensor: Tensor):
 def load_tensor(path) -> Tensor:
     payload = _load_json(path)
     _check_version(payload, path)
-    dims = _require(payload, "dims", path)
+    dims = _require(payload, "dims", path, list)
     arr = _b64_to_f64(_require(payload, "data", path), tuple(dims), path)
     return Tensor(arr)
 
@@ -442,7 +445,7 @@ def _layer_to_json(layer):
 def layer_from_json(entry: dict, path="<spec>"):
     from .autograd import ConvLayer, DenseLayer, MaxPoolLayer, ReluLayer, SoftmaxLayer
 
-    kind = entry.get("kind")
+    kind = _require(entry, "kind", path)
     try:
         if kind == "conv":
             return ConvLayer(int(entry["filters"]), int(entry["kernel"]),
@@ -463,9 +466,9 @@ def layer_from_json(entry: dict, path="<spec>"):
 def spec_from_json(payload: dict, path="<spec>"):
     from .victim import NetworkSpec
 
-    layers = tuple(layer_from_json(e, path) for e in _require(payload, "layers", path))
+    layers = tuple(layer_from_json(e, path) for e in _require(payload, "layers", path, list))
     return NetworkSpec(
-        input_dims=tuple(_require(payload, "input_dims", path)),
+        input_dims=tuple(_require(payload, "input_dims", path, list)),
         classes=int(_require(payload, "classes", path)),
         layers=layers,
     )
@@ -509,9 +512,9 @@ def load_network(path):
     _check_version(payload, path)
     spec = spec_from_json(_require(payload, "spec", path), path)
     by_layer = {}
-    for entry in _require(payload, "weights", path):
+    for entry in _require(payload, "weights", path, list):
         idx = int(_require(entry, "layer", path))
-        shape = tuple(_require(entry, "shape", path))
+        shape = tuple(_require(entry, "shape", path, list))
         w = _b64_to_f64(_require(entry, "weights", path), shape, path)
         b = _b64_to_f64(_require(entry, "biases", path), (shape[0],), path)
         by_layer[idx] = (w, b)
@@ -570,7 +573,7 @@ def load_detector(path):
     svm_c = float(metadata.get("svm_c", 0.005))
     seed = int(metadata.get("seed", 0))
     banks = []
-    for i, entry in enumerate(_require(payload, "pca_banks", path)):
+    for i, entry in enumerate(_require(payload, "pca_banks", path, list)):
         mean = _b64_to_f64(_require(entry, "e", path), None, path)
         k = mean.size
         banks.append(PcaBank(
@@ -581,7 +584,7 @@ def load_detector(path):
             epsilon=float(epsilons[i]) if epsilons else 1e-8,
         ))
     stages = []
-    for i, entry in enumerate(_require(payload, "stages", path)):
+    for i, entry in enumerate(_require(payload, "stages", path, list)):
         weights = _b64_to_f64(_require(entry, "w", path), None, path)
         dim = weights.size
         svm = LinearSvm(
@@ -648,7 +651,7 @@ def load_adversarial_batch(dir_path):
     payload = _load_json(d / "manifest.json")
     _check_version(payload, d / "manifest.json")
     records = []
-    for entry in _require(payload, "records", d / "manifest.json"):
+    for entry in _require(payload, "records", d / "manifest.json", list):
         image = load_tensor(d / _require(entry, "file", d / "manifest.json"))
         src = entry.get("source_image_id")
         orig = entry.get("original_label")

@@ -12,15 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cascade import detector_score_batch
 from .errors import ValidationError
-from .tensor import Tensor
 from .victim import predict_batch
 
 __all__ = [
     "OmegaCalibration",
     "ErrorTable",
-    "MixtureItem",
     "SweepPoint",
     "calibrate_omega",
     "abstain_decide",
@@ -150,15 +147,6 @@ def abstain_decide(p_omega: float, p_err: float, e_q: float, e_a: float) -> str:
     return "predict" if expected_predict < e_a else "abstain"
 
 
-@dataclass(frozen=True)
-class MixtureItem:
-    """One test input: the image, whether it is adversarial, true label if known."""
-
-    image: Tensor
-    is_adversarial: bool
-    label: int | None
-
-
 @dataclass
 class SweepPoint:
     e_a: float
@@ -169,31 +157,32 @@ class SweepPoint:
     normal_retain_rate: float
 
 
-def selfaware_sweep(items, network, detector, calibration: OmegaCalibration,
-                    error_table: ErrorTable, e_q: float, e_a_values) -> list[SweepPoint]:
+def selfaware_sweep(scores, predicted, is_adversarial, labels,
+                    calibration: OmegaCalibration, error_table: ErrorTable,
+                    e_q: float, e_a_values) -> list[SweepPoint]:
     """Apply the abstain rule per item for each abstain cost in the sweep.
 
-    Retained accuracy counts a kept item as correct only when the victim's
-    argmax equals its true label; retained adversarials without one count as
+    Items are aligned rows of the mixture: detector score, the victim's
+    argmax, whether the item is adversarial and its true label (-1 when
+    unknown). Retained accuracy counts a kept item as correct only when the
+    argmax equals its true label, so retained items without one count as
     wrong. Expected loss charges e_a per abstention, e_q per retained
     adversarial and the 0/1 error per retained normal.
     """
-    items = list(items)
-    if not items:
+    scores = np.asarray(scores, dtype=np.float64)
+    pred = np.asarray(predicted, dtype=np.int64)
+    is_adv = np.asarray(is_adversarial, dtype=bool)
+    labels = np.asarray(labels, dtype=np.int64)
+    if scores.ndim != 1 or any(a.shape != scores.shape for a in (pred, is_adv, labels)):
+        raise ValidationError("scores, predictions, flags and labels must be aligned 1-D")
+    if scores.size == 0:
         raise ValidationError("mixture is empty")
-    batch = np.stack([it.image.array for it in items])
-    scores = detector_score_batch(detector, network, batch)
-    _, _, pred = predict_batch(network, batch)
     p_omega = calibration.p_normal(scores)
     p_err = np.array([error_table.p_err(c) for c in pred])
-    is_adv = np.array([it.is_adversarial for it in items], dtype=bool)
-    correct = np.array(
-        [it.label is not None and int(pred[i]) == int(it.label)
-         for i, it in enumerate(items)], dtype=bool)
+    correct = pred == labels
     expected_predict = p_omega * p_err + (1.0 - p_omega) * e_q
 
     points = []
-    n = len(items)
     for e_a in np.asarray(e_a_values, dtype=np.float64):
         predicts = expected_predict < e_a
         abstains = ~predicts
@@ -203,7 +192,7 @@ def selfaware_sweep(items, network, detector, calibration: OmegaCalibration,
             (abstains * e_a
              + predicts * np.where(is_adv, e_q, (~correct).astype(np.float64))).mean())
         adv_total = int(is_adv.sum())
-        norm_total = n - adv_total
+        norm_total = scores.size - adv_total
         points.append(SweepPoint(
             e_a=float(e_a),
             abstain_fraction=float(abstains.mean()),

@@ -135,6 +135,8 @@ class Network:
                     raise ValidationError(f"layer {idx} ({layer!r}) takes no weights")
                 normalized.append(None)
                 continue
+            if entry is None:
+                raise ValidationError(f"{kind} layer {idx} has no (weights, biases) entry")
             w = np.array(entry[0], dtype=np.float64)
             b = np.array(entry[1], dtype=np.float64)
             if w.shape != expect or b.shape != expect[:1]:

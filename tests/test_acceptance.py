@@ -39,12 +39,10 @@ from cascade_guard.featstats import (
 from cascade_guard.recovery import recovery_eval
 from cascade_guard.selfaware import (
     ErrorTable,
-    MixtureItem,
     abstain_decide,
     calibrate_omega,
     selfaware_sweep,
 )
-from cascade_guard.tensor import Tensor
 from cascade_guard.victim import (
     NetworkSpec,
     _init_weights,
@@ -469,13 +467,16 @@ def test_criterion_11_abstain_rule(victim_bundle, seed_runs):
     calibration = calibrate_omega(cal_scores, cal_labels)
     val_images, val_labels = victim_bundle.dataset.split("val")
     table = ErrorTable.from_validation(net, val_images, val_labels)
-    items = [MixtureItem(Tensor(img), False, int(lab)) for img, lab in
-             zip(run.holdout_normals[half:], run.holdout_normal_labels[half:])]
-    items += [MixtureItem(r.image, True, r.original_label)
-              for r in run.holdout_advs[150:]]
+    normals = run.holdout_normals[half:]
+    advs = run.holdout_advs[150:]
+    mix = np.concatenate([normals, np.stack([r.image.array for r in advs])])
+    _, _, predicted = predict_batch(net, mix)
+    labels = np.concatenate([run.holdout_normal_labels[half:],
+                             [r.original_label for r in advs]])
     e_a_grid = np.concatenate([[0.01, 0.5, 1.0], np.linspace(2.0, 8.0, 13)])
-    points = selfaware_sweep(items, net, run.model, calibration, table, 10.0,
-                             e_a_grid)
+    points = selfaware_sweep(detector_score_batch(run.model, net, mix), predicted,
+                             np.arange(len(mix)) >= len(normals), labels,
+                             calibration, table, 10.0, e_a_grid)
     full_abstention = [p for p in points if p.adversarial_abstain_rate == 1.0]
     retain_half = [p for p in points
                    if 2.0 <= p.e_a <= 8.0 and p.normal_retain_rate >= 0.5]

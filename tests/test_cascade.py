@@ -227,6 +227,42 @@ class TestCascadePredict:
         assert short[full].all()
         assert short.sum() >= full.sum()
 
+    def test_deeper_statistics_only_for_images_that_reach_the_stage(
+            self, trained_cascade, monkeypatch):
+        import cascade_guard.featstats as featstats_module
+        from cascade_guard.featstats import feature_matrix
+
+        net, model, normals, advs = trained_cascade
+        if len(model.stages) < 2:
+            pytest.skip("single-stage model")
+        images = np.concatenate([normals[:100], advs[:100]])
+        rows = {}
+        original = featstats_module.stat_matrix
+
+        def recording(layer_batch, bank):
+            rows[bank.layer_index] = rows.get(bank.layer_index, 0) + len(layer_batch)
+            return original(layer_batch, bank)
+
+        for module in (cascade_module, featstats_module):
+            monkeypatch.setattr(module, "stat_matrix", recording, raising=False)
+        _, exit_stage, scores = cascade_predict_batch(model, net, images)
+        monkeypatch.undo()
+        assert (exit_stage == 1).any()
+        assert rows == {1: len(images), 2: int((exit_stage != 1).sum())}
+
+        # Reference: every layer's statistics for every image, each stage
+        # scoring the prefix columns of its survivors.
+        feats = feature_matrix(net, images, model.banks, upto_layer=len(model.stages))
+        expected = np.full_like(scores, np.nan)
+        alive = np.arange(len(images))
+        cols = 0
+        for i, (stage, bank) in enumerate(zip(model.stages, model.banks)):
+            cols += 6 * bank.k
+            s = stage.svm.decision_scores(feats[alive, :cols])
+            expected[alive, i] = s
+            alive = alive[s >= stage.tau]
+        np.testing.assert_array_equal(scores, expected)
+
 
 class TestDetectorScore:
     def test_adversarial_scores_rank_above_all_normal_decisions(self, trained_cascade):
@@ -296,7 +332,22 @@ class TestRocAuc:
         labels = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         if labels.all() or not labels.any():
             labels[0] = not labels[0]
-        assert roc_auc(scores, labels).auc == pair_counting_auc(scores, labels)
+        curve = roc_auc(scores, labels)
+        assert curve.auc == pair_counting_auc(scores, labels)
+
+        # Brute-force sweep over inf and the distinct scores, descending.
+        thresholds = [np.inf] + sorted(set(scores.tolist()), reverse=True)
+        fpr, tpr, best = [], [], (np.inf, -1.0)
+        for t in thresholds:
+            flagged = scores >= t
+            fpr.append((flagged & ~labels).sum() / (~labels).sum())
+            tpr.append((flagged & labels).sum() / labels.sum())
+            acc = accuracy_at_threshold(scores, labels, t)
+            if acc > best[1]:
+                best = (t, acc)
+        assert curve.thresholds.tolist() == thresholds
+        assert curve.fpr.tolist() == fpr and curve.tpr.tolist() == tpr
+        assert best_threshold_accuracy(scores, labels) == best
 
     def test_curve_endpoints(self):
         curve = roc_auc(np.array([0.5, 0.2, 0.8]), np.array([1, 0, 1]))

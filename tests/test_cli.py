@@ -1,5 +1,6 @@
 import base64
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,36 @@ class TestExitCodes:
         code = run(["evaluate", "--detector", bad, "--net", pipeline / "net.json",
                     "--normals", pipeline / "bank",
                     "--adversarials", pipeline / "advs_test",
+                    "--out-csv", tmp_path / "eval.csv"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("ERROR 1:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("artifact, corrupt", [
+        ("net.json", lambda p: p["weights"].pop(0)),
+        ("net.json", lambda p: p.update(weights=5)),
+        ("net.json", lambda p: p["weights"][0].update(shape=5)),
+        ("net.json", lambda p: p["spec"]["layers"].__setitem__(0, 5)),
+        ("det.json", lambda p: p.update(pca_banks=5)),
+        ("det.json", lambda p: p.update(stages=5)),
+        ("advs_test/img_00000.json", lambda p: p.update(dims=5)),
+        ("advs_test/manifest.json", lambda p: p.update(records=5)),
+        ("bank/manifest.json", lambda p: p.update(splits=5)),
+    ], ids=["net-weight-entry-missing", "net-weights-not-list", "net-shape-not-list",
+            "net-layer-not-object", "det-banks-not-list", "det-stages-not-list",
+            "tensor-dims-not-list", "adv-records-not-list", "dataset-splits-not-object"])
+    def test_wrong_artifact_type_is_validation_error(self, pipeline, tmp_path, capsys,
+                                                      artifact, corrupt):
+        for name in ("net.json", "det.json"):
+            shutil.copy(pipeline / name, tmp_path / name)
+        for name in ("bank", "advs_test"):
+            shutil.copytree(pipeline / name, tmp_path / name)
+        payload = json.loads((tmp_path / artifact).read_text())
+        corrupt(payload)
+        (tmp_path / artifact).write_text(json.dumps(payload))
+        code = run(["evaluate", "--detector", tmp_path / "det.json",
+                    "--net", tmp_path / "net.json", "--normals", tmp_path / "bank",
+                    "--adversarials", tmp_path / "advs_test",
                     "--out-csv", tmp_path / "eval.csv"])
         err = capsys.readouterr().err
         assert code == 1, err

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from cascade_guard.errors import ValidationError
 from cascade_guard.selfaware import (
     ErrorTable,
-    MixtureItem,
+    OmegaCalibration,
     abstain_decide,
     calibrate_omega,
     random_guess_error,
     selfaware_sweep,
 )
-from cascade_guard.tensor import Tensor
 
 
 def grid_search_calibration(scores, labels, ridge=1e-6):
@@ -154,6 +153,7 @@ class TestErrorTable:
 @pytest.fixture(scope="module")
 def sweep_setup(victim_bundle, corpus, fitted_banks):
     from cascade_guard.cascade import CascadeConfig, detector_score_batch, train_cascade
+    from cascade_guard.victim import predict_batch
 
     net = victim_bundle.network
     advs = np.stack([r.image.array for r in corpus.successful[:400]])
@@ -170,27 +170,31 @@ def sweep_setup(victim_bundle, corpus, fitted_banks):
     calibration = calibrate_omega(scores, labels)
     val_images, val_labels = victim_bundle.dataset.split("val")
     table = ErrorTable.from_validation(net, val_images, val_labels)
-    items = [MixtureItem(Tensor(img), False, int(lab)) for img, lab in
-             zip(corpus.normal_bank[900:1050], corpus.normal_labels[900:1050])]
-    items += [MixtureItem(r.image, True, r.original_label)
-              for r in corpus.successful[550:700]]
-    return net, model, calibration, table, items
+    normals = corpus.normal_bank[900:1050]
+    successful = corpus.successful[550:700]
+    mix = np.concatenate([normals, np.stack([r.image.array for r in successful])])
+    _, _, predicted = predict_batch(net, mix)
+    mixture = (detector_score_batch(model, net, mix), predicted,
+               np.arange(len(mix)) >= len(normals),
+               np.concatenate([corpus.normal_labels[900:1050],
+                               [r.original_label for r in successful]]))
+    return mixture, calibration, table
 
 
 class TestSweep:
     def test_tiny_abstain_cost_abstains_everything(self, sweep_setup):
-        net, model, cal, table, items = sweep_setup
-        pts = selfaware_sweep(items, net, model, cal, table, 10.0, [1e-6])
+        mixture, cal, table = sweep_setup
+        pts = selfaware_sweep(*mixture, cal, table, 10.0, [1e-6])
         assert pts[0].abstain_fraction == 1.0
 
     def test_cost_above_eq_never_abstains(self, sweep_setup):
-        net, model, cal, table, items = sweep_setup
-        pts = selfaware_sweep(items, net, model, cal, table, 10.0, [11.0])
+        mixture, cal, table = sweep_setup
+        pts = selfaware_sweep(*mixture, cal, table, 10.0, [11.0])
         assert pts[0].abstain_fraction == 0.0
 
     def test_retained_accuracy_improves_with_abstention(self, sweep_setup):
-        net, model, cal, table, items = sweep_setup
-        pts = selfaware_sweep(items, net, model, cal, table, 10.0,
+        mixture, cal, table = sweep_setup
+        pts = selfaware_sweep(*mixture, cal, table, 10.0,
                               np.linspace(2.0, 8.0, 13))
         by_abstention = sorted(pts, key=lambda p: p.abstain_fraction)
         acc = [p.retained_accuracy for p in by_abstention]
@@ -199,6 +203,21 @@ class TestSweep:
             assert hi >= lo - 0.02
 
     def test_empty_mixture_rejected(self, sweep_setup):
-        net, model, cal, table, _ = sweep_setup
+        _, cal, table = sweep_setup
         with pytest.raises(ValidationError, match="empty"):
-            selfaware_sweep([], net, model, cal, table, 10.0, [2.0])
+            selfaware_sweep([], [], [], [], cal, table, 10.0, [2.0])
+
+    def test_misaligned_arrays_rejected(self):
+        table = ErrorTable(per_class=np.zeros(2), counts=np.array([50, 50]), global_rate=0.0)
+        with pytest.raises(ValidationError, match="aligned"):
+            selfaware_sweep([0.1, 0.2], [0], [False, True], [0, 1],
+                            OmegaCalibration(-1.0, 0.0), table, 10.0, [2.0])
+
+    def test_retained_item_without_label_counts_as_wrong(self):
+        # e_a above e_q retains everything; both predictions are 0, and only
+        # the first item's true label (0) is known.
+        table = ErrorTable(per_class=np.zeros(2), counts=np.array([50, 50]), global_rate=0.0)
+        pts = selfaware_sweep([-1.0, 1.0], [0, 0], [False, True], [0, -1],
+                              OmegaCalibration(-1.0, 0.0), table, 10.0, [11.0])
+        assert pts[0].abstain_fraction == 0.0
+        assert pts[0].retained_accuracy == 0.5
