@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .featstats import feature_matrix, stat_matrix
+from .featstats import stat_matrix
 from .tensor import Tensor
 from .victim import layer_outputs_batch
 
@@ -48,8 +48,6 @@ class LinearSvm:
 
     weights: np.ndarray
     bias: float
-    c: float
-    seed: int
     feature_means: np.ndarray
     feature_stds: np.ndarray
 
@@ -92,7 +90,7 @@ def svm_objective(weights, bias, xs, y, lam) -> float:
     return 0.5 * lam * (weights @ weights + bias * bias) + hinge.mean()
 
 
-def train_svm(x, y, c: float = 0.005, seed: int = 0, iters: int = 2000) -> LinearSvm:
+def train_svm(x, y, c: float = 0.005, iters: int = 2000) -> LinearSvm:
     """Deterministic full-batch subgradient descent with best-iterate tracking.
 
     The regularization weight is lam = 1 / (c * n); steps follow the
@@ -128,8 +126,8 @@ def train_svm(x, y, c: float = 0.005, seed: int = 0, iters: int = 2000) -> Linea
         if obj < best_obj:
             best_obj = obj
             best_w = w.copy()
-    return LinearSvm(weights=best_w[:d], bias=float(best_w[d]), c=float(c),
-                     seed=int(seed), feature_means=means, feature_stds=stds)
+    return LinearSvm(weights=best_w[:d], bias=float(best_w[d]),
+                     feature_means=means, feature_stds=stds)
 
 
 def calibrate_threshold(scores, labels, target_tpr: float) -> float:
@@ -196,82 +194,67 @@ class CascadeConfig:
             raise ValidationError("svm C must be positive")
 
 
-def train_cascade(normal_pool, adv_train, network, banks, config=CascadeConfig(),
-                  val_normals=None, val_adversarials=None) -> CascadeModel:
+def train_cascade(pool_layers, adv_layers, banks, config=CascadeConfig()) -> CascadeModel:
     """Stage-by-stage training with pool elimination.
 
-    Per stage: draw a balanced subset of still-alive pool normals, train the
-    SVM against all training adversarials on layers 1..k features, calibrate
-    the threshold at the target TPR on the training adversarials, then drop
-    pool normals that score below it. Stops when conv layers run out or the
-    pool empties. Stage rates come from the validation pair when given,
-    otherwise from the stage's own training data.
+    pool_layers and adv_layers are the per-conv-layer activation arrays of the
+    normal pool and of the training adversarials, as layer_outputs_batch
+    returns them. Stage k appends layer-k statistics of the pool normals still
+    alive, and of the adversarials, to the features of the earlier stages. It
+    then draws a balanced subset of the alive normals, trains the SVM against
+    all training adversarials, calibrates the threshold at the target TPR on
+    the training adversarials and drops the pool normals that score below it.
+    Stops when conv layers run out or the pool empties. Stage rates are the
+    stage's own rates on the alive pool and the training adversarials.
     """
-    pool = np.asarray(normal_pool, dtype=np.float64)
-    advs = np.asarray(adv_train, dtype=np.float64)
-    if pool.ndim != 4 or advs.ndim != 4:
-        raise ValidationError("image sets must be N x H x W x C")
-    n_p = len(advs)
-    if n_p == 0:
-        raise ValidationError("training adversarial set is empty")
-    if len(pool) < n_p:
-        raise ValidationError(f"normal pool ({len(pool)}) smaller than adversarial set ({n_p})")
+    pool_layers, adv_layers = list(pool_layers), list(adv_layers)
+    if len(pool_layers) != len(adv_layers) or any(
+            a.ndim != 4 or p.shape[1:] != a.shape[1:] for p, a in zip(pool_layers, adv_layers)):
+        raise ValidationError("pool and adversarial activations must be N x h x w x k "
+                              "arrays of the same conv layers")
     banks = tuple(banks)
-    n_layers = min(len(banks), network.spec.conv_count)
+    n_layers = min(len(banks), len(pool_layers))
     if config.max_stages is not None:
         n_layers = min(n_layers, config.max_stages)
     if n_layers < 1:
         raise ValidationError("need at least one conv layer with a fitted bank")
+    n_p = len(adv_layers[0])
+    if n_p == 0:
+        raise ValidationError("training adversarial set is empty")
+    n_pool = len(pool_layers[0])
+    if n_pool < n_p:
+        raise ValidationError(f"normal pool ({n_pool}) smaller than adversarial set ({n_p})")
 
     rng = np.random.default_rng(config.seed)
-    pool_feats = feature_matrix(network, pool, banks, upto_layer=n_layers)
-    adv_feats = feature_matrix(network, advs, banks, upto_layer=n_layers)
-    val_feats = None
-    if val_normals is not None and val_adversarials is not None:
-        val_feats = (
-            feature_matrix(network, np.asarray(val_normals, dtype=np.float64),
-                           banks, upto_layer=n_layers),
-            feature_matrix(network, np.asarray(val_adversarials, dtype=np.float64),
-                           banks, upto_layer=n_layers),
-        )
-
-    dims = np.cumsum([6 * b.k for b in banks[:n_layers]])
-    alive = np.arange(len(pool))
-    val_alive_n = None if val_feats is None else np.arange(len(val_feats[0]))
-    val_alive_a = None if val_feats is None else np.arange(len(val_feats[1]))
+    alive = np.arange(n_pool)
+    pool_feats = np.empty((n_pool, 0))
+    adv_feats = np.empty((n_p, 0))
     stages = []
-    for m in range(1, n_layers + 1):
+    for m, bank in enumerate(banks[:n_layers]):
         if alive.size == 0:
             break
-        cols = slice(0, dims[m - 1])
+        pool_feats = np.concatenate([pool_feats, stat_matrix(pool_layers[m][alive], bank)],
+                                    axis=1)
+        adv_feats = np.concatenate([adv_feats, stat_matrix(adv_layers[m], bank)], axis=1)
         draw = rng.choice(alive, size=min(n_p, alive.size), replace=False)
-        x = np.concatenate([pool_feats[draw, cols], adv_feats[:, cols]])
+        x = np.concatenate([pool_feats[np.searchsorted(alive, draw)], adv_feats])
         y = np.concatenate([-np.ones(len(draw)), np.ones(n_p)])
-        svm = train_svm(x, y, c=config.svm_c, seed=config.seed, iters=config.svm_iters)
-        adv_scores = svm.decision_scores(adv_feats[:, cols])
+        svm = train_svm(x, y, c=config.svm_c, iters=config.svm_iters)
+        adv_scores = svm.decision_scores(adv_feats)
         tau = calibrate_threshold(adv_scores, np.ones(n_p), config.target_tpr)
-        pool_scores = svm.decision_scores(pool_feats[alive, cols])
-
-        if val_feats is not None:
-            sn = svm.decision_scores(val_feats[0][val_alive_n, cols])
-            sa = svm.decision_scores(val_feats[1][val_alive_a, cols])
-            fpr = float((sn >= tau).mean()) if sn.size else float("nan")
-            tpr = float((sa >= tau).mean()) if sa.size else float("nan")
-            val_alive_n = val_alive_n[sn >= tau]
-            val_alive_a = val_alive_a[sa >= tau]
-        else:
-            fpr = float((pool_scores >= tau).mean())
-            tpr = float((adv_scores >= tau).mean())
-
-        stages.append(CascadeStage(layer_index=m, svm=svm, tau=tau, fpr=fpr, tpr=tpr))
-        alive = alive[pool_scores >= tau]
+        kept = svm.decision_scores(pool_feats) >= tau
+        stages.append(CascadeStage(layer_index=m + 1, svm=svm, tau=tau,
+                                   fpr=float(kept.mean()),
+                                   tpr=float((adv_scores >= tau).mean())))
+        alive = alive[kept]
+        pool_feats = pool_feats[kept]
 
     return CascadeModel(
         stages=tuple(stages),
         banks=banks[:n_layers],
         target_tpr=config.target_tpr,
         metadata={"svm_c": config.svm_c, "seed": config.seed,
-                  "pool_size": int(len(pool)), "adv_train_size": int(n_p),
+                  "pool_size": int(n_pool), "adv_train_size": int(n_p),
                   "pool_survivors": int(alive.size)},
     )
 

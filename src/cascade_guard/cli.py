@@ -222,11 +222,11 @@ def _cmd_fit_detector(args):
         raise ValidationError("no adversarial records to train on")
     pool, _ = _split_images(normals, args.split)
     advs = np.stack([r.image.array for r in records])
-    layer_batches = layer_outputs_batch(net, pool)
+    pool_layers = layer_outputs_batch(net, pool)
     banks = [fit_pca_bank(batch, layer_index=m + 1)
-             for m, batch in enumerate(layer_batches)]
+             for m, batch in enumerate(pool_layers)]
     config = CascadeConfig(target_tpr=args.target_tpr, svm_c=args.c, seed=args.seed)
-    model = train_cascade(pool, advs, net, banks, config)
+    model = train_cascade(pool_layers, layer_outputs_batch(net, advs), banks, config)
     model.metadata["normals_fingerprint"] = dataio.dataset_fingerprint(normals)
     dataio.save_detector(args.out, model)
     rates = ", ".join(f"stage{s.layer_index}: fpr={s.fpr:.3f} tpr={s.tpr:.3f}"

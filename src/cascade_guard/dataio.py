@@ -304,12 +304,17 @@ def load_dataset(dir_path) -> Dataset:
     _check_version(payload, d / "manifest.json")
     splits = _require(payload, "splits", d / "manifest.json", dict)
     base = load_idx(d / "images.idx", d / "labels.idx")
-    tags = np.full(base.n, "train", dtype="<U5")
+    tags = np.full(base.n, "", dtype="<U5")
     for tag in SPLIT_TAGS:
-        idx = np.asarray(splits.get(tag, []), dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= base.n):
+        ids = _ints(splits, tag, d / "manifest.json") if tag in splits else []
+        if any(not 0 <= i < base.n for i in ids):
             raise FormatError(f"split indices out of range in {d / 'manifest.json'}")
-        tags[idx] = tag
+        taken = tags[ids][tags[ids] != ""]
+        if taken.size:
+            raise FormatError(f"splits '{taken[0]}' and '{tag}' share images "
+                              f"in {d / 'manifest.json'}")
+        tags[ids] = tag
+    tags[tags == ""] = "train"
     manifest = dict(payload.get("provenance", {}))
     return Dataset(base.images, base.labels, tags, manifest)
 
@@ -380,15 +385,31 @@ def _load_json(path) -> dict:
     return payload
 
 
-def _require(payload: dict, key: str, path, kind=object):
+_ABSENT = object()
+
+
+def _require(payload: dict, key: str, path, kind=object, default=_ABSENT):
+    """payload[key] checked to be a kind; a default stands in for a missing or null key."""
     if not isinstance(payload, dict):
         raise FormatError(f"artifact {path} has an entry that is not an object")
+    if default is not _ABSENT and payload.get(key) is None:
+        return default
     if key not in payload:
         raise FormatError(f"artifact {path} is missing key {key!r}")
-    value = payload[key]
-    if not isinstance(value, kind):
+    return _checked(payload[key], kind, key, path)
+
+
+def _checked(value, kind, key, path):
+    """value as a kind; int takes JSON integers only, float any JSON number."""
+    number = kind in (int, float)
+    if not isinstance(value, (int, float) if kind is float else kind) or (
+            number and isinstance(value, bool)):
         raise FormatError(f"artifact {path} has {key!r} that is not a {kind.__name__}")
-    return value
+    return kind(value) if number else value
+
+
+def _ints(payload: dict, key: str, path) -> list:
+    return [_checked(v, int, key, path) for v in _require(payload, key, path, list)]
 
 
 def _check_version(payload: dict, path):
@@ -416,9 +437,8 @@ def save_tensor(path, tensor: Tensor):
 def load_tensor(path) -> Tensor:
     payload = _load_json(path)
     _check_version(payload, path)
-    dims = _require(payload, "dims", path, list)
-    arr = _b64_to_f64(_require(payload, "data", path), tuple(dims), path)
-    return Tensor(arr)
+    dims = tuple(_ints(payload, "dims", path))
+    return Tensor(_b64_to_f64(_require(payload, "data", path), dims, path))
 
 
 # ---------------------------------------------------------------------------
@@ -446,20 +466,20 @@ def layer_from_json(entry: dict, path="<spec>"):
     from .autograd import ConvLayer, DenseLayer, MaxPoolLayer, ReluLayer, SoftmaxLayer
 
     kind = _require(entry, "kind", path)
-    try:
-        if kind == "conv":
-            return ConvLayer(int(entry["filters"]), int(entry["kernel"]),
-                             int(entry.get("stride", 1)), int(entry.get("padding", 0)))
-        if kind == "relu":
-            return ReluLayer()
-        if kind == "maxpool":
-            return MaxPoolLayer(int(entry["window"]), int(entry["stride"]))
-        if kind == "dense":
-            return DenseLayer(int(entry["units"]))
-        if kind == "softmax":
-            return SoftmaxLayer()
-    except KeyError as exc:
-        raise FormatError(f"layer entry in {path} is missing {exc}") from None
+
+    def num(key, default=_ABSENT):
+        return _require(entry, key, path, int, default)
+
+    if kind == "conv":
+        return ConvLayer(num("filters"), num("kernel"), num("stride", 1), num("padding", 0))
+    if kind == "relu":
+        return ReluLayer()
+    if kind == "maxpool":
+        return MaxPoolLayer(num("window"), num("stride"))
+    if kind == "dense":
+        return DenseLayer(num("units"))
+    if kind == "softmax":
+        return SoftmaxLayer()
     raise FormatError(f"unknown layer kind {kind!r} in {path}")
 
 
@@ -468,8 +488,8 @@ def spec_from_json(payload: dict, path="<spec>"):
 
     layers = tuple(layer_from_json(e, path) for e in _require(payload, "layers", path, list))
     return NetworkSpec(
-        input_dims=tuple(_require(payload, "input_dims", path, list)),
-        classes=int(_require(payload, "classes", path)),
+        input_dims=tuple(_ints(payload, "input_dims", path)),
+        classes=_require(payload, "classes", path, int),
         layers=layers,
     )
 
@@ -513,8 +533,8 @@ def load_network(path):
     spec = spec_from_json(_require(payload, "spec", path), path)
     by_layer = {}
     for entry in _require(payload, "weights", path, list):
-        idx = int(_require(entry, "layer", path))
-        shape = tuple(_require(entry, "shape", path, list))
+        idx = _require(entry, "layer", path, int)
+        shape = tuple(_ints(entry, "shape", path))
         w = _b64_to_f64(_require(entry, "weights", path), shape, path)
         b = _b64_to_f64(_require(entry, "biases", path), (shape[0],), path)
         by_layer[idx] = (w, b)
@@ -570,18 +590,16 @@ def load_detector(path):
     metadata = dict(payload.get("metadata", {}))
     rates = metadata.pop("stage_rates", None)
     epsilons = metadata.pop("bank_epsilons", None)
-    svm_c = float(metadata.get("svm_c", 0.005))
-    seed = int(metadata.get("seed", 0))
     banks = []
     for i, entry in enumerate(_require(payload, "pca_banks", path, list)):
         mean = _b64_to_f64(_require(entry, "e", path), None, path)
         k = mean.size
         banks.append(PcaBank(
-            layer_index=int(_require(entry, "layer", path)),
+            layer_index=_require(entry, "layer", path, int),
             mean=mean,
             components=_b64_to_f64(_require(entry, "W", path), (k, k), path),
             stds=_b64_to_f64(_require(entry, "s", path), (k,), path),
-            epsilon=float(epsilons[i]) if epsilons else 1e-8,
+            epsilon=_checked(epsilons[i], float, "bank_epsilons", path) if epsilons else 1e-8,
         ))
     stages = []
     for i, entry in enumerate(_require(payload, "stages", path, list)):
@@ -589,26 +607,24 @@ def load_detector(path):
         dim = weights.size
         svm = LinearSvm(
             weights=weights,
-            bias=float(_require(entry, "b", path)),
-            c=svm_c,
-            seed=seed,
+            bias=_require(entry, "b", path, float),
             feature_means=_b64_to_f64(_require(entry, "feature_means", path), (dim,), path),
             feature_stds=_b64_to_f64(_require(entry, "feature_stds", path), (dim,), path),
         )
         fpr, tpr = (None, None)
         if rates and rates[i] is not None:
-            fpr, tpr = float(rates[i][0]), float(rates[i][1])
+            fpr, tpr = (_checked(r, float, "stage_rates", path) for r in rates[i][:2])
         stages.append(CascadeStage(
-            layer_index=int(_require(entry, "layer", path)),
+            layer_index=_require(entry, "layer", path, int),
             svm=svm,
-            tau=float(_require(entry, "tau", path)),
+            tau=_require(entry, "tau", path, float),
             fpr=fpr,
             tpr=tpr,
         ))
     return CascadeModel(
         stages=tuple(stages),
         banks=tuple(banks),
-        target_tpr=float(_require(payload, "target_tpr", path)),
+        target_tpr=_require(payload, "target_tpr", path, float),
         metadata=metadata,
     )
 
@@ -652,19 +668,17 @@ def load_adversarial_batch(dir_path):
     _check_version(payload, d / "manifest.json")
     records = []
     for entry in _require(payload, "records", d / "manifest.json", list):
-        image = load_tensor(d / _require(entry, "file", d / "manifest.json"))
-        src = entry.get("source_image_id")
-        orig = entry.get("original_label")
+        image = load_tensor(d / _require(entry, "file", d / "manifest.json", str))
         records.append(AdversarialRecord(
-            source_image_id=None if src is None else int(src),
+            source_image_id=_require(entry, "source_image_id", d, int, None),
             image=image,
-            original_label=None if orig is None else int(orig),
-            target_label=int(_require(entry, "target_label", d)),
-            kind=str(_require(entry, "kind", d)),
-            achieved_confidence=float(_require(entry, "achieved_confidence", d)),
-            l1=None if entry.get("l1") is None else float(entry["l1"]),
-            linf=None if entry.get("linf") is None else float(entry["linf"]),
-            iterations=int(_require(entry, "iterations", d)),
-            success=bool(_require(entry, "success", d)),
+            original_label=_require(entry, "original_label", d, int, None),
+            target_label=_require(entry, "target_label", d, int),
+            kind=_require(entry, "kind", d, str),
+            achieved_confidence=_require(entry, "achieved_confidence", d, float),
+            l1=_require(entry, "l1", d, float, None),
+            linf=_require(entry, "linf", d, float, None),
+            iterations=_require(entry, "iterations", d, int),
+            success=_require(entry, "success", d, bool),
         ))
     return records

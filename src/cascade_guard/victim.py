@@ -206,19 +206,19 @@ def _check_image(spec: NetworkSpec, image: Tensor):
 
 
 def _as_batch(spec: NetworkSpec, images) -> np.ndarray:
-    if isinstance(images, np.ndarray):
-        batch = np.asarray(images, dtype=np.float64)
-        if batch.ndim != 4 or batch.shape[1:] != spec.input_dims:
-            raise ValidationError(
-                f"batch shape {batch.shape} does not match input dims {spec.input_dims}"
-            )
-        return batch
-    tensors = list(images)
-    if not tensors:
+    if not isinstance(images, np.ndarray):
+        tensors = list(images)
+        for t in tensors:
+            _check_image(spec, t)
+        images = [t.array for t in tensors]
+    batch = np.asarray(images, dtype=np.float64)
+    if batch.shape[:1] == (0,):
         raise ValidationError("need at least one image")
-    for t in tensors:
-        _check_image(spec, t)
-    return np.stack([t.array for t in tensors])
+    if batch.ndim != 4 or batch.shape[1:] != spec.input_dims:
+        raise ValidationError(
+            f"batch shape {batch.shape} does not match input dims {spec.input_dims}"
+        )
+    return batch
 
 
 def train_victim(dataset, spec: NetworkSpec, hyper: TrainConfig = TrainConfig()) -> Network:

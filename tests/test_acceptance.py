@@ -95,8 +95,9 @@ def seed_runs(victim_bundle, corpus, fitted_banks, request):
         hold_idx = norm_order[1500:2000]
         pool = corpus.normal_bank[pool_idx]
         model = train_cascade(
-            pool, np.stack([r.image.array for r in train_advs]), net, fitted_banks,
-            CascadeConfig(seed=seed),
+            layer_outputs_batch(net, pool),
+            layer_outputs_batch(net, np.stack([r.image.array for r in train_advs])),
+            fitted_banks, CascadeConfig(seed=seed),
         )
         holdout_normals = corpus.normal_bank[hold_idx]
         scores = np.concatenate([

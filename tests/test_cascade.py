@@ -24,6 +24,7 @@ from cascade_guard.cascade import (
 )
 from cascade_guard.errors import ValidationError
 from cascade_guard.tensor import Tensor
+from cascade_guard.victim import layer_outputs_batch
 
 
 def pair_counting_auc(scores, labels):
@@ -131,8 +132,8 @@ class TestCalibrateThreshold:
 def trained_cascade(victim_bundle, corpus, fitted_banks):
     net = victim_bundle.network
     advs = np.stack([r.image.array for r in corpus.successful[:400]])
-    model = train_cascade(corpus.normal_bank[:600], advs, net, fitted_banks,
-                          CascadeConfig(seed=5))
+    model = train_cascade(layer_outputs_batch(net, corpus.normal_bank[:600]),
+                          layer_outputs_batch(net, advs), fitted_banks, CascadeConfig(seed=5))
     holdout_normals = corpus.normal_bank[600:1100]
     holdout_advs = np.stack([r.image.array for r in corpus.successful[400:700]])
     return net, model, holdout_normals, holdout_advs
@@ -150,7 +151,8 @@ class TestTrainCascade:
         net = victim_bundle.network
         advs = np.stack([r.image.array for r in corpus.successful[:80]])
         # max_stages=1 exercises the loop exit precisely
-        model = train_cascade(corpus.normal_bank[:100], advs, net, fitted_banks,
+        model = train_cascade(layer_outputs_batch(net, corpus.normal_bank[:100]),
+                              layer_outputs_batch(net, advs), fitted_banks,
                               CascadeConfig(seed=0, max_stages=1))
         assert len(model.stages) == 1
 
@@ -166,7 +168,8 @@ class TestTrainCascade:
         net = victim_bundle.network
         pool = corpus.normal_bank[:600]
         advs = np.stack([r.image.array for r in corpus.successful[:400]])
-        model = train_cascade(pool, advs, net, fitted_banks, CascadeConfig(seed=5))
+        model = train_cascade(layer_outputs_batch(net, pool), layer_outputs_batch(net, advs),
+                              fitted_banks, CascadeConfig(seed=5))
         stage = model.stages[0]
         fn = feature_matrix(net, pool, model.banks, upto_layer=1)
         fa = feature_matrix(net, advs, model.banks, upto_layer=1)
@@ -183,10 +186,45 @@ class TestTrainCascade:
 
     def test_pool_smaller_than_train_set_rejected(
             self, victim_bundle, corpus, fitted_banks):
+        net = victim_bundle.network
         advs = np.stack([r.image.array for r in corpus.successful[:50]])
         with pytest.raises(ValidationError, match="pool"):
-            train_cascade(corpus.normal_bank[:10], advs, victim_bundle.network,
-                          fitted_banks, CascadeConfig())
+            train_cascade(layer_outputs_batch(net, corpus.normal_bank[:10]),
+                          layer_outputs_batch(net, advs), fitted_banks, CascadeConfig())
+
+    def test_deeper_statistics_only_for_pool_normals_still_alive(
+            self, victim_bundle, corpus, fitted_banks, monkeypatch):
+        import cascade_guard.featstats as featstats_module
+        from cascade_guard.featstats import feature_matrix
+
+        net = victim_bundle.network
+        pool = corpus.normal_bank[:600]
+        advs = np.stack([r.image.array for r in corpus.successful[:400]])
+        pool_layers = layer_outputs_batch(net, pool)
+        adv_layers = layer_outputs_batch(net, advs)
+        calls = []
+        original = featstats_module.stat_matrix
+
+        def recording(layer_batch, bank):
+            calls.append((bank.layer_index, layer_batch.copy()))
+            return original(layer_batch, bank)
+
+        for module in (cascade_module, featstats_module):
+            monkeypatch.setattr(module, "stat_matrix", recording, raising=False)
+        model = train_cascade(pool_layers, adv_layers, fitted_banks, CascadeConfig(seed=5))
+        monkeypatch.undo()
+        if len(model.stages) < 2:
+            pytest.skip("single-stage model")
+
+        stage = model.stages[0]
+        s1 = stage.svm.decision_scores(feature_matrix(net, pool, model.banks, upto_layer=1))
+        survivors = np.nonzero(s1 >= stage.tau)[0]
+        assert 0 < survivors.size < len(pool)
+        expected = [(1, pool_layers[0]), (1, adv_layers[0]),
+                    (2, pool_layers[1][survivors]), (2, adv_layers[1])]
+        assert [layer for layer, _ in calls] == [layer for layer, _ in expected]
+        for (_, got), (_, want) in zip(calls, expected):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestCascadePredict:
@@ -265,6 +303,11 @@ class TestCascadePredict:
 
 
 class TestDetectorScore:
+    def test_empty_batch_rejected(self, trained_cascade):
+        net, model, _, _ = trained_cascade
+        with pytest.raises(ValidationError, match="at least one image"):
+            detector_score_batch(model, net, np.zeros((0, 28, 28, 1)))
+
     def test_adversarial_scores_rank_above_all_normal_decisions(self, trained_cascade):
         net, model, normals, advs = trained_cascade
         images = np.concatenate([normals[:80], advs[:80]])

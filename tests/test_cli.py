@@ -122,6 +122,29 @@ class TestPipeline:
         assert first[1] >= last[1]
 
 
+class TestFitDetector:
+    def test_each_image_is_forwarded_once(self, pipeline, tmp_path, monkeypatch):
+        import cascade_guard.victim as victim_module
+
+        rows = []
+        original = victim_module.forward_pass
+
+        def counting(layers, weights, x, *args, **kwargs):
+            rows.append(len(x))
+            return original(layers, weights, x, *args, **kwargs)
+
+        monkeypatch.setattr(victim_module, "forward_pass", counting)
+        assert run(["fit-detector", "--net", pipeline / "net.json",
+                    "--normals", pipeline / "bank", "--split", "train",
+                    "--adversarials", pipeline / "advs_train",
+                    "--seed", 2, "--out", tmp_path / "det.json"]) == 0
+        monkeypatch.undo()
+        n_train = len(dataio.load_dataset(pipeline / "bank").indices("train"))
+        n_advs = sum(r.success for r in dataio.load_adversarial_batch(pipeline / "advs_train"))
+        assert sum(rows) == n_train + n_advs
+        assert (tmp_path / "det.json").read_bytes() == (pipeline / "det.json").read_bytes()
+
+
 class TestReproducibility:
     def test_synth_data_byte_identical(self, tmp_path):
         a = tmp_path / "a"
@@ -230,9 +253,21 @@ class TestExitCodes:
         ("advs_test/img_00000.json", lambda p: p.update(dims=5)),
         ("advs_test/manifest.json", lambda p: p.update(records=5)),
         ("bank/manifest.json", lambda p: p.update(splits=5)),
+        ("net.json", lambda p: p["spec"].update(input_dims=["a", 28, 1])),
+        ("net.json", lambda p: p["spec"]["layers"][0].update(filters="x")),
+        ("net.json", lambda p: p["weights"][0].update(layer="x")),
+        ("bank/manifest.json", lambda p: p["splits"].update(test=["a"])),
+        ("det.json", lambda p: p["stages"][0].update(tau="x")),
+        ("advs_test/manifest.json", lambda p: p["records"][0].update(iterations="x")),
+        ("bank/manifest.json", lambda p: p["splits"]["test"].extend(p["splits"]["train"][:5])),
+        ("advs_test/manifest.json", lambda p: p["records"][0].update(success="no")),
     ], ids=["net-weight-entry-missing", "net-weights-not-list", "net-shape-not-list",
             "net-layer-not-object", "det-banks-not-list", "det-stages-not-list",
-            "tensor-dims-not-list", "adv-records-not-list", "dataset-splits-not-object"])
+            "tensor-dims-not-list", "adv-records-not-list", "dataset-splits-not-object",
+            "spec-input-dims-not-number", "spec-filters-not-number",
+            "net-weight-layer-not-number", "dataset-split-index-not-number",
+            "det-tau-not-number", "adv-iterations-not-number", "dataset-splits-overlap",
+            "adv-success-not-bool"])
     def test_wrong_artifact_type_is_validation_error(self, pipeline, tmp_path, capsys,
                                                       artifact, corrupt):
         for name in ("net.json", "det.json"):

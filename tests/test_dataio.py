@@ -121,6 +121,15 @@ class TestDatasetRoundTrip:
         loaded = dataio.load_dataset(tmp_path / "d")
         assert np.array_equal(loaded.split_tags, ds.split_tags)
 
+    def test_overlapping_splits_rejected(self, tmp_path):
+        dataio.save_dataset(dataio.synth_dataset(4, 12), tmp_path / "d")
+        manifest = tmp_path / "d" / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["splits"]["test"].append(payload["splits"]["train"][0])
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="'train' and 'test'"):
+            dataio.load_dataset(tmp_path / "d")
+
 
 class TestTensorFile:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -213,10 +222,12 @@ class TestCrossProcess:
     def test_detector_decisions_reproduce_in_subprocess(
             self, tmp_path, victim_bundle, corpus, fitted_banks):
         from cascade_guard.cascade import CascadeConfig, cascade_predict_batch, train_cascade
+        from cascade_guard.victim import layer_outputs_batch
 
         net = victim_bundle.network
         advs = np.stack([r.image.array for r in corpus.successful[:150]])
-        model = train_cascade(corpus.normal_bank[:500], advs, net, fitted_banks,
+        model = train_cascade(layer_outputs_batch(net, corpus.normal_bank[:500]),
+                              layer_outputs_batch(net, advs), fitted_banks,
                               CascadeConfig(seed=0))
         dataio.save_detector(tmp_path / "det.json", model)
         dataio.save_network(tmp_path / "net.json", net)
