@@ -47,7 +47,6 @@ class AttackConfig:
     confidence_goal: float = 0.9
     seed: int = 0
     stop_at_goal: bool = True
-    normalize_grad: bool = True
     bisect_c: bool = False
     bisect_rounds: int = 5
     keep_trace: bool = False
@@ -99,7 +98,6 @@ class AdversarialRecord:
     linf: float | None
     iterations: int
     success: bool
-    objective: float | None = None
     trace: list | None = None
 
     def __post_init__(self):
@@ -161,11 +159,9 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
     best_obj = np.full(n, np.inf)
     best_x = x0.copy()
     best_conf = np.zeros(n)
-    best_iter = np.zeros(n, dtype=np.int64)
     succ_obj = np.full(n, np.inf)
     succ_x = np.zeros_like(x0)
     succ_conf = np.zeros(n)
-    succ_iter = np.zeros(n, dtype=np.int64)
     has_succ = np.zeros(n, dtype=bool)
     active = np.ones(n, dtype=bool)
     iters_used = np.zeros(n, dtype=np.int64)
@@ -190,7 +186,6 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
         best_obj[upd] = obj[improved]
         best_x[upd] = xa[improved]
         best_conf[upd] = conf[improved]
-        best_iter[upd] = it
 
         goal = (conf >= cfg.confidence_goal) & (np.argmax(logits, axis=1) == y[idx])
         s_improved = goal & (obj < succ_obj[idx])
@@ -198,7 +193,6 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
         succ_obj[upd] = obj[s_improved]
         succ_x[upd] = xa[s_improved]
         succ_conf[upd] = conf[s_improved]
-        succ_iter[upd] = it
         has_succ[idx[goal]] = True
 
         if trace is not None:
@@ -213,11 +207,10 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
             break
         gx = backward_pass(tape, grad).input
         gx += cfg.c * np.sign(xa - x0[idx])
-        if cfg.normalize_grad:
-            # Fixed-length steps along the objective's subgradient direction:
-            # each iteration moves every pixel at most step_size.
-            scale = np.abs(gx).reshape(len(gx), -1).max(axis=1)
-            gx = gx / np.maximum(scale, 1e-12)[:, None, None, None]
+        # Fixed-length steps along the objective's subgradient direction:
+        # each iteration moves every pixel at most step_size.
+        scale = np.abs(gx).reshape(len(gx), -1).max(axis=1)
+        gx = gx / np.maximum(scale, 1e-12)[:, None, None, None]
         stepped = np.clip(xa - cfg.step_size * gx, 0.0, 1.0)
         x[idx[step_rows]] = stepped[step_rows]
         it += 1
@@ -225,9 +218,9 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
     records = []
     for i in range(n):
         if has_succ[i]:
-            img, conf_i, obj_i, it_i = succ_x[i], succ_conf[i], succ_obj[i], succ_iter[i]
+            img, conf_i = succ_x[i], succ_conf[i]
         else:
-            img, conf_i, obj_i, it_i = best_x[i], best_conf[i], best_obj[i], best_iter[i]
+            img, conf_i = best_x[i], best_conf[i]
         l1, linf = _box_norms(img[None], x0[i][None])
         records.append(AdversarialRecord(
             source_image_id=None if source_ids is None else int(source_ids[i]),
@@ -240,7 +233,6 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
             linf=float(linf[0]),
             iterations=int(iters_used[i]),
             success=bool(has_succ[i]),
-            objective=float(obj_i),
             trace=trace if (trace is not None and i == 0) else None,
         ))
     return records

@@ -157,10 +157,6 @@ class CascadeStage:
     fpr: float | None = None
     tpr: float | None = None
 
-    @property
-    def input_dim(self) -> int:
-        return self.svm.dim
-
 
 @dataclass
 class CascadeModel:
@@ -184,7 +180,6 @@ class CascadeConfig:
     target_tpr: float = 0.97
     svm_c: float = 0.005
     seed: int = 0
-    svm_iters: int = 2000
     max_stages: int | None = None
 
     def __post_init__(self):
@@ -239,7 +234,7 @@ def train_cascade(pool_layers, adv_layers, banks, config=CascadeConfig()) -> Cas
         draw = rng.choice(alive, size=min(n_p, alive.size), replace=False)
         x = np.concatenate([pool_feats[np.searchsorted(alive, draw)], adv_feats])
         y = np.concatenate([-np.ones(len(draw)), np.ones(n_p)])
-        svm = train_svm(x, y, c=config.svm_c, iters=config.svm_iters)
+        svm = train_svm(x, y, c=config.svm_c)
         adv_scores = svm.decision_scores(adv_feats)
         tau = calibrate_threshold(adv_scores, np.ones(n_p), config.target_tpr)
         kept = svm.decision_scores(pool_feats) >= tau
@@ -346,10 +341,6 @@ class RocCurve:
     fpr: np.ndarray
     tpr: np.ndarray
     auc: float
-
-    @property
-    def points(self):
-        return list(zip(self.thresholds.tolist(), self.fpr.tolist(), self.tpr.tolist()))
 
 
 def _sweep_counts(scores, labels):

@@ -171,6 +171,8 @@ def _cmd_attack(args):
     ds = dataio.load_dataset(args.data)
     if args.n < 0:
         raise ValidationError("--n must be non-negative")
+    if args.chunk < 1:
+        raise ValidationError(f"--chunk must be positive, got {args.chunk}")
     cfg = AttackConfig(
         kind=args.kind, target_policy=args.target_policy, c=args.c,
         step_size=args.step_size, max_iterations=args.iterations,
@@ -277,7 +279,11 @@ def _cmd_census(args):
     images, _ = _split_images(normals, args.split)
     raw, _, _ = predict_batch(net, images)
     if args.thresholds:
-        ts = np.array([float(v) for v in args.thresholds.split(",")])
+        try:
+            ts = np.array([float(v) for v in args.thresholds.split(",")])
+        except ValueError:
+            raise ValidationError(f"--thresholds takes comma-separated numbers, "
+                                  f"got {args.thresholds!r}") from None
     else:
         ts = np.linspace(raw.min(), raw.max(), 25)
     table = prediction_census(net, images, ts)
@@ -309,7 +315,11 @@ def _flat_layer_features(net, images, layer):
             a, _, _ = forward_pass(spec.layers[:head], net.weights[:head], images[start:stop])
             flat.append(a.reshape(len(a), -1))
         return np.concatenate(flat)
-    m = int(layer)
+    try:
+        m = int(layer)
+    except ValueError:
+        raise ValidationError(
+            f"--layer takes 'penultimate' or a conv layer number, got {layer!r}") from None
     per_layer = layer_outputs_batch(net, images)
     if not 1 <= m <= len(per_layer):
         raise ValidationError(f"conv layer {m} out of range (1..{len(per_layer)})")
@@ -370,6 +380,12 @@ def _cmd_selfaware(args):
         normals_path, adv_path = args.mixture.split(",", 1)
     except ValueError:
         raise ValidationError("--mixture takes DATASET_DIR,ADV_BATCH_DIR") from None
+    try:
+        lo, hi, count = (float(v) for v in args.ea_range.split(":"))
+        e_a_values = np.linspace(lo, hi, int(count))
+    except (ValueError, OverflowError):
+        raise ValidationError(f"--ea-range takes LO:HI:COUNT (numbers, COUNT >= 0), "
+                              f"got {args.ea_range!r}") from None
     normals = dataio.load_dataset(normals_path)
     records = dataio.load_adversarial_batch(adv_path)
     if not records:
@@ -384,8 +400,6 @@ def _cmd_selfaware(args):
     scores = detector_score_batch(model, net, batch)
     _, _, predicted = predict_batch(net, batch)
     calibration = calibrate_omega(scores, is_adv)
-    lo, hi, count = (float(v) for v in args.ea_range.split(":"))
-    e_a_values = np.linspace(lo, hi, int(count))
     e_q = random_guess_error(net.spec.classes) if args.eq_random_guess else args.eq
     points = selfaware_sweep(scores, predicted, is_adv, true_labels, calibration, table,
                              e_q, e_a_values)

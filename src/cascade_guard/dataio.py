@@ -25,6 +25,9 @@ _IDX_LABELS_MAGIC = 0x00000801
 
 SPLIT_TAGS = ("train", "val", "test")
 
+_NOISE_SIGMA = 0.05  # pixel noise of the synthetic task
+_SPLIT_SHARES = (0.7, 0.15)  # train and val share per synthetic class; test gets the rest
+
 __all__ = [
     "ARTIFACT_VERSION",
     "Dataset",
@@ -86,10 +89,6 @@ class Dataset:
     @property
     def classes(self) -> int:
         return int(self.manifest["classes"])
-
-    @property
-    def image_dims(self) -> tuple:
-        return self.images.shape[1:]
 
     def indices(self, tag: str) -> np.ndarray:
         if tag not in SPLIT_TAGS:
@@ -157,27 +156,21 @@ def _shape_mask(cls: int, rng: np.random.Generator) -> np.ndarray:
     raise ValidationError(f"no shape for class {cls}")
 
 
-def synth_dataset(seed: int, n_per_class: int, noise_sigma: float = 0.05,
-                  fractions=(0.7, 0.15, 0.15)) -> Dataset:
+def synth_dataset(seed: int, n_per_class: int) -> Dataset:
     """Procedural 28x28 grayscale 10-class shapes task, balanced and seeded.
 
-    Shapes vary in position and scale; pixel noise is Gaussian with the given
-    sigma, clipped back to [0,1]. Split tags are assigned stratified per class
-    by the given train/val/test fractions.
+    Shapes vary in position and scale; pixel noise is Gaussian with sigma
+    0.05, clipped back to [0,1]. Split tags are assigned stratified per class:
+    70% train, 15% val and the rest test, each share rounded to whole images.
     """
     if n_per_class < 1:
         raise ValidationError("n_per_class must be positive")
-    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) < 0:
-        raise ValidationError("fractions must be three non-negative numbers summing to 1")
     rng = np.random.default_rng(seed)
     classes = 10
     images = np.empty((classes * n_per_class, 28, 28, 1))
     labels = np.empty(classes * n_per_class, dtype=np.int64)
     tags = np.empty(classes * n_per_class, dtype="<U5")
-    n_train = int(round(fractions[0] * n_per_class))
-    n_val = int(round(fractions[1] * n_per_class))
-    n_train = min(n_train, n_per_class)
-    n_val = min(n_val, n_per_class - n_train)
+    n_train, n_val = (int(round(share * n_per_class)) for share in _SPLIT_SHARES)
     row = 0
     for cls in range(classes):
         for i in range(n_per_class):
@@ -189,7 +182,7 @@ def synth_dataset(seed: int, n_per_class: int, noise_sigma: float = 0.05,
             field = rng.uniform(0.0, 1.0, (7, 7))
             background = rng.uniform(0.02, 0.06) * np.repeat(np.repeat(field, 4, 0), 4, 1)
             img = rng.uniform(0.11, 0.20) * mask + background
-            img += rng.normal(0.0, noise_sigma, (28, 28))
+            img += rng.normal(0.0, _NOISE_SIGMA, (28, 28))
             images[row, :, :, 0] = np.clip(img, 0.0, 1.0)
             labels[row] = cls
             tags[row] = "train" if i < n_train else ("val" if i < n_train + n_val else "test")
@@ -199,7 +192,7 @@ def synth_dataset(seed: int, n_per_class: int, noise_sigma: float = 0.05,
         "generator": "synthetic-shapes",
         "seed": int(seed),
         "n_per_class": int(n_per_class),
-        "noise_sigma": float(noise_sigma),
+        "noise_sigma": _NOISE_SIGMA,
         "classes": classes,
     }
     return Dataset(images[order], labels[order], tags[order], manifest)
@@ -220,11 +213,12 @@ def _read_u32(f, path) -> int:
     return struct.unpack(">I", _read_exact(f, 4, path))[0]
 
 
-def load_idx(images_path, labels_path, classes=None, split: str = "train") -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair into a Dataset.
 
     Big-endian magic 0x00000803 / 0x00000801, big-endian dimension sizes,
-    unsigned-byte pixels scaled by 1/255.
+    unsigned-byte pixels scaled by 1/255. Every image is tagged train, and the
+    class count is one more than the largest label.
     """
     images_path = Path(images_path)
     labels_path = Path(labels_path)
@@ -256,10 +250,8 @@ def load_idx(images_path, labels_path, classes=None, split: str = "train") -> Da
     images = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64)
     images = images.reshape(n, h, w, 1) / 255.0
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
-    manifest = {"source": str(images_path)}
-    if classes is not None:
-        manifest["classes"] = int(classes)
-    return Dataset(images, labels, np.full(n, split, dtype="<U5"), manifest)
+    return Dataset(images, labels, np.full(n, "train", dtype="<U5"),
+                   {"source": str(images_path)})
 
 
 def _write_idx_images(path, images: np.ndarray):
@@ -315,7 +307,9 @@ def load_dataset(dir_path) -> Dataset:
                               f"in {d / 'manifest.json'}")
         tags[ids] = tag
     tags[tags == ""] = "train"
-    manifest = dict(payload.get("provenance", {}))
+    manifest = _require(payload, "provenance", d / "manifest.json", dict, {})
+    if "classes" in manifest:
+        _require(manifest, "classes", d / "manifest.json", int)
     return Dataset(base.images, base.labels, tags, manifest)
 
 
@@ -410,6 +404,13 @@ def _checked(value, kind, key, path):
 
 def _ints(payload: dict, key: str, path) -> list:
     return [_checked(v, int, key, path) for v in _require(payload, key, path, list)]
+
+
+def _list_of(value, count: int, key: str, path):
+    """value checked to be None or a list of at least count entries."""
+    if value is not None and len(_checked(value, list, key, path)) < count:
+        raise FormatError(f"artifact {path} has {len(value)} {key!r} entries for {count}")
+    return value
 
 
 def _check_version(payload: dict, path):
@@ -539,7 +540,7 @@ def load_network(path):
         b = _b64_to_f64(_require(entry, "biases", path), (shape[0],), path)
         by_layer[idx] = (w, b)
     weights = [by_layer.get(i) for i in range(len(spec.layers))]
-    return Network(spec, weights, metadata=payload.get("metadata", {}))
+    return Network(spec, weights, metadata=_require(payload, "metadata", path, dict, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +588,15 @@ def load_detector(path):
 
     payload = _load_json(path)
     _check_version(payload, path)
-    metadata = dict(payload.get("metadata", {}))
-    rates = metadata.pop("stage_rates", None)
-    epsilons = metadata.pop("bank_epsilons", None)
+    metadata = dict(_require(payload, "metadata", path, dict, {}))
+    bank_entries = _require(payload, "pca_banks", path, list)
+    stage_entries = _require(payload, "stages", path, list)
+    rates = _list_of(metadata.pop("stage_rates", None), len(stage_entries),
+                     "stage_rates", path)
+    epsilons = _list_of(metadata.pop("bank_epsilons", None), len(bank_entries),
+                        "bank_epsilons", path)
     banks = []
-    for i, entry in enumerate(_require(payload, "pca_banks", path, list)):
+    for i, entry in enumerate(bank_entries):
         mean = _b64_to_f64(_require(entry, "e", path), None, path)
         k = mean.size
         banks.append(PcaBank(
@@ -599,10 +604,11 @@ def load_detector(path):
             mean=mean,
             components=_b64_to_f64(_require(entry, "W", path), (k, k), path),
             stds=_b64_to_f64(_require(entry, "s", path), (k,), path),
-            epsilon=_checked(epsilons[i], float, "bank_epsilons", path) if epsilons else 1e-8,
+            epsilon=(_checked(epsilons[i], float, "bank_epsilons", path) if epsilons
+                     else PcaBank.epsilon),
         ))
     stages = []
-    for i, entry in enumerate(_require(payload, "stages", path, list)):
+    for i, entry in enumerate(stage_entries):
         weights = _b64_to_f64(_require(entry, "w", path), None, path)
         dim = weights.size
         svm = LinearSvm(
@@ -613,7 +619,8 @@ def load_detector(path):
         )
         fpr, tpr = (None, None)
         if rates and rates[i] is not None:
-            fpr, tpr = (_checked(r, float, "stage_rates", path) for r in rates[i][:2])
+            fpr, tpr = (_checked(r, float, "stage_rates", path)
+                        for r in _list_of(rates[i], 2, "stage_rates", path)[:2])
         stages.append(CascadeStage(
             layer_index=_require(entry, "layer", path, int),
             svm=svm,

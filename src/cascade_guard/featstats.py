@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 PERCENTILES = (25.0, 50.0, 75.0)
+_STD_FLOOR = 1e-8  # projection stds are floored here so normalization never divides by 0
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class PcaBank:
     mean: np.ndarray
     components: np.ndarray
     stds: np.ndarray
-    epsilon: float = 1e-8
+    epsilon: float = _STD_FLOOR
 
     def __post_init__(self):
         k = self.mean.shape[0]
@@ -86,12 +87,12 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_pca_bank(layer_outputs, layer_index: int, epsilon: float = 1e-8) -> PcaBank:
+def fit_pca_bank(layer_outputs, layer_index: int) -> PcaBank:
     """Fit mean, projection and stds from normal-image layer outputs.
 
     layer_outputs is an (N, H, W, K) array, as layer_outputs_batch returns per
     conv layer; every pixel of every image is one sample. Requires at least K
-    samples.
+    samples. Stds are floored at 1e-8, which the bank records as its epsilon.
     """
     batch = np.asarray(layer_outputs, dtype=np.float64)
     if batch.ndim != 4:
@@ -108,9 +109,9 @@ def fit_pca_bank(layer_outputs, layer_index: int, epsilon: float = 1e-8) -> PcaB
     order = np.argsort(-eigvals, kind="stable")
     components = _fix_signs(eigvecs[:, order])
     proj = centered @ components
-    stds = np.maximum(proj.std(axis=0), epsilon)
+    stds = np.maximum(proj.std(axis=0), _STD_FLOOR)
     return PcaBank(layer_index=int(layer_index), mean=mean, components=components,
-                   stds=stds, epsilon=float(epsilon))
+                   stds=stds)
 
 
 def _pca_rows(pixels: np.ndarray, bank: PcaBank) -> np.ndarray:
@@ -226,15 +227,15 @@ def stat_matrix(layer_batch: np.ndarray, bank: PcaBank) -> np.ndarray:
     return np.concatenate([_pca_rows(pixels, bank), _order_rows(pixels)], axis=1)
 
 
-def feature_matrix(network, images, banks, upto_layer=None, chunk=256) -> np.ndarray:
-    """Concatenated statistic rows of conv layers 1..upto_layer for a batch."""
+def feature_matrix(network, images, banks, upto_layer=None) -> np.ndarray:
+    """Statistic rows of conv layers 1..upto_layer, concatenated, from one forward pass."""
     from .victim import layer_outputs_batch
 
     banks = list(banks)
     upto = len(banks) if upto_layer is None else int(upto_layer)
     if not 1 <= upto <= len(banks):
         raise ValidationError(f"upto_layer {upto} out of range for {len(banks)} banks")
-    per_layer = layer_outputs_batch(network, images, chunk=chunk)
+    per_layer = layer_outputs_batch(network, images)
     if len(per_layer) < upto:
         raise ValidationError(
             f"network exposes {len(per_layer)} conv layers but {upto} banks were given"
@@ -259,9 +260,11 @@ class SpectralReport:
     adversarial_std: np.ndarray
 
 
-def spectral_report(normal_matrix, adversarial_matrix, epsilon: float = 1e-8
-                    ) -> SpectralReport:
-    """Eigenvector-wise comparison of two feature matrices (rows = examples)."""
+def spectral_report(normal_matrix, adversarial_matrix) -> SpectralReport:
+    """Eigenvector-wise comparison of two feature matrices (rows = examples).
+
+    Normal projection stds are floored at 1e-8.
+    """
     xn = np.asarray(normal_matrix, dtype=np.float64)
     xa = np.asarray(adversarial_matrix, dtype=np.float64)
     if xn.ndim != 2 or xa.ndim != 2 or xn.shape[1] != xa.shape[1]:
@@ -277,7 +280,7 @@ def spectral_report(normal_matrix, adversarial_matrix, epsilon: float = 1e-8
     components = _fix_signs(eigvecs[:, order])
     proj_n = centered @ components
     proj_a = (xa - mean) @ components
-    stds = np.maximum(proj_n.std(axis=0), epsilon)
+    stds = np.maximum(proj_n.std(axis=0), _STD_FLOOR)
     return SpectralReport(
         eigenvalues=eigvals,
         normal_extremal=np.abs(proj_n).max(axis=0) / stds,

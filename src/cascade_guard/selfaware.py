@@ -8,7 +8,7 @@ when the expected prediction cost beats e_a.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +45,6 @@ class OmegaCalibration:
     def p_normal(self, scores) -> np.ndarray:
         z = self.slope * np.asarray(scores, dtype=np.float64) + self.intercept
         return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-
-
-def _penalized_nll(a, b, scores, normal):
-    z = np.clip(a * scores + b, -500.0, 500.0)
-    # log(1 + exp(-z)) for normals, log(1 + exp(z)) for adversarials
-    nll = np.where(normal, np.logaddexp(0.0, -z), np.logaddexp(0.0, z)).mean()
-    return nll + _RIDGE * (a * a + b * b)
 
 
 def calibrate_omega(scores, labels) -> OmegaCalibration:

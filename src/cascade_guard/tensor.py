@@ -127,14 +127,6 @@ class ConvFilterBank:
         self.stride = stride
         self.padding = padding
 
-    @property
-    def count(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def kernel_dims(self) -> tuple[int, int, int]:
-        return self.weights.shape[1:]  # type: ignore[return-value]
-
 
 # ---------------------------------------------------------------------------
 # Batched kernels. x has shape (N, H, W, C); gradients mirror the inputs.

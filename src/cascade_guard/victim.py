@@ -6,7 +6,7 @@ and the above-threshold prediction census.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,9 @@ __all__ = [
     "raw_score_percentile",
     "CensusTable",
 ]
+
+_MOMENTUM = 0.9  # SGD momentum of train_victim
+_CHUNK_ROWS = 256  # images per forward pass when a large batch is split
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     batch_size: int = 32
     seed: int = 0
-    momentum: float = 0.9
 
 
 def _init_weights(spec: NetworkSpec, rng: np.random.Generator):
@@ -200,16 +202,12 @@ def _init_weights(spec: NetworkSpec, rng: np.random.Generator):
     return weights
 
 
-def _check_image(spec: NetworkSpec, image: Tensor):
-    if image.dims != spec.input_dims:
-        raise ValidationError(f"image dims {image.dims} != spec input {spec.input_dims}")
-
-
 def _as_batch(spec: NetworkSpec, images) -> np.ndarray:
     if not isinstance(images, np.ndarray):
         tensors = list(images)
         for t in tensors:
-            _check_image(spec, t)
+            if t.dims != spec.input_dims:
+                raise ValidationError(f"image dims {t.dims} != spec input {spec.input_dims}")
         images = [t.array for t in tensors]
     batch = np.asarray(images, dtype=np.float64)
     if batch.shape[:1] == (0,):
@@ -222,7 +220,7 @@ def _as_batch(spec: NetworkSpec, images) -> np.ndarray:
 
 
 def train_victim(dataset, spec: NetworkSpec, hyper: TrainConfig = TrainConfig()) -> Network:
-    """SGD with momentum on softmax cross-entropy; deterministic given the seed."""
+    """SGD with momentum 0.9 on softmax cross-entropy; deterministic given the seed."""
     xtr, ytr = dataset.split("train")
     if len(xtr) == 0:
         raise ValidationError("training split is empty")
@@ -256,9 +254,9 @@ def train_victim(dataset, spec: NetworkSpec, hyper: TrainConfig = TrainConfig())
                     continue
                 w, b = weights[li]
                 vw, vb = velocity[li]
-                vw *= hyper.momentum
+                vw *= _MOMENTUM
                 vw -= hyper.learning_rate * g[0]
-                vb *= hyper.momentum
+                vb *= _MOMENTUM
                 vb -= hyper.learning_rate * g[1]
                 weights[li] = (w + vw, b + vb)
                 velocity[li] = (vw, vb)
@@ -272,7 +270,7 @@ def train_victim(dataset, spec: NetworkSpec, hyper: TrainConfig = TrainConfig())
         epochs=hyper.epochs,
         learning_rate=hyper.learning_rate,
         batch_size=hyper.batch_size,
-        momentum=hyper.momentum,
+        momentum=_MOMENTUM,
         final_loss=last_loss,
         train_accuracy=train_acc,
         test_accuracy=test_acc,
@@ -280,23 +278,20 @@ def train_victim(dataset, spec: NetworkSpec, hyper: TrainConfig = TrainConfig())
     return network
 
 
-def _accuracy(network: Network, images, labels, chunk=512) -> float:
+def _accuracy(network: Network, images, labels) -> float:
     if len(images) == 0:
         return float("nan")
     hits = 0
-    for start in range(0, len(images), chunk):
-        _, _, pred = predict_batch(network, images[start : start + chunk])
-        hits += int((pred == labels[start : start + chunk]).sum())
+    for start in range(0, len(images), _CHUNK_ROWS):
+        _, _, pred = predict_batch(network, images[start : start + _CHUNK_ROWS])
+        hits += int((pred == labels[start : start + _CHUNK_ROWS]).sum())
     return hits / len(images)
 
 
 def predict(network: Network, image: Tensor) -> PredictionRecord:
-    """Full prediction record for one image; never mutates the network."""
-    _check_image(network.spec, image)
-    logits, _, _ = forward_pass(network.spec.layers, network.weights, image.array[None])
-    raw = logits[0]
-    probs = softmax_batch(logits)[0]
-    return PredictionRecord(raw=raw, probs=probs, label=int(np.argmax(raw)))
+    """Full prediction record for one image: one row of predict_batch."""
+    raw, probs, labels = predict_batch(network, [image])
+    return PredictionRecord(raw=raw[0], probs=probs[0], label=labels[0])
 
 
 def predict_batch(network: Network, images):
@@ -308,21 +303,20 @@ def predict_batch(network: Network, images):
 
 
 def layer_outputs(network: Network, image: Tensor):
-    """Post-ReLU output tensor of every conv layer, in depth order."""
-    _check_image(network.spec, image)
-    _, _, captured = forward_pass(
-        network.spec.layers, network.weights, image.array[None], capture_conv=True
-    )
-    return [Tensor._wrap(c[0]) for c in captured]
+    """Post-ReLU output tensor of every conv layer, in depth order.
+
+    One row of layer_outputs_batch.
+    """
+    return [Tensor._wrap(batch[0]) for batch in layer_outputs_batch(network, [image])]
 
 
-def layer_outputs_batch(network: Network, images, chunk=256):
-    """Per-conv-layer activation arrays (N, h, w, k) for a batch of images."""
+def layer_outputs_batch(network: Network, images):
+    """Per-conv-layer activation arrays (N, h, w, k), forwarded 256 images at a time."""
     batch = _as_batch(network.spec, images)
     parts = None
-    for start in range(0, len(batch), chunk):
+    for start in range(0, len(batch), _CHUNK_ROWS):
         _, _, captured = forward_pass(
-            network.spec.layers, network.weights, batch[start : start + chunk],
+            network.spec.layers, network.weights, batch[start : start + _CHUNK_ROWS],
             capture_conv=True,
         )
         if parts is None:

@@ -73,7 +73,7 @@ class TestGradientBox:
         x0 = np.array([0.8, 0.6])
         distance = abs(w @ x0 + b) / np.linalg.norm(w)
         cfg = AttackConfig(step_size=0.002, max_iterations=2000, c=1e-4,
-                           confidence_goal=0.5, normalize_grad=True)
+                           confidence_goal=0.5)
         rec = gradient_box_attack(net, Tensor(x0.reshape(1, 2, 1)), 1, cfg)
         assert rec.success
         l2 = np.linalg.norm(rec.image.data - x0)

@@ -261,13 +261,25 @@ class TestExitCodes:
         ("advs_test/manifest.json", lambda p: p["records"][0].update(iterations="x")),
         ("bank/manifest.json", lambda p: p["splits"]["test"].extend(p["splits"]["train"][:5])),
         ("advs_test/manifest.json", lambda p: p["records"][0].update(success="no")),
+        ("det.json", lambda p: p.update(metadata=5)),
+        ("det.json", lambda p: p["metadata"].update(stage_rates=5)),
+        ("det.json", lambda p: p["metadata"]["stage_rates"].pop()),
+        ("det.json", lambda p: p["metadata"]["stage_rates"].__setitem__(0, 5)),
+        ("det.json", lambda p: p["metadata"].update(bank_epsilons=5)),
+        ("det.json", lambda p: p["metadata"]["bank_epsilons"].pop()),
+        ("net.json", lambda p: p.update(metadata=[1, 2])),
+        ("bank/manifest.json", lambda p: p.update(provenance=[1, 2])),
+        ("bank/manifest.json", lambda p: p["provenance"].update(classes="x")),
     ], ids=["net-weight-entry-missing", "net-weights-not-list", "net-shape-not-list",
             "net-layer-not-object", "det-banks-not-list", "det-stages-not-list",
             "tensor-dims-not-list", "adv-records-not-list", "dataset-splits-not-object",
             "spec-input-dims-not-number", "spec-filters-not-number",
             "net-weight-layer-not-number", "dataset-split-index-not-number",
             "det-tau-not-number", "adv-iterations-not-number", "dataset-splits-overlap",
-            "adv-success-not-bool"])
+            "adv-success-not-bool", "det-metadata-not-object", "det-stage-rates-not-list",
+            "det-stage-rates-short", "det-stage-rate-not-pair", "det-bank-epsilons-not-list",
+            "det-bank-epsilons-short", "net-metadata-not-object",
+            "dataset-provenance-not-object", "dataset-classes-not-number"])
     def test_wrong_artifact_type_is_validation_error(self, pipeline, tmp_path, capsys,
                                                       artifact, corrupt):
         for name in ("net.json", "det.json"):
@@ -284,3 +296,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1, err
         assert err.startswith("ERROR 1:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("selfaware", "--ea-range", "2:8"),
+        ("selfaware", "--ea-range", "2:8:x"),
+        ("census", "--thresholds", "a,b"),
+        ("spectral", "--layer", "foo"),
+        ("attack", "--chunk", "0"),
+        ("attack", "--chunk", "-1"),
+    ], ids=["ea-range-two-fields", "ea-range-not-number", "thresholds-not-number",
+            "layer-not-number", "chunk-zero", "chunk-negative"])
+    def test_malformed_flag_value_is_validation_error(self, pipeline, tmp_path, capsys,
+                                                      command, flag, value):
+        inputs = {
+            "selfaware": ["--detector", pipeline / "det.json",
+                          "--mixture", f"{pipeline / 'bank'},{pipeline / 'advs_test'}",
+                          "--out-csv", tmp_path / "out.csv"],
+            "census": ["--normals", pipeline / "bank", "--out-csv", tmp_path / "out.csv"],
+            "spectral": ["--normals", pipeline / "bank",
+                         "--adversarials", pipeline / "advs_test",
+                         "--out-csv", tmp_path / "out.csv"],
+            "attack": ["--data", pipeline / "bank", "--out", tmp_path / "advs"],
+        }[command]
+        code = run([command, "--net", pipeline / "net.json", *inputs, flag, value])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("ERROR 1:") and err.count("\n") == 1
+        assert flag in err

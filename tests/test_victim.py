@@ -19,6 +19,7 @@ from cascade_guard.victim import (
     TrainConfig,
     default_victim_spec,
     layer_outputs,
+    layer_outputs_batch,
     predict,
     predict_batch,
     prediction_census,
@@ -139,6 +140,14 @@ class TestPredict:
         b = predict(victim_bundle.network, img)
         assert np.array_equal(a.raw, b.raw) and a.label == b.label
 
+    def test_equals_first_row_of_predict_batch(self, victim_bundle):
+        img = victim_bundle.dataset.tensor(5)
+        rec = predict(victim_bundle.network, img)
+        raw, probs, labels = predict_batch(victim_bundle.network, [img])
+        assert rec.raw.tobytes() == raw[0].tobytes()
+        assert rec.probs.tobytes() == probs[0].tobytes()
+        assert rec.label == labels[0]
+
     def test_argmax_consistent_between_raw_and_softmax(self, victim_bundle):
         images, _ = victim_bundle.dataset.split("test")
         raw, probs, labels = predict_batch(victim_bundle.network, images[:64])
@@ -169,6 +178,14 @@ class TestLayerOutputs:
         outs = layer_outputs(victim_bundle.network, victim_bundle.dataset.tensor(1))
         assert len(outs) == 2
         assert all((o.array >= 0).all() for o in outs)
+
+    def test_equals_first_row_of_layer_outputs_batch(self, victim_bundle):
+        img = victim_bundle.dataset.tensor(5)
+        outs = layer_outputs(victim_bundle.network, img)
+        batches = layer_outputs_batch(victim_bundle.network, [img])
+        assert len(outs) == len(batches)
+        for out, batch in zip(outs, batches):
+            assert out.array.tobytes() == batch[0].tobytes()
 
     def test_first_entry_recomputed_standalone(self, victim_bundle):
         net = victim_bundle.network
