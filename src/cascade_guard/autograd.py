@@ -20,6 +20,7 @@ from .tensor import (
     _dense_forward,
     _maxpool_backward,
     _maxpool_forward,
+    _maxpool_values,
     _relu_backward,
     _relu_forward,
     _softmax,
@@ -89,8 +90,9 @@ def infer_shapes(input_dims, layers):
         if isinstance(layer, ConvLayer):
             if len(shape) != 3:
                 raise ValidationError(f"conv layer {pos} needs a spatial input, got {shape}")
-            if layer.filters < 1 or layer.kernel < 1:
-                raise ValidationError(f"conv layer {pos} has invalid filters/kernel")
+            if layer.filters < 1 or layer.kernel < 1 or layer.stride < 1 or layer.padding < 0:
+                raise ValidationError(
+                    f"conv layer {pos} has invalid filters/kernel/stride/padding")
             ho, wo = _conv_out_dims(shape[0], shape[1], layer.kernel, layer.kernel,
                                     layer.stride, layer.padding)
             shape = (ho, wo, layer.filters)
@@ -137,7 +139,8 @@ class ForwardTape:
 class Gradients:
     """Reverse-mode gradients: input batch plus one entry per layer.
 
-    Parametric layers get (weight_grad, bias_grad); the rest get None.
+    Parametric layers get (weight_grad, bias_grad); the rest get None. The
+    input gradient is None when backward_pass was told not to compute it.
     """
 
     input: np.ndarray
@@ -182,9 +185,11 @@ def forward_pass(layers, weights, x, keep_tape=False, capture_conv=False):
             if capture_conv and pending_conv:
                 captured.append(a)
             pending_conv = False
-            out, arg = _maxpool_forward(a, layer.window, layer.stride)
             if keep_tape:
+                out, arg = _maxpool_forward(a, layer.window, layer.stride)
                 records.append(("maxpool", a.shape, arg, layer))
+            else:
+                out = _maxpool_values(a, layer.window, layer.stride)
             a = out
         elif isinstance(layer, DenseLayer):
             if capture_conv and pending_conv:
@@ -213,11 +218,13 @@ def forward_pass(layers, weights, x, keep_tape=False, capture_conv=False):
     return logits, tape, captured
 
 
-def backward_pass(tape: ForwardTape, grad_logits) -> Gradients:
+def backward_pass(tape: ForwardTape, grad_logits, input_grad=True) -> Gradients:
     """Walk the tape in reverse from a gradient seeded at the logits.
 
     conv, relu (subgradient 0 at 0), maxpool (gradient routed to the argmax,
-    first-found tie-break) and dense all receive exact gradients.
+    first-found tie-break) and dense all receive exact gradients. With
+    input_grad=False the walk stops at the first parametric layer, which
+    computes only its weight and bias gradients, and Gradients.input is None.
     """
     if tape is None or not isinstance(tape, ForwardTape) or not tape.records:
         raise ValidationError("backward needs the tape of a completed forward pass")
@@ -229,7 +236,10 @@ def backward_pass(tape: ForwardTape, grad_logits) -> Gradients:
     if len(tape.records) != len(tape.layers):
         raise ValidationError("tape is incomplete; rerun the forward pass")
     params = [None] * len(tape.layers)
-    for idx in range(len(tape.layers) - 1, -1, -1):
+    first = 0
+    if not input_grad:
+        first = next((i for i, e in enumerate(tape.weights) if e is not None), 0)
+    for idx in range(len(tape.layers) - 1, first - 1, -1):
         rec = tape.records[idx]
         kind = rec[0]
         if kind == "softmax":
@@ -238,7 +248,8 @@ def backward_pass(tape: ForwardTape, grad_logits) -> Gradients:
             g = _relu_backward(rec[1], g)
         elif kind == "conv":
             _, a_in, w, layer = rec
-            g, gw, gb = _conv_backward(a_in, w, layer.stride, layer.padding, g)
+            g, gw, gb = _conv_backward(a_in, w, layer.stride, layer.padding, g,
+                                       input_grad or idx > first)
             params[idx] = (gw, gb)
         elif kind == "maxpool":
             _, in_shape, arg, layer = rec
@@ -250,7 +261,7 @@ def backward_pass(tape: ForwardTape, grad_logits) -> Gradients:
             g = g.reshape(in_shape)
         else:  # pragma: no cover - records are produced above
             raise ValidationError(f"unknown tape record {kind!r}")
-    return Gradients(input=g, params=params)
+    return Gradients(input=g if input_grad else None, params=params)
 
 
 def softmax_cross_entropy(logits, labels):

@@ -22,7 +22,7 @@ from .attacks import (
     gradient_box_attack_batch,
     gradient_sign_attack_batch,
 )
-from .autograd import DenseLayer, forward_pass
+from .autograd import DenseLayer
 from .cascade import (
     CascadeConfig,
     accuracy_at_threshold,
@@ -43,6 +43,7 @@ from .selfaware import (
 )
 from .victim import (
     TrainConfig,
+    _forward_chunks,
     default_victim_spec,
     layer_outputs_batch,
     predict_batch,
@@ -310,11 +311,8 @@ def _flat_layer_features(net, images, layer):
         head = next((i for i, l in enumerate(spec.layers) if isinstance(l, DenseLayer)), None)
         if head is None:
             raise ValidationError("network has no dense layer to take features from")
-        flat = []
-        for start, stop in _chunked(len(images), 256):
-            a, _, _ = forward_pass(spec.layers[:head], net.weights[:head], images[start:stop])
-            flat.append(a.reshape(len(a), -1))
-        return np.concatenate(flat)
+        return np.concatenate([a.reshape(len(a), -1) for a, _ in _forward_chunks(
+            spec.layers[:head], net.weights[:head], images)])
     try:
         m = int(layer)
     except ValueError:

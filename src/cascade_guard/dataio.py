@@ -368,7 +368,7 @@ def _dump_json(path, payload):
 
 def _load_json(path) -> dict:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ValidationError(f"missing artifact {path}")
     try:
         payload = json.loads(path.read_text("utf-8"))

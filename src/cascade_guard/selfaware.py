@@ -160,7 +160,8 @@ def selfaware_sweep(scores, predicted, is_adversarial, labels,
     unknown). Retained accuracy counts a kept item as correct only when the
     argmax equals its true label, so retained items without one count as
     wrong. Expected loss charges e_a per abstention, e_q per retained
-    adversarial and the 0/1 error per retained normal.
+    adversarial and the 0/1 error per retained normal. Both costs must be
+    positive, as in abstain_decide.
     """
     scores = np.asarray(scores, dtype=np.float64)
     pred = np.asarray(predicted, dtype=np.int64)
@@ -170,13 +171,16 @@ def selfaware_sweep(scores, predicted, is_adversarial, labels,
         raise ValidationError("scores, predictions, flags and labels must be aligned 1-D")
     if scores.size == 0:
         raise ValidationError("mixture is empty")
+    e_a_values = np.asarray(e_a_values, dtype=np.float64)
+    if not (e_q > 0 and (e_a_values > 0).all()):
+        raise ValidationError("costs must be positive")
     p_omega = calibration.p_normal(scores)
     p_err = np.array([error_table.p_err(c) for c in pred])
     correct = pred == labels
     expected_predict = p_omega * p_err + (1.0 - p_omega) * e_q
 
     points = []
-    for e_a in np.asarray(e_a_values, dtype=np.float64):
+    for e_a in e_a_values:
         predicts = expected_predict < e_a
         abstains = ~predicts
         retained = int(predicts.sum())

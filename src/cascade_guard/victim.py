@@ -248,7 +248,7 @@ def train_victim(dataset, spec: NetworkSpec, hyper: TrainConfig = TrainConfig())
             last_loss = float(losses.mean())
             if not np.isfinite(last_loss):
                 raise TrainingError(f"training diverged (non-finite loss) at epoch {epoch + 1}")
-            grads = backward_pass(tape, grad / len(idx))
+            grads = backward_pass(tape, grad / len(idx), input_grad=False)
             for li, g in enumerate(grads.params):
                 if g is None:
                     continue
@@ -313,18 +313,17 @@ def layer_outputs(network: Network, image: Tensor):
 def layer_outputs_batch(network: Network, images):
     """Per-conv-layer activation arrays (N, h, w, k), forwarded 256 images at a time."""
     batch = _as_batch(network.spec, images)
-    parts = None
+    chunks = [captured for _, captured in _forward_chunks(
+        network.spec.layers, network.weights, batch, capture_conv=True)]
+    return [np.concatenate(slot) for slot in zip(*chunks)]
+
+
+def _forward_chunks(layers, weights, batch, capture_conv=False):
+    """forward_pass over _CHUNK_ROWS images at a time; yields (output, captured)."""
     for start in range(0, len(batch), _CHUNK_ROWS):
-        _, _, captured = forward_pass(
-            network.spec.layers, network.weights, batch[start : start + _CHUNK_ROWS],
-            capture_conv=True,
-        )
-        if parts is None:
-            parts = [[c] for c in captured]
-        else:
-            for slot, c in zip(parts, captured):
-                slot.append(c)
-    return [np.concatenate(slot) for slot in parts]
+        out, _, captured = forward_pass(layers, weights, batch[start : start + _CHUNK_ROWS],
+                                        capture_conv=capture_conv)
+        yield out, captured
 
 
 @dataclass

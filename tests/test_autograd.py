@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascade_guard.autograd import (
     ConvLayer,
@@ -65,6 +67,12 @@ class TestInferShapes:
         with pytest.raises(ValidationError):
             infer_shapes((4, 4, 1), (DenseLayer(2), ConvLayer(1, 1)))
 
+    @pytest.mark.parametrize("layer", [ConvLayer(1, 3, stride=0), ConvLayer(1, 3, padding=-1)],
+                             ids=["stride-zero", "padding-negative"])
+    def test_bad_conv_stride_or_padding_rejected(self, layer):
+        with pytest.raises(ValidationError, match="stride/padding"):
+            infer_shapes((6, 6, 1), (layer,))
+
 
 class TestBackward:
     def test_zero_loss_gradient_gives_zero_param_gradients(self):
@@ -106,6 +114,26 @@ class TestBackward:
         flat = grads.input[0, :, :, 0]
         assert flat[0, 0] == 1.0
         assert flat[0, 1] == flat[1, 0] == flat[1, 1] == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(channels=st.integers(1, 2), n=st.integers(1, 4), lead_relu=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_weight_only_backward_matches_full_backward(self, channels, n, lead_relu, seed):
+        layers = ((ReluLayer(),) if lead_relu else ()) + SMALL_SPEC
+        spec = NetworkSpec((5, 5, channels), 3, layers)
+        rng = np.random.default_rng(seed)
+        weights = _init_weights(spec, rng)
+        x = rng.normal(size=(n, 5, 5, channels))
+        logits, tape, _ = forward_pass(spec.layers, weights, x, keep_tape=True)
+        gl = rng.normal(size=logits.shape)
+        full = backward_pass(tape, gl)
+        weight_only = backward_pass(tape, gl, input_grad=False)
+        assert weight_only.input is None
+        for a, b in zip(full.params, weight_only.params):
+            if a is None:
+                assert b is None
+            else:
+                assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
 
     def test_backward_requires_completed_tape(self):
         with pytest.raises(ValidationError, match="tape"):

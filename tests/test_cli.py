@@ -270,6 +270,9 @@ class TestExitCodes:
         ("net.json", lambda p: p.update(metadata=[1, 2])),
         ("bank/manifest.json", lambda p: p.update(provenance=[1, 2])),
         ("bank/manifest.json", lambda p: p["provenance"].update(classes="x")),
+        ("net.json", lambda p: p["spec"]["layers"][0].update(stride=0)),
+        ("net.json", lambda p: p["spec"]["layers"][0].update(padding=-1)),
+        ("advs_test/manifest.json", lambda p: p["records"][0].update(file="")),
     ], ids=["net-weight-entry-missing", "net-weights-not-list", "net-shape-not-list",
             "net-layer-not-object", "det-banks-not-list", "det-stages-not-list",
             "tensor-dims-not-list", "adv-records-not-list", "dataset-splits-not-object",
@@ -279,7 +282,8 @@ class TestExitCodes:
             "adv-success-not-bool", "det-metadata-not-object", "det-stage-rates-not-list",
             "det-stage-rates-short", "det-stage-rate-not-pair", "det-bank-epsilons-not-list",
             "det-bank-epsilons-short", "net-metadata-not-object",
-            "dataset-provenance-not-object", "dataset-classes-not-number"])
+            "dataset-provenance-not-object", "dataset-classes-not-number",
+            "spec-conv-stride-zero", "spec-conv-padding-negative", "adv-file-empty"])
     def test_wrong_artifact_type_is_validation_error(self, pipeline, tmp_path, capsys,
                                                       artifact, corrupt):
         for name in ("net.json", "det.json"):
@@ -296,6 +300,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1, err
         assert err.startswith("ERROR 1:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value", [("--eq", "-1"), ("--ea-range", "-2:8:3")],
+                             ids=["eq-negative", "ea-range-negative"])
+    def test_non_positive_cost_is_validation_error(self, pipeline, tmp_path, capsys,
+                                                   flag, value):
+        code = run(["selfaware", "--net", pipeline / "net.json",
+                    "--detector", pipeline / "det.json",
+                    "--mixture", f"{pipeline / 'bank'},{pipeline / 'advs_test'}",
+                    "--out-csv", tmp_path / "out.csv", f"{flag}={value}"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("ERROR 1:") and err.count("\n") == 1
+        assert "costs must be positive" in err
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("command, flag, value", [
         ("selfaware", "--ea-range", "2:8"),

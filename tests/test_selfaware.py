@@ -207,6 +207,14 @@ class TestSweep:
         with pytest.raises(ValidationError, match="empty"):
             selfaware_sweep([], [], [], [], cal, table, 10.0, [2.0])
 
+    @pytest.mark.parametrize("e_q, e_a_values", [(-1.0, [2.0]), (0.0, [2.0]),
+                                                 (10.0, [2.0, -2.0]), (10.0, [0.0])])
+    def test_non_positive_costs_rejected(self, e_q, e_a_values):
+        table = ErrorTable(per_class=np.zeros(2), counts=np.array([50, 50]), global_rate=0.0)
+        with pytest.raises(ValidationError, match="costs must be positive"):
+            selfaware_sweep([-1.0, 1.0], [0, 0], [False, True], [0, 1],
+                            OmegaCalibration(-1.0, 0.0), table, e_q, e_a_values)
+
     def test_misaligned_arrays_rejected(self):
         table = ErrorTable(per_class=np.zeros(2), counts=np.array([50, 50]), global_rate=0.0)
         with pytest.raises(ValidationError, match="aligned"):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -8,6 +8,9 @@ from cascade_guard.errors import ValidationError
 from cascade_guard.tensor import (
     ConvFilterBank,
     Tensor,
+    _conv_forward,
+    _maxpool_forward,
+    _maxpool_values,
     conv2d,
     dense,
     maxpool,
@@ -107,6 +110,63 @@ class TestConv2d:
         lhs = conv2d(Tensor(a * x + b * y), bank).array
         rhs = a * conv2d(Tensor(x), bank).array + b * conv2d(Tensor(y), bank).array
         assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
+
+
+def conv_tap_loop(x, weights, biases, stride, padding):
+    """The general conv path: one (..., C_in) @ (C_in, K) matmul per kernel tap."""
+    k, kh, kw, _ = weights.shape
+    ho = (x.shape[1] + 2 * padding - kh) // stride + 1
+    wo = (x.shape[2] + 2 * padding - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    wmat = weights.transpose(1, 2, 3, 0)
+    out = np.broadcast_to(biases, (len(x), ho, wo, k)).copy()
+    s = stride
+    for i in range(kh):
+        for j in range(kw):
+            xs = xp[:, i : i + (ho - 1) * s + 1 : s, j : j + (wo - 1) * s + 1 : s, :]
+            out += xs @ wmat[i, j]
+    return out
+
+
+def with_signed_zeros(rng, a):
+    a = a.copy()
+    a[rng.random(a.shape) < 0.2] = 0.0
+    a[rng.random(a.shape) < 0.2] = -0.0
+    return a
+
+
+class TestOneChannelConv:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 3), h=st.integers(1, 9), w=st.integers(1, 9),
+           k=st.integers(1, 4), kernel=st.integers(1, 3), stride=st.integers(1, 3),
+           padding=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_bytes_equal_tap_loop(self, n, h, w, k, kernel, stride, padding, seed):
+        assume(h + 2 * padding >= kernel and w + 2 * padding >= kernel)
+        rng = np.random.default_rng(seed)
+        x = with_signed_zeros(rng, rng.normal(size=(n, h, w, 1)))
+        weights = with_signed_zeros(rng, rng.normal(size=(k, kernel, kernel, 1)))
+        biases = with_signed_zeros(rng, rng.normal(size=k))
+        got = _conv_forward(x, weights, biases, stride, padding)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == conv_tap_loop(x, weights, biases, stride, padding).tobytes()
+
+
+class TestTapeFreePooling:
+    @settings(max_examples=80, deadline=None)
+    @example(n=2, h=7, w=5, c=3, window=2, stride=2, seed=0)
+    @given(n=st.integers(1, 3), h=st.integers(1, 9), w=st.integers(1, 9), c=st.integers(1, 3),
+           window=st.integers(1, 3), stride=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_bytes_equal_scan(self, n, h, w, c, window, stride, seed):
+        assume(h >= window and w >= window)
+        rng = np.random.default_rng(seed)
+        # One decimal makes ties common; adding 0.0 turns rounded -0.0 into +0.0.
+        x = np.round(rng.normal(size=(n, h, w, c)), 1) + 0.0
+        got = _maxpool_values(x, window, stride)
+        assert got.tobytes() == _maxpool_forward(x, window, stride)[0].tobytes()
+
+    def test_signed_zero_windows_keep_the_value(self):
+        x = np.array([-0.0, 0.0, 0.0, -0.0, -1.0, -0.0, 0.0, -2.0]).reshape(2, 2, 2, 1)
+        assert np.array_equal(_maxpool_values(x, 2, 2), _maxpool_forward(x, 2, 2)[0])
 
 
 class TestRelu:
