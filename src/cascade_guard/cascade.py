@@ -228,8 +228,9 @@ def train_cascade(pool_layers, adv_layers, banks, config=CascadeConfig()) -> Cas
     for m, bank in enumerate(banks[:n_layers]):
         if alive.size == 0:
             break
-        pool_feats = np.concatenate([pool_feats, stat_matrix(pool_layers[m][alive], bank)],
-                                    axis=1)
+        # Every row is alive at stage 1; indexing would copy the whole layer.
+        rows = pool_layers[m] if m == 0 else pool_layers[m][alive]
+        pool_feats = np.concatenate([pool_feats, stat_matrix(rows, bank)], axis=1)
         adv_feats = np.concatenate([adv_feats, stat_matrix(adv_layers[m], bank)], axis=1)
         draw = rng.choice(alive, size=min(n_p, alive.size), replace=False)
         x = np.concatenate([pool_feats[np.searchsorted(alive, draw)], adv_feats])
@@ -285,7 +286,9 @@ def _batch_scores(model: CascadeModel, network, images):
     for i, (stage, bank) in enumerate(zip(model.stages, model.banks)):
         if alive.size == 0:
             break
-        feats = np.concatenate([feats, stat_matrix(per_layer[i][alive], bank)], axis=1)
+        # Every row is alive at stage 1; indexing would copy the whole layer.
+        rows = per_layer[i] if i == 0 else per_layer[i][alive]
+        feats = np.concatenate([feats, stat_matrix(rows, bank)], axis=1)
         s = stage.svm.decision_scores(feats)
         scores[alive, i] = s
         exited = s < stage.tau

@@ -372,8 +372,6 @@ def _cmd_recover(args):
 
 
 def _cmd_selfaware(args):
-    net = dataio.load_network(args.net)
-    model = dataio.load_detector(args.detector)
     try:
         normals_path, adv_path = args.mixture.split(",", 1)
     except ValueError:
@@ -384,6 +382,11 @@ def _cmd_selfaware(args):
     except (ValueError, OverflowError):
         raise ValidationError(f"--ea-range takes LO:HI:COUNT (numbers, COUNT >= 0), "
                               f"got {args.ea_range!r}") from None
+    # Fail before anything is loaded; selfaware_sweep checks the costs again.
+    if not ((args.eq_random_guess or args.eq > 0) and (e_a_values > 0).all()):
+        raise ValidationError("costs must be positive")
+    net = dataio.load_network(args.net)
+    model = dataio.load_detector(args.detector)
     normals = dataio.load_dataset(normals_path)
     records = dataio.load_adversarial_batch(adv_path)
     if not records:

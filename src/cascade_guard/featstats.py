@@ -93,6 +93,8 @@ def fit_pca_bank(layer_outputs, layer_index: int) -> PcaBank:
     layer_outputs is an (N, H, W, K) array, as layer_outputs_batch returns per
     conv layer; every pixel of every image is one sample. Requires at least K
     samples. Stds are floored at 1e-8, which the bank records as its epsilon.
+    Beyond its input the fit holds at most two arrays of the input's size:
+    the centered samples are freed once projected.
     """
     batch = np.asarray(layer_outputs, dtype=np.float64)
     if batch.ndim != 4:
@@ -109,6 +111,7 @@ def fit_pca_bank(layer_outputs, layer_index: int) -> PcaBank:
     order = np.argsort(-eigvals, kind="stable")
     components = _fix_signs(eigvecs[:, order])
     proj = centered @ components
+    del centered
     stds = np.maximum(proj.std(axis=0), _STD_FLOOR)
     return PcaBank(layer_index=int(layer_index), mean=mean, components=components,
                    stds=stds)
@@ -221,10 +224,20 @@ def stat_matrix(layer_batch: np.ndarray, bank: PcaBank) -> np.ndarray:
     """(N, 6K) statistic rows for a batch of layer outputs (N, H, W, K).
 
     Each row is ordered [pca | min | max | p25 | p50 | p75], as in LayerStatVector.
+    Rows are filled 256 images at a time, so the temporaries are one chunk's
+    size. Every statistic is computed per image, so the chunking changes no
+    bit of any row.
     """
+    from .victim import _CHUNK_ROWS
+
     n, h, w, k = layer_batch.shape
-    pixels = layer_batch.reshape(n, h * w, k)
-    return np.concatenate([_pca_rows(pixels, bank), _order_rows(pixels)], axis=1)
+    out = np.empty((n, 6 * k))
+    for start in range(0, n, _CHUNK_ROWS):
+        pixels = layer_batch[start : start + _CHUNK_ROWS].reshape(-1, h * w, k)
+        rows = out[start : start + len(pixels)]
+        rows[:, :k] = _pca_rows(pixels, bank)
+        rows[:, k:] = _order_rows(pixels)
+    return out
 
 
 def feature_matrix(network, images, banks, upto_layer=None) -> np.ndarray:

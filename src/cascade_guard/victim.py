@@ -281,11 +281,9 @@ def train_victim(dataset, spec: NetworkSpec, hyper: TrainConfig = TrainConfig())
 def _accuracy(network: Network, images, labels) -> float:
     if len(images) == 0:
         return float("nan")
-    hits = 0
-    for start in range(0, len(images), _CHUNK_ROWS):
-        _, _, pred = predict_batch(network, images[start : start + _CHUNK_ROWS])
-        hits += int((pred == labels[start : start + _CHUNK_ROWS]).sum())
-    return hits / len(images)
+    pred = np.concatenate([np.argmax(logits, axis=1) for logits, _ in _forward_chunks(
+        network.spec.layers, network.weights, images)])
+    return int((pred == labels).sum()) / len(images)
 
 
 def predict(network: Network, image: Tensor) -> PredictionRecord:
@@ -311,11 +309,20 @@ def layer_outputs(network: Network, image: Tensor):
 
 
 def layer_outputs_batch(network: Network, images):
-    """Per-conv-layer activation arrays (N, h, w, k), forwarded 256 images at a time."""
-    batch = _as_batch(network.spec, images)
-    chunks = [captured for _, captured in _forward_chunks(
-        network.spec.layers, network.weights, batch, capture_conv=True)]
-    return [np.concatenate(slot) for slot in zip(*chunks)]
+    """Per-conv-layer activation arrays (N, h, w, k), forwarded 256 images at a time.
+
+    Each chunk's activations are copied into arrays allocated once for the
+    whole batch, so the peak is the result plus one chunk's forward pass.
+    """
+    spec = network.spec
+    batch = _as_batch(spec, images)
+    shapes = spec.shapes()
+    outputs = [np.empty((len(batch),) + shapes[i]) for i in spec.conv_indices]
+    for start, (_, captured) in zip(range(0, len(batch), _CHUNK_ROWS), _forward_chunks(
+            spec.layers, network.weights, batch, capture_conv=True)):
+        for out, a in zip(outputs, captured):
+            out[start : start + len(a)] = a
+    return outputs
 
 
 def _forward_chunks(layers, weights, batch, capture_conv=False):

@@ -1,10 +1,15 @@
 import base64
+import contextlib
+import io
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascade_guard import dataio
 from cascade_guard.cli import main
@@ -315,6 +320,19 @@ class TestExitCodes:
         assert "costs must be positive" in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--eq", "-1"), ("--eq", "0"),
+                                             ("--ea-range", "-2:8:3"), ("--ea-range", "0:8:3")],
+                             ids=["eq-negative", "eq-zero", "ea-range-negative", "ea-range-zero"])
+    def test_non_positive_cost_fails_before_loading(self, tmp_path, capsys, flag, value):
+        code = run(["selfaware", "--net", tmp_path / "no-net.json",
+                    "--detector", tmp_path / "no-det.json",
+                    "--mixture", f"{tmp_path / 'no-data'},{tmp_path / 'no-advs'}",
+                    "--out-csv", tmp_path / "out.csv", f"{flag}={value}"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("ERROR 1:") and err.count("\n") == 1
+        assert "costs must be positive" in err
+
     @pytest.mark.parametrize("command, flag, value", [
         ("selfaware", "--ea-range", "2:8"),
         ("selfaware", "--ea-range", "2:8:x"),
@@ -341,3 +359,92 @@ class TestExitCodes:
         assert code == 1, err
         assert err.startswith("ERROR 1:") and err.count("\n") == 1
         assert flag in err
+
+
+@pytest.fixture(scope="module")
+def small_artifacts(tmp_path_factory):
+    """One artifact of each kind, made small by the CLI, and evaluate's CSV on them."""
+    root = tmp_path_factory.mktemp("small")
+    assert run(["synth-data", "--seed", 1, "--n-per-class", 3, "--out", root / "data"]) == 0
+    assert run(["train-victim", "--data", root / "data", "--epochs", 1,
+                "--out", root / "net.json"]) == 0
+    assert run(["attack", "--net", root / "net.json", "--data", root / "data",
+                "--split", "train", "--n", 4, "--iterations", 5, "--out", root / "advs"]) == 0
+    assert run(["fit-detector", "--net", root / "net.json", "--normals", root / "data",
+                "--adversarials", root / "advs", "--successful-only", "false",
+                "--out", root / "det.json"]) == 0
+    assert _evaluate(root) == 0
+    return root, (root / "eval.csv").read_bytes()
+
+
+def _evaluate(root):
+    return run(["evaluate", "--net", root / "net.json", "--detector", root / "det.json",
+                "--normals", root / "data", "--adversarials", root / "advs",
+                "--successful-only", "false", "--out-csv", root / "eval.csv"])
+
+
+def _json_type(value):
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return type(value).__name__
+
+
+def _node_paths(node, path=()):
+    """Key/index paths of every node below the root."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2**40),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4),
+    st.lists(st.integers(0, 9), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2))
+
+
+class TestArtifactFuzz:
+    """Each artifact kind with one JSON node replaced by a value of another JSON type.
+
+    evaluate reads all five kinds. It must exit 1 with one "ERROR 1:" line,
+    or, where the node is one it does not read (metadata, provenance, the
+    attack settings) or an optional key set to null, exit 0 with the same CSV
+    as on the untouched artifacts. It must never exit 2.
+    """
+
+    @pytest.mark.parametrize("artifact", [
+        "net.json", "det.json", "data/manifest.json", "advs/manifest.json",
+        "advs/img_00000.json",
+    ], ids=["network", "detector", "dataset-manifest", "adversarial-manifest", "tensor-file"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_retyped_node_is_rejected_or_ignored(self, small_artifacts, artifact, data):
+        root, csv = small_artifacts
+        payload = json.loads((root / artifact).read_text())
+        path = data.draw(st.sampled_from(list(_node_paths(payload))), label="path")
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        new = data.draw(_JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)),
+                        label="value")
+        parent[path[-1]] = new
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp) / "artifacts"
+            shutil.copytree(root, work)
+            (work / artifact).write_text(json.dumps(payload))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = _evaluate(work)
+            err = err.getvalue()
+            if code == 1:
+                assert err.startswith("ERROR 1:") and err.count("\n") == 1, err
+            else:
+                assert code == 0 and err == "", err
+                assert (work / "eval.csv").read_bytes() == csv

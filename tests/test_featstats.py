@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 import cascade_guard.featstats as featstats
 from cascade_guard.errors import ValidationError
 from cascade_guard.featstats import (
+    PERCENTILES,
     LayerStatVector,
     extremal_stats,
     fit_pca_bank,
@@ -35,7 +37,66 @@ def sorted_percentile_oracle(values, p):
     return s[lo] + (s[lo + 1] - s[lo]) * frac
 
 
+def whole_batch_fit(batch):
+    """The bank fit over the whole (N, H, W, K) batch at once: (mean, components, stds)."""
+    k = batch.shape[3]
+    samples = batch.reshape(-1, k)
+    mean = samples.mean(axis=0)
+    centered = samples - mean
+    cov = centered.T @ centered / len(samples)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    components = eigvecs[:, np.argsort(-eigvals, kind="stable")].copy()
+    for col in range(k):
+        i = int(np.argmax(np.abs(components[:, col])))
+        if components[i, col] < 0:
+            components[:, col] = -components[:, col]
+    stds = np.maximum((centered @ components).std(axis=0), 1e-8)
+    return mean, components, stds
+
+
+def whole_batch_stat_rows(layer_batch, bank):
+    """The (N, 6K) statistic rows computed over the whole batch at once."""
+    n, h, w, k = layer_batch.shape
+    pixels = layer_batch.reshape(n, h * w, k)
+    z = (pixels - bank.mean) @ bank.components / bank.stds
+    sorted_vals = np.sort(pixels, axis=1)
+    pcs = []
+    for p in PERCENTILES:
+        rank = (p / 100.0) * (h * w - 1)
+        lo = int(np.floor(rank))
+        lo_vals = sorted_vals[:, lo, :]
+        if lo + 1 >= h * w:
+            pcs.append(lo_vals)
+        else:
+            pcs.append(lo_vals + (sorted_vals[:, lo + 1, :] - lo_vals) * (rank - lo))
+    return np.concatenate([np.abs(z).mean(axis=1), pixels.min(axis=1),
+                           pixels.max(axis=1)] + pcs, axis=1)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that fn(*args) allocates, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestFitPcaBank:
+    def test_bytes_equal_whole_batch_fit(self):
+        outputs = np.random.default_rng(4).normal(size=(50, 6, 6, 4))
+        bank = fit_pca_bank(outputs, layer_index=1)
+        for got, want in zip((bank.mean, bank.components, bank.stds),
+                             whole_batch_fit(outputs)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_below_two_and_a_half_inputs(self):
+        # Centered samples, projections and the std temporary at once would
+        # be three arrays of the input's size.
+        outputs = np.random.default_rng(5).normal(size=(1024, 12, 12, 4))
+        assert traced_peak(fit_pca_bank, outputs, 1) < 2.5 * outputs.nbytes
+
     def test_training_projections_centered_and_unit_std(self):
         rng = np.random.default_rng(0)
         outputs = rng.normal(size=(6, 5, 5, 4))
@@ -153,6 +214,21 @@ class TestExtremalAndPercentiles:
         p25, p50, p75 = pc[:k], pc[k : 2 * k], pc[2 * k :]
         assert (mins <= p25).all() and (p25 <= p50).all()
         assert (p50 <= p75).all() and (p75 <= maxs).all()
+
+
+class TestStatMatrix:
+    def test_chunked_rows_bytes_equal_whole_batch_formula(self):
+        # 600 images cross two 256-image chunk boundaries.
+        outputs = np.maximum(np.random.default_rng(6).normal(size=(600, 6, 6, 4)), 0.0)
+        bank = fit_pca_bank(outputs, layer_index=1)
+        got = stat_matrix(outputs, bank)
+        assert got.shape == (600, 24)
+        assert got.tobytes() == whole_batch_stat_rows(outputs, bank).tobytes()
+
+    def test_peak_memory_below_one_input(self):
+        outputs = np.random.default_rng(7).normal(size=(1024, 12, 12, 4))
+        bank = fit_pca_bank(outputs, layer_index=1)
+        assert traced_peak(stat_matrix, outputs, bank) < outputs.nbytes
 
 
 class TestLayerFeatureVector:

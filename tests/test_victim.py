@@ -9,6 +9,7 @@ from cascade_guard.autograd import (
     MaxPoolLayer,
     ReluLayer,
     SoftmaxLayer,
+    forward_pass,
 )
 from cascade_guard.dataio import Dataset
 from cascade_guard.errors import TrainingError, ValidationError
@@ -186,6 +187,17 @@ class TestLayerOutputs:
         assert len(outs) == len(batches)
         for out, batch in zip(outs, batches):
             assert out.array.tobytes() == batch[0].tobytes()
+
+    def test_batch_bytes_equal_concatenated_chunk_forwards(self, victim_bundle):
+        net = victim_bundle.network
+        images = victim_bundle.dataset.images[:300]
+        chunks = [forward_pass(net.spec.layers, net.weights, images[s : s + 256],
+                               capture_conv=True)[2] for s in (0, 256)]
+        batches = layer_outputs_batch(net, images)
+        assert len(batches) == 2
+        for got, parts in zip(batches, zip(*chunks)):
+            want = np.concatenate(parts)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_first_entry_recomputed_standalone(self, victim_bundle):
         net = victim_bundle.network
