@@ -10,8 +10,6 @@ from .attacks import (
     AdversarialRecord,
     AttackConfig,
     evolutionary_attack,
-    gradient_box_attack,
-    gradient_sign_attack,
 )
 from .autograd import (
     ConvLayer,
@@ -29,9 +27,7 @@ from .cascade import (
     CascadeStage,
     LinearSvm,
     calibrate_threshold,
-    cascade_predict,
     compose_rates,
-    detector_score,
     roc_auc,
     train_cascade,
     train_svm,
@@ -48,16 +44,7 @@ from .dataio import (
     synth_dataset,
 )
 from .errors import CascadeGuardError, FormatError, TrainingError, ValidationError
-from .featstats import (
-    LayerStatVector,
-    PcaBank,
-    extremal_stats,
-    fit_pca_bank,
-    layer_feature_vector,
-    pca_statistic,
-    percentile_stats,
-    spectral_report,
-)
+from .featstats import PcaBank, fit_pca_bank, spectral_report
 from .recovery import average_filter, recovery_eval
 from .selfaware import (
     ErrorTable,
@@ -66,15 +53,12 @@ from .selfaware import (
     calibrate_omega,
     selfaware_sweep,
 )
-from .tensor import ConvFilterBank, Tensor, conv2d, dense, maxpool, relu, softmax
+from .tensor import Tensor
 from .victim import (
     Network,
     NetworkSpec,
-    PredictionRecord,
     TrainConfig,
     default_victim_spec,
-    layer_outputs,
-    predict,
     prediction_census,
     train_victim,
 )

@@ -21,9 +21,7 @@ __all__ = [
     "AttackConfig",
     "AdversarialRecord",
     "choose_targets",
-    "gradient_box_attack",
     "gradient_box_attack_batch",
-    "gradient_sign_attack",
     "gradient_sign_attack_batch",
     "evolutionary_attack",
     "evolutionary_attack_batch",
@@ -47,8 +45,6 @@ class AttackConfig:
     confidence_goal: float = 0.9
     seed: int = 0
     stop_at_goal: bool = True
-    bisect_c: bool = False
-    bisect_rounds: int = 5
     keep_trace: bool = False
     population: int = 50
     mutation_rate: float = 0.1
@@ -238,44 +234,6 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
     return records
 
 
-def gradient_box_attack(network: Network, x0: Tensor, target: int,
-                        cfg: AttackConfig, source_id=None,
-                        original_label=None) -> AdversarialRecord:
-    """Single-image gradient-box attack; see gradient_box_attack_batch."""
-    if cfg.bisect_c:
-        return _bisect_c_attack(network, x0, target, cfg, source_id, original_label)
-    return gradient_box_attack_batch(
-        network, x0.array[None], [target], cfg,
-        None if source_id is None else [source_id],
-        None if original_label is None else [original_label],
-    )[0]
-
-
-def _bisect_c_attack(network, x0, target, cfg, source_id, original_label):
-    """Outer geometric search over c for the minimal-norm success."""
-    base = dataclasses.replace(cfg, bisect_c=False)
-    lo, hi = None, None  # lo: largest succeeding c, hi: smallest failing c
-    best_success = None
-    fallback = None
-    c = cfg.c
-    for _ in range(max(1, cfg.bisect_rounds)):
-        rec = gradient_box_attack_batch(
-            network, x0.array[None], [target], dataclasses.replace(base, c=c),
-            None if source_id is None else [source_id],
-            None if original_label is None else [original_label],
-        )[0]
-        if rec.success:
-            if best_success is None or rec.l1 < best_success.l1:
-                best_success = rec
-            lo = c
-            c = c * 4.0 if hi is None else float(np.sqrt(lo * hi))
-        else:
-            fallback = rec
-            hi = c
-            c = c / 4.0 if lo is None else float(np.sqrt(lo * hi))
-    return best_success if best_success is not None else fallback
-
-
 def gradient_sign_attack_batch(network: Network, images, targets,
                                cfg: AttackConfig, source_ids=None,
                                original_labels=None) -> list[AdversarialRecord]:
@@ -312,16 +270,6 @@ def gradient_sign_attack_batch(network: Network, images, targets,
             success=ok,
         ))
     return records
-
-
-def gradient_sign_attack(network: Network, x0: Tensor, target: int,
-                         cfg: AttackConfig, source_id=None,
-                         original_label=None) -> AdversarialRecord:
-    return gradient_sign_attack_batch(
-        network, x0.array[None], [target], cfg,
-        None if source_id is None else [source_id],
-        None if original_label is None else [original_label],
-    )[0]
 
 
 def make_predict_fn(network: Network):

@@ -15,22 +15,18 @@ import numpy as np
 
 from .errors import ValidationError
 from .featstats import stat_matrix
-from .tensor import Tensor
-from .victim import layer_outputs_batch
+from .victim import _logits_and_layer_outputs
 
 __all__ = [
     "LinearSvm",
     "CascadeStage",
     "CascadeModel",
     "CascadeConfig",
-    "CascadeDecision",
     "train_svm",
     "svm_objective",
     "calibrate_threshold",
     "train_cascade",
-    "cascade_predict",
     "cascade_predict_batch",
-    "detector_score",
     "detector_score_batch",
     "RocCurve",
     "roc_auc",
@@ -255,24 +251,11 @@ def train_cascade(pool_layers, adv_layers, banks, config=CascadeConfig()) -> Cas
     )
 
 
-@dataclass
-class CascadeDecision:
-    """Outcome of one cascade evaluation.
-
-    decision is "normal" or "adversarial"; exit_stage is the 1-based stage
-    that released a normal image, None for survivors; stage_scores lists the
-    adversarialness score of every stage that was evaluated.
-    """
-
-    decision: str
-    exit_stage: int | None
-    stage_scores: list
-
-
 def _batch_scores(model: CascadeModel, network, images):
     # One forward pass; stage k appends layer-k statistics of its survivors
-    # only, so an image that exits costs no deeper statistics.
-    per_layer = layer_outputs_batch(network, images)
+    # only, so an image that exits costs no deeper statistics. The victim's
+    # argmax comes from the same pass.
+    logits, per_layer = _logits_and_layer_outputs(network, images)
     if len(per_layer) < len(model.stages):
         raise ValidationError(
             f"network exposes {len(per_layer)} conv layers but the detector has "
@@ -295,7 +278,7 @@ def _batch_scores(model: CascadeModel, network, images):
         exit_stage[alive[exited]] = i + 1
         alive = alive[~exited]
         feats = feats[~exited]
-    return exit_stage, scores
+    return exit_stage, scores, np.argmax(logits, axis=1)
 
 
 def cascade_predict_batch(model: CascadeModel, network, images):
@@ -303,18 +286,8 @@ def cascade_predict_batch(model: CascadeModel, network, images):
 
     exit_stage is -1 for survivors; stage_scores holds NaN past the exit.
     """
-    exit_stage, scores = _batch_scores(model, network, images)
+    exit_stage, scores, _ = _batch_scores(model, network, images)
     return exit_stage < 0, exit_stage, scores
-
-
-def cascade_predict(model: CascadeModel, network, image: Tensor) -> CascadeDecision:
-    """Evaluate stages in order; exit normal at the first stage below threshold."""
-    is_adv, exit_stage, scores = cascade_predict_batch(model, network, image.array[None])
-    row = scores[0]
-    evaluated = [float(v) for v in row[~np.isnan(row)]]
-    if is_adv[0]:
-        return CascadeDecision("adversarial", None, evaluated)
-    return CascadeDecision("normal", int(exit_stage[0]), evaluated)
 
 
 def detector_score_batch(model: CascadeModel, network, images) -> np.ndarray:
@@ -324,16 +297,17 @@ def detector_score_batch(model: CascadeModel, network, images) -> np.ndarray:
     final-stage margin plus a fixed offset, so every survivor ranks above
     every exiter and thresholding at 0 reproduces the cascade decisions.
     """
-    exit_stage, scores = _batch_scores(model, network, images)
+    return _detector_scores_and_argmax(model, network, images)[0]
+
+
+def _detector_scores_and_argmax(model: CascadeModel, network, images):
+    """detector_score_batch's scores and the victim's argmax labels, from one forward pass."""
+    exit_stage, scores, labels = _batch_scores(model, network, images)
     taus = np.array([stage.tau for stage in model.stages])
     survived = exit_stage < 0
     col = np.where(survived, len(model.stages) - 1, exit_stage - 1)
     margin = scores[np.arange(len(exit_stage)), col] - taus[col]
-    return np.where(survived, margin + SURVIVOR_OFFSET, margin)
-
-
-def detector_score(model: CascadeModel, network, image: Tensor) -> float:
-    return float(detector_score_batch(model, network, image.array[None])[0])
+    return np.where(survived, margin + SURVIVOR_OFFSET, margin), labels
 
 
 @dataclass

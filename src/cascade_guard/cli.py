@@ -25,6 +25,7 @@ from .attacks import (
 from .autograd import DenseLayer
 from .cascade import (
     CascadeConfig,
+    _detector_scores_and_argmax,
     accuracy_at_threshold,
     best_threshold_accuracy,
     cascade_predict_batch,
@@ -398,8 +399,7 @@ def _cmd_selfaware(args):
     is_adv = np.arange(len(batch)) >= len(images)
     true_labels = np.concatenate([labels, [
         -1 if r.original_label is None else r.original_label for r in records]])
-    scores = detector_score_batch(model, net, batch)
-    _, _, predicted = predict_batch(net, batch)
+    scores, predicted = _detector_scores_and_argmax(model, net, batch)
     calibration = calibrate_omega(scores, is_adv)
     e_q = random_guess_error(net.spec.classes) if args.eq_random_guess else args.eq
     points = selfaware_sweep(scores, predicted, is_adv, true_labels, calibration, table,

@@ -99,9 +99,6 @@ class Dataset:
         idx = self.indices(tag)
         return self.images[idx], self.labels[idx]
 
-    def tensor(self, i: int) -> Tensor:
-        return Tensor(self.images[int(i)])
-
 
 _GRID_Y, _GRID_X = np.mgrid[0:28, 0:28].astype(np.float64)
 
@@ -532,14 +529,23 @@ def load_network(path):
     payload = _load_json(path)
     _check_version(payload, path)
     spec = spec_from_json(_require(payload, "spec", path), path)
-    by_layer = {}
+    weights = [None] * len(spec.layers)
     for entry in _require(payload, "weights", path, list):
         idx = _require(entry, "layer", path, int)
+        if not 0 <= idx < len(spec.layers):
+            raise FormatError(f"artifact {path} has weights for layer {idx}, outside "
+                              f"the spec's {len(spec.layers)} layers")
+        if weights[idx] is not None:
+            raise FormatError(f"artifact {path} has two weight entries for layer {idx}")
+        kind = _layer_to_json(spec.layers[idx])["kind"]
+        found = _require(entry, "kind", path)
+        if found != kind:
+            raise FormatError(f"artifact {path} has a weight entry of kind {found!r} "
+                              f"for {kind} layer {idx}")
         shape = tuple(_ints(entry, "shape", path))
         w = _b64_to_f64(_require(entry, "weights", path), shape, path)
         b = _b64_to_f64(_require(entry, "biases", path), (shape[0],), path)
-        by_layer[idx] = (w, b)
-    weights = [by_layer.get(i) for i in range(len(spec.layers))]
+        weights[idx] = (w, b)
     return Network(spec, weights, metadata=_require(payload, "metadata", path, dict, {}))
 
 

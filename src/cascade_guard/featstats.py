@@ -15,16 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import Tensor
 
 __all__ = [
     "PcaBank",
-    "LayerStatVector",
     "fit_pca_bank",
-    "pca_statistic",
-    "extremal_stats",
-    "percentile_stats",
-    "layer_feature_vector",
     "stat_matrix",
     "feature_matrix",
     "SpectralReport",
@@ -66,15 +60,6 @@ class PcaBank:
     @property
     def k(self) -> int:
         return self.mean.shape[0]
-
-
-def _pixels(layer_output) -> np.ndarray:
-    # One H x W x K output as a one-row (1, H*W, K) pixel batch.
-    arr = layer_output.array if isinstance(layer_output, Tensor) else np.asarray(
-        layer_output, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValidationError(f"layer output must be H x W x K, got shape {arr.shape}")
-    return arr.reshape(1, -1, arr.shape[2])
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
@@ -146,84 +131,13 @@ def _order_rows(pixels: np.ndarray) -> np.ndarray:
     return np.concatenate([pixels.min(axis=1), pixels.max(axis=1)] + pcs, axis=1)
 
 
-def pca_statistic(layer_output, bank: PcaBank) -> np.ndarray:
-    """Mean absolute std-normalized projection coefficient per dimension."""
-    return _pca_rows(_pixels(layer_output), bank)[0]
-
-
-def extremal_stats(layer_output) -> np.ndarray:
-    """Per-channel minimum then maximum over all pixels: a 2K vector."""
-    pixels = _pixels(layer_output)
-    return _order_rows(pixels)[0, : 2 * pixels.shape[2]]
-
-
-def percentile_stats(layer_output) -> np.ndarray:
-    """Per-channel 25th, 50th and 75th percentiles over all pixels, concatenated."""
-    pixels = _pixels(layer_output)
-    return _order_rows(pixels)[0, 2 * pixels.shape[2] :]
-
-
-@dataclass
-class LayerStatVector:
-    """The 6K statistic vector of one conv layer for one image.
-
-    Concatenation order is fixed: [pca | min | max | p25 | p50 | p75].
-    """
-
-    layer_index: int
-    pca: np.ndarray
-    mins: np.ndarray
-    maxs: np.ndarray
-    p25: np.ndarray
-    p50: np.ndarray
-    p75: np.ndarray
-
-    def __post_init__(self):
-        k = self.pca.shape[0]
-        for name in ("mins", "maxs", "p25", "p50", "p75"):
-            if getattr(self, name).shape != (k,):
-                raise ValidationError(f"{name} must have length {k}")
-        ordered = (
-            (self.mins <= self.p25 + 1e-12)
-            & (self.p25 <= self.p50 + 1e-12)
-            & (self.p50 <= self.p75 + 1e-12)
-            & (self.p75 <= self.maxs + 1e-12)
-        )
-        if not ordered.all():
-            raise ValidationError("per-channel order min <= p25 <= p50 <= p75 <= max broken")
-
-    @property
-    def k(self) -> int:
-        return self.pca.shape[0]
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.pca, self.mins, self.maxs, self.p25, self.p50, self.p75])
-
-
-def layer_feature_vector(network, image: Tensor, layer_index: int,
-                         bank: PcaBank) -> LayerStatVector:
-    """Statistic vector of one conv layer (1-based index) for one image."""
-    from .victim import layer_outputs_batch
-
-    outputs = layer_outputs_batch(network, [image])
-    if not 1 <= layer_index <= len(outputs):
-        raise ValidationError(
-            f"layer index {layer_index} out of range (network has {len(outputs)} conv layers)"
-        )
-    row = stat_matrix(outputs[layer_index - 1], bank)[0]
-    k = bank.k
-    return LayerStatVector(
-        layer_index=int(layer_index),
-        pca=row[:k], mins=row[k : 2 * k], maxs=row[2 * k : 3 * k],
-        p25=row[3 * k : 4 * k], p50=row[4 * k : 5 * k], p75=row[5 * k :],
-    )
-
-
 def stat_matrix(layer_batch: np.ndarray, bank: PcaBank) -> np.ndarray:
     """(N, 6K) statistic rows for a batch of layer outputs (N, H, W, K).
 
-    Each row is ordered [pca | min | max | p25 | p50 | p75], as in LayerStatVector.
+    Each row is ordered [pca | min | max | p25 | p50 | p75], K columns each:
+    the mean absolute std-normalized projection coefficient per dimension,
+    then the per-channel minimum, maximum and 25th, 50th and 75th percentiles
+    over all pixels.
     Rows are filled 256 images at a time, so the temporaries are one chunk's
     size. Every statistic is computed per image, so the chunking changes no
     bit of any row.

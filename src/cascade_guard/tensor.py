@@ -1,9 +1,9 @@
-"""Dense H x W x C tensors and the layer primitives used by the victim CNN.
+"""The image type and the batched layer kernels of the victim CNN.
 
 All arithmetic is float64 end to end so gradient checks hold to 1e-6 and runs
-are bit-reproducible. Public ops take single images; the private batched
-kernels (leading axis N) are shared with the training and attack code paths,
-which keeps single-image and batched results bit-identical.
+are bit-reproducible. Tensor is the image type of attack records and tensor
+files. The kernels take batches (leading axis N) and are private: the
+library reaches them only through autograd.
 
 Three kernels have fast paths that give the same bytes as the general code:
 conv with one input channel (chosen by the input's channel count), max
@@ -19,23 +19,14 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = [
-    "Tensor",
-    "ConvFilterBank",
-    "conv2d",
-    "relu",
-    "maxpool",
-    "dense",
-    "softmax",
-]
+__all__ = ["Tensor"]
 
 
 class Tensor:
     """Immutable dense image tensor with explicit (height, width, channels) layout.
 
     Data is stored row-major: height, then width, then channels. Construction
-    rejects non-finite values, so every value reachable through the public ops
-    is finite.
+    rejects non-finite values.
     """
 
     __slots__ = ("array",)
@@ -98,42 +89,6 @@ class Tensor:
     def __repr__(self) -> str:
         h, w, c = self.dims
         return f"Tensor({h}x{w}x{c})"
-
-
-class ConvFilterBank:
-    """A stack of K same-shaped convolution kernels plus biases, stride and padding.
-
-    Kernels are stored as a (K, kH, kW, C_in) array; padding is zero-fill.
-    """
-
-    __slots__ = ("weights", "biases", "stride", "padding")
-
-    def __init__(self, weights, biases=None, stride=1, padding=0):
-        w = np.array(weights, dtype=np.float64)
-        if w.ndim != 4 or w.shape[0] < 1:
-            raise ValidationError(
-                f"filters must stack to K x kH x kW x C_in, got shape {w.shape}"
-            )
-        if not np.isfinite(w).all():
-            raise ValidationError("filter weights contain non-finite values")
-        k = w.shape[0]
-        b = np.zeros(k) if biases is None else np.array(biases, dtype=np.float64)
-        if b.shape != (k,):
-            raise ValidationError(f"need {k} biases, got shape {b.shape}")
-        if not np.isfinite(b).all():
-            raise ValidationError("biases contain non-finite values")
-        stride = int(stride)
-        padding = int(padding)
-        if stride < 1:
-            raise ValidationError(f"stride must be positive, got {stride}")
-        if padding < 0:
-            raise ValidationError(f"padding must be non-negative, got {padding}")
-        w.flags.writeable = False
-        b.flags.writeable = False
-        self.weights = w
-        self.biases = b
-        self.stride = stride
-        self.padding = padding
 
 
 # ---------------------------------------------------------------------------
@@ -310,55 +265,3 @@ def _softmax(z):
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
-# Public single-image operations.
-# ---------------------------------------------------------------------------
-
-def conv2d(input: Tensor, bank: ConvFilterBank) -> Tensor:
-    """Cross-correlate the input with every kernel in the bank.
-
-    Output has one channel per kernel:
-    out(h, w, k) = bias_k + sum over the kernel window of kernel_k * patch.
-    """
-    out = _conv_forward(input.array[None], bank.weights, bank.biases,
-                        bank.stride, bank.padding)
-    return Tensor._wrap(out[0])
-
-
-def relu(input: Tensor) -> Tensor:
-    """Elementwise max(0, x)."""
-    return Tensor._wrap(_relu_forward(input.array))
-
-
-def maxpool(input: Tensor, window: int, stride: int) -> Tensor:
-    """Per-channel sliding-window maximum."""
-    out, _ = _maxpool_forward(input.array[None], window, stride)
-    return Tensor._wrap(out[0])
-
-
-def dense(input: Tensor, weights, bias) -> np.ndarray:
-    """Affine map of the flattened input; weights carry one row per output unit."""
-    w = np.asarray(weights, dtype=np.float64)
-    b = np.asarray(bias, dtype=np.float64)
-    flat = input.data
-    if w.ndim != 2 or w.shape[1] != flat.size:
-        raise ValidationError(
-            f"weight rows have length {w.shape[-1] if w.ndim else 0} "
-            f"but flattened input has length {flat.size}"
-        )
-    if b.shape != (w.shape[0],):
-        raise ValidationError(f"need {w.shape[0]} bias entries, got shape {b.shape}")
-    out = _dense_forward(flat[None], w, b)[0]
-    if not np.isfinite(out).all():
-        raise ValidationError("dense produced non-finite values")
-    return out
-
-
-def softmax(raw) -> np.ndarray:
-    """Numerically stable softmax (max-subtracted); output sums to 1."""
-    z = np.asarray(raw, dtype=np.float64)
-    if not np.isfinite(z).all():
-        raise ValidationError("softmax input contains non-finite values")
-    return _softmax(z)

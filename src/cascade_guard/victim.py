@@ -1,7 +1,7 @@
 """The small CNN whose adversarial examples the detector learns to flag.
 
 Defines the network description and trained-network containers, plain
-SGD-with-momentum training, prediction records, per-conv-layer feature maps
+SGD-with-momentum training, batch predictions, per-conv-layer feature maps
 and the above-threshold prediction census.
 """
 from __future__ import annotations
@@ -23,21 +23,16 @@ from .autograd import (
     softmax_cross_entropy,
 )
 from .errors import TrainingError, ValidationError
-from .tensor import Tensor
 
 __all__ = [
     "NetworkSpec",
     "Network",
-    "PredictionRecord",
     "TrainConfig",
     "default_victim_spec",
     "train_victim",
-    "predict",
     "predict_batch",
-    "layer_outputs",
     "layer_outputs_batch",
     "prediction_census",
-    "raw_score_percentile",
     "CensusTable",
 ]
 
@@ -157,22 +152,6 @@ class Network:
         self.metadata = dict(metadata or {})
 
 
-@dataclass
-class PredictionRecord:
-    """Raw scores, softmax probabilities and the argmax label for one image."""
-
-    raw: np.ndarray
-    probs: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        if abs(float(self.probs.sum()) - 1.0) > 1e-12:
-            raise ValidationError("probabilities do not sum to 1")
-        if int(np.argmax(self.raw)) != int(np.argmax(self.probs)):
-            raise ValidationError("raw/softmax argmax disagree")
-        self.label = int(self.label)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 12
@@ -203,12 +182,6 @@ def _init_weights(spec: NetworkSpec, rng: np.random.Generator):
 
 
 def _as_batch(spec: NetworkSpec, images) -> np.ndarray:
-    if not isinstance(images, np.ndarray):
-        tensors = list(images)
-        for t in tensors:
-            if t.dims != spec.input_dims:
-                raise ValidationError(f"image dims {t.dims} != spec input {spec.input_dims}")
-        images = [t.array for t in tensors]
     batch = np.asarray(images, dtype=np.float64)
     if batch.shape[:1] == (0,):
         raise ValidationError("need at least one image")
@@ -286,26 +259,12 @@ def _accuracy(network: Network, images, labels) -> float:
     return int((pred == labels).sum()) / len(images)
 
 
-def predict(network: Network, image: Tensor) -> PredictionRecord:
-    """Full prediction record for one image: one row of predict_batch."""
-    raw, probs, labels = predict_batch(network, [image])
-    return PredictionRecord(raw=raw[0], probs=probs[0], label=labels[0])
-
-
 def predict_batch(network: Network, images):
-    """(raw, probs, labels) arrays for a batch; bit-identical to predict()."""
+    """(raw, probs, labels) arrays for a batch of images."""
     batch = _as_batch(network.spec, images)
     logits, _, _ = forward_pass(network.spec.layers, network.weights, batch)
     probs = softmax_batch(logits)
     return logits, probs, np.argmax(logits, axis=1)
-
-
-def layer_outputs(network: Network, image: Tensor):
-    """Post-ReLU output tensor of every conv layer, in depth order.
-
-    One row of layer_outputs_batch.
-    """
-    return [Tensor._wrap(batch[0]) for batch in layer_outputs_batch(network, [image])]
 
 
 def layer_outputs_batch(network: Network, images):
@@ -314,15 +273,22 @@ def layer_outputs_batch(network: Network, images):
     Each chunk's activations are copied into arrays allocated once for the
     whole batch, so the peak is the result plus one chunk's forward pass.
     """
+    return _logits_and_layer_outputs(network, images)[1]
+
+
+def _logits_and_layer_outputs(network: Network, images):
+    """(logits, per-conv-layer activations) of the chunked pass of layer_outputs_batch."""
     spec = network.spec
     batch = _as_batch(spec, images)
     shapes = spec.shapes()
+    logits = np.empty((len(batch), spec.classes))
     outputs = [np.empty((len(batch),) + shapes[i]) for i in spec.conv_indices]
-    for start, (_, captured) in zip(range(0, len(batch), _CHUNK_ROWS), _forward_chunks(
-            spec.layers, network.weights, batch, capture_conv=True)):
+    chunks = _forward_chunks(spec.layers, network.weights, batch, capture_conv=True)
+    for start, (chunk_logits, captured) in zip(range(0, len(batch), _CHUNK_ROWS), chunks):
+        logits[start : start + len(chunk_logits)] = chunk_logits
         for out, a in zip(outputs, captured):
             out[start : start + len(a)] = a
-    return outputs
+    return logits, outputs
 
 
 def _forward_chunks(layers, weights, batch, capture_conv=False):
@@ -352,8 +318,3 @@ def prediction_census(network: Network, images, thresholds) -> CensusTable:
     soft_counts = (probs[:, :, None] > ts).sum(axis=1).mean(axis=0)
     return CensusTable(ts, raw_counts.astype(np.float64), soft_counts.astype(np.float64))
 
-
-def raw_score_percentile(network: Network, images, q: float) -> float:
-    """q-th percentile of the pooled raw scores (all classes, all images)."""
-    raw, _, _ = predict_batch(network, images)
-    return float(np.percentile(raw.reshape(-1), q))

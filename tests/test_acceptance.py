@@ -31,11 +31,7 @@ from cascade_guard.cascade import (
     roc_auc,
     train_cascade,
 )
-from cascade_guard.featstats import (
-    extremal_stats,
-    pca_statistic,
-    percentile_stats,
-)
+from cascade_guard.featstats import PcaBank, stat_matrix
 from cascade_guard.recovery import recovery_eval
 from cascade_guard.selfaware import (
     ErrorTable,
@@ -49,7 +45,6 @@ from cascade_guard.victim import (
     layer_outputs_batch,
     predict_batch,
     prediction_census,
-    raw_score_percentile,
 )
 
 SEEDS = (2, 3, 4, 5, 6)
@@ -275,7 +270,7 @@ def test_criterion_03_pca_bank_correctness(victim_bundle, corpus, fitted_banks):
         worst_std = max(worst_std,
                         np.abs(proj.std(axis=0)[unfloored] - 1.0).max())
         mean_img = np.broadcast_to(bank.mean, (3, 3, bank.k)).copy()
-        zero_stat_ok &= bool((pca_statistic(mean_img, bank) == 0.0).all())
+        zero_stat_ok &= bool((stat_matrix(mean_img[None], bank)[0, : bank.k] == 0.0).all())
     ok = worst_gram < 1e-8 and worst_mean < 1e-10 and worst_std < 1e-8 and zero_stat_ok
     report(3, "PCA bank correctness", ok,
            f"orthonormality {worst_gram:.1e}, projection mean {worst_mean:.1e}, "
@@ -288,15 +283,15 @@ def test_criterion_03_pca_bank_correctness(victim_bundle, corpus, fitted_banks):
 
 def test_criterion_04_percentile_extremal_oracle():
     rng = np.random.default_rng(404)
+    identity = PcaBank(layer_index=1, mean=np.zeros(1), components=np.eye(1), stds=np.ones(1))
     mismatches = 0
     for _ in range(1000):
         n = int(rng.integers(1, 400))
         values = rng.normal(scale=rng.uniform(0.1, 50.0), size=n)
         if rng.random() < 0.3:  # force duplicates
             values = np.round(values, 1)
-        img = values.reshape(n, 1, 1)
-        pc = percentile_stats(img)
-        ex = extremal_stats(img)
+        row = stat_matrix(values.reshape(1, n, 1, 1), identity)[0]
+        ex, pc = row[1:3], row[3:]  # [pca | min | max | p25 | p50 | p75], one channel
         s = sorted(float(v) for v in values)
         for i, p in enumerate((25.0, 50.0, 75.0)):
             rank = (p / 100.0) * (n - 1)
@@ -389,7 +384,7 @@ def test_criterion_08_census_direction(victim_bundle, seed_runs):
     gaps = []
     for run in seed_runs:
         advs = np.stack([r.image.array for r in run.holdout_advs])
-        t90 = raw_score_percentile(net, run.holdout_normals, 90.0)
+        t90 = np.percentile(predict_batch(net, run.holdout_normals)[0], 90.0)
         normal_count = prediction_census(net, run.holdout_normals, [t90])
         adv_count = prediction_census(net, advs, [t90])
         gaps.append((normal_count.raw_mean_counts[0], adv_count.raw_mean_counts[0]))

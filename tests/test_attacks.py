@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -7,14 +5,26 @@ from cascade_guard.attacks import (
     AttackConfig,
     choose_targets,
     evolutionary_attack,
-    gradient_box_attack,
-    gradient_sign_attack,
+    gradient_box_attack_batch,
     gradient_sign_attack_batch,
 )
 from cascade_guard.autograd import DenseLayer, SoftmaxLayer
 from cascade_guard.errors import ValidationError
-from cascade_guard.tensor import Tensor
-from cascade_guard.victim import Network, NetworkSpec, predict
+from cascade_guard.victim import Network, NetworkSpec, predict_batch
+
+
+def box_attack(network, image, target, cfg):
+    """The gradient-box attack on one H x W x C image: a one-row batch."""
+    return gradient_box_attack_batch(network, np.asarray(image)[None], [target], cfg)[0]
+
+
+def sign_attack(network, image, target, cfg):
+    """The gradient-sign attack on one H x W x C image: a one-row batch."""
+    return gradient_sign_attack_batch(network, np.asarray(image)[None], [target], cfg)[0]
+
+
+def label_of(network, image):
+    return int(predict_batch(network, np.asarray(image)[None])[2][0])
 
 
 def linear_victim(w_row, bias):
@@ -58,10 +68,10 @@ class TestChooseTargets:
 class TestGradientBox:
     def test_already_optimal_target_keeps_r_below_step(self):
         net = linear_victim([4.0, 0.0], 0.0)
-        x0 = Tensor(np.array([[[0.9], [0.5]]]))
-        assert predict(net, x0).label == 0
+        x0 = np.array([[[0.9], [0.5]]])
+        assert label_of(net, x0) == 0
         cfg = AttackConfig(step_size=0.01, max_iterations=100, confidence_goal=0.9)
-        rec = gradient_box_attack(net, x0, 0, cfg)
+        rec = box_attack(net, x0, 0, cfg)
         assert rec.success
         assert rec.linf < cfg.step_size
 
@@ -74,7 +84,7 @@ class TestGradientBox:
         distance = abs(w @ x0 + b) / np.linalg.norm(w)
         cfg = AttackConfig(step_size=0.002, max_iterations=2000, c=1e-4,
                            confidence_goal=0.5)
-        rec = gradient_box_attack(net, Tensor(x0.reshape(1, 2, 1)), 1, cfg)
+        rec = box_attack(net, x0.reshape(1, 2, 1), 1, cfg)
         assert rec.success
         l2 = np.linalg.norm(rec.image.data - x0)
         assert l2 == pytest.approx(distance, rel=0.05)
@@ -86,20 +96,19 @@ class TestGradientBox:
 
     def test_best_objective_trace_non_increasing(self, victim_bundle):
         net = victim_bundle.network
-        img = victim_bundle.dataset.tensor(5)
-        label = int(predict(net, img).label)
-        target = (label + 1) % 10
+        img = victim_bundle.dataset.images[5]
+        target = (label_of(net, img) + 1) % 10
         cfg = AttackConfig(max_iterations=60, keep_trace=True, stop_at_goal=False)
-        rec = gradient_box_attack(net, img, target, cfg)
+        rec = box_attack(net, img, target, cfg)
         trace = np.array(rec.trace)
         assert len(trace) > 1
         assert (np.diff(trace) <= 0).all()
 
     def test_nonconvergence_is_not_an_error(self):
         net = linear_victim([1.0, 1.0], -20.0)  # target 0 unreachable in the box
-        x0 = Tensor(np.array([[[0.1], [0.1]]]))
+        x0 = np.array([[[0.1], [0.1]]])
         cfg = AttackConfig(step_size=0.05, max_iterations=5, confidence_goal=0.99)
-        rec = gradient_box_attack(net, x0, 0, cfg)
+        rec = box_attack(net, x0, 0, cfg)
         assert not rec.success
 
     def test_desk_victim_success_rate(self, corpus):
@@ -108,24 +117,13 @@ class TestGradientBox:
         assert succ.mean() >= 0.95
         assert (conf[succ] >= 0.9).all()
 
-    def test_bisection_returns_success_with_reduced_norm(self, victim_bundle):
-        net = victim_bundle.network
-        img = victim_bundle.dataset.tensor(8)
-        label = int(predict(net, img).label)
-        target = (label + 3) % 10
-        plain = gradient_box_attack(net, img, target, AttackConfig())
-        bisected = gradient_box_attack(
-            net, img, target, AttackConfig(bisect_c=True, bisect_rounds=5))
-        assert bisected.success
-        assert bisected.l1 <= plain.l1 * 1.05
-
 
 class TestGradientSign:
     def test_zero_epsilon_returns_original(self, victim_bundle):
-        img = victim_bundle.dataset.tensor(0)
+        img = victim_bundle.dataset.images[0]
         cfg = AttackConfig(kind="gradient-sign", step_size=0.0, max_iterations=1)
-        rec = gradient_sign_attack(victim_bundle.network, img, 3, cfg)
-        assert np.array_equal(rec.image.array, img.array)
+        rec = sign_attack(victim_bundle.network, img, 3, cfg)
+        assert np.array_equal(rec.image.array, img)
 
     def test_single_step_changes_target_logit_by_eps_times_l1_norm(self):
         # linear logit model: pre-clipping logit change is exactly eps * ||w||_1
@@ -134,15 +132,15 @@ class TestGradientSign:
         x0 = np.full((1, 4, 1), 0.5)
         eps = 0.01
         cfg = AttackConfig(kind="gradient-sign", step_size=eps, max_iterations=1)
-        rec = gradient_sign_attack(net, Tensor(x0), 0, cfg)
+        rec = sign_attack(net, x0, 0, cfg)
         before = float(w @ x0.ravel())
         after = float(w @ rec.image.data)
         assert after - before == pytest.approx(eps * np.abs(w).sum(), abs=1e-12)
 
     def test_output_in_box_even_for_eps_one(self, victim_bundle):
-        img = victim_bundle.dataset.tensor(4)
+        img = victim_bundle.dataset.images[4]
         cfg = AttackConfig(kind="gradient-sign", step_size=1.0, max_iterations=3)
-        rec = gradient_sign_attack(victim_bundle.network, img, 2, cfg)
+        rec = sign_attack(victim_bundle.network, img, 2, cfg)
         assert rec.image.array.min() >= 0.0 and rec.image.array.max() <= 1.0
 
 

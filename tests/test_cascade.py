@@ -12,10 +12,8 @@ from cascade_guard.cascade import (
     accuracy_at_threshold,
     best_threshold_accuracy,
     calibrate_threshold,
-    cascade_predict,
     cascade_predict_batch,
     compose_rates,
-    detector_score,
     detector_score_batch,
     roc_auc,
     svm_objective,
@@ -23,7 +21,6 @@ from cascade_guard.cascade import (
     train_svm,
 )
 from cascade_guard.errors import ValidationError
-from cascade_guard.tensor import Tensor
 from cascade_guard.victim import layer_outputs_batch
 
 
@@ -230,11 +227,11 @@ class TestTrainCascade:
 class TestCascadePredict:
     def test_normal_exit_at_stage_one(self, trained_cascade):
         net, model, normals, _ = trained_cascade
-        decisions = [cascade_predict(model, net, Tensor(img)) for img in normals[:20]]
-        exits = [d for d in decisions if d.decision == "normal"]
-        assert exits, "some holdout normals must exit as normal"
-        assert all(1 <= d.exit_stage <= len(model.stages) for d in exits)
-        assert all(len(d.stage_scores) == d.exit_stage for d in exits)
+        is_adv, exit_stage, scores = cascade_predict_batch(model, net, normals[:20])
+        exits = ~is_adv
+        assert exits.any(), "some holdout normals must exit as normal"
+        assert ((1 <= exit_stage[exits]) & (exit_stage[exits] <= len(model.stages))).all()
+        assert ((~np.isnan(scores[exits])).sum(axis=1) == exit_stage[exits]).all()
 
     def test_all_margins_below_threshold_is_adversarial(self, trained_cascade):
         net, model, _, advs = trained_cascade
@@ -246,9 +243,9 @@ class TestCascadePredict:
         net, model, normals, advs = trained_cascade
         images = np.concatenate([normals[:10], advs[:10]])
         is_adv, exit_stage, _ = cascade_predict_batch(model, net, images)
-        for i, img in enumerate(images):
-            d = cascade_predict(model, net, Tensor(img))
-            assert (d.decision == "adversarial") == bool(is_adv[i])
+        for i in range(len(images)):
+            single, _, _ = cascade_predict_batch(model, net, images[i : i + 1])
+            assert single[0] == is_adv[i]
 
     def test_dropping_final_stage_survivorship_is_monotone(self, trained_cascade):
         # Survivors of the full cascade survive every prefix of it: a shorter
@@ -328,7 +325,7 @@ class TestDetectorScore:
         net, model, normals, _ = trained_cascade
         batch = detector_score_batch(model, net, normals[:5])
         for i in range(5):
-            single = detector_score(model, net, Tensor(normals[i]))
+            single = detector_score_batch(model, net, normals[i : i + 1])[0]
             assert single == pytest.approx(batch[i], abs=1e-10)
 
     def test_holdout_auc_clears_soft_target(self, trained_cascade):

@@ -150,6 +150,30 @@ class TestFitDetector:
         assert (tmp_path / "det.json").read_bytes() == (pipeline / "det.json").read_bytes()
 
 
+class TestSelfaware:
+    def test_each_image_is_forwarded_once(self, pipeline, tmp_path, monkeypatch):
+        import cascade_guard.victim as victim_module
+
+        args = ["selfaware", "--detector", pipeline / "det.json", "--net", pipeline / "net.json",
+                "--mixture", f"{pipeline / 'bank'},{pipeline / 'advs_test'}"]
+        assert run([*args, "--out-csv", tmp_path / "plain.csv"]) == 0
+        rows = []
+        original = victim_module.forward_pass
+
+        def counting(layers, weights, x, *args, **kwargs):
+            rows.append(len(x))
+            return original(layers, weights, x, *args, **kwargs)
+
+        monkeypatch.setattr(victim_module, "forward_pass", counting)
+        assert run([*args, "--out-csv", tmp_path / "counted.csv"]) == 0
+        monkeypatch.undo()
+        bank = dataio.load_dataset(pipeline / "bank")
+        n_val, n_test = len(bank.indices("val")), len(bank.indices("test"))
+        n_advs = len(dataio.load_adversarial_batch(pipeline / "advs_test"))
+        assert sum(rows) == n_val + n_test + n_advs
+        assert (tmp_path / "counted.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
 class TestReproducibility:
     def test_synth_data_byte_identical(self, tmp_path):
         a = tmp_path / "a"
@@ -305,6 +329,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1, err
         assert err.startswith("ERROR 1:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda w: w[0].update(kind="dense"),
+        lambda w: w[0].update(kind=5),
+        lambda w: w.append(dict(w[0])),
+        lambda w: w.append(dict(w[0], layer=99)),
+        lambda w: w.append(dict(w[0], layer=-1)),
+    ], ids=["kind-of-other-layer", "kind-not-string", "layer-twice", "layer-past-spec",
+            "layer-negative"])
+    def test_malformed_weight_entry_is_validation_error(self, pipeline, tmp_path, capsys,
+                                                        corrupt):
+        payload = json.loads((pipeline / "net.json").read_text())
+        corrupt(payload["weights"])
+        (tmp_path / "net.json").write_text(json.dumps(payload))
+        code = run(["census", "--net", tmp_path / "net.json", "--normals", pipeline / "bank",
+                    "--out-csv", tmp_path / "census.csv"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("ERROR 1:") and err.count("\n") == 1
+        assert not (tmp_path / "census.csv").exists()
 
     @pytest.mark.parametrize("flag, value", [("--eq", "-1"), ("--ea-range", "-2:8:3")],
                              ids=["eq-negative", "ea-range-negative"])

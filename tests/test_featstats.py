@@ -12,17 +12,38 @@ import cascade_guard.featstats as featstats
 from cascade_guard.errors import ValidationError
 from cascade_guard.featstats import (
     PERCENTILES,
-    LayerStatVector,
-    extremal_stats,
+    PcaBank,
     fit_pca_bank,
-    layer_feature_vector,
-    pca_statistic,
-    percentile_stats,
     spectral_report,
     stat_matrix,
 )
-from cascade_guard.tensor import Tensor
 from cascade_guard.victim import layer_outputs_batch
+
+
+def identity_bank(k):
+    """Mean 0, identity projection, unit stds: a bank that leaves pixels as they are."""
+    return PcaBank(layer_index=1, mean=np.zeros(k), components=np.eye(k), stds=np.ones(k))
+
+
+def stat_row(layer_output, bank):
+    """The stat_matrix row of one H x W x K layer output: [pca | min | max | p25 | p50 | p75]."""
+    return stat_matrix(np.asarray(layer_output, dtype=np.float64)[None], bank)[0]
+
+
+def pca_columns(layer_output, bank):
+    return stat_row(layer_output, bank)[: bank.k]
+
+
+def extremal_columns(layer_output):
+    """[min | max] per channel."""
+    k = layer_output.shape[2]
+    return stat_row(layer_output, identity_bank(k))[k : 3 * k]
+
+
+def percentile_columns(layer_output):
+    """[p25 | p50 | p75] per channel."""
+    k = layer_output.shape[2]
+    return stat_row(layer_output, identity_bank(k))[3 * k :]
 
 
 def sorted_percentile_oracle(values, p):
@@ -131,7 +152,7 @@ class TestFitPcaBank:
         bank = fit_pca_bank(outputs, layer_index=1)
         assert (bank.stds >= bank.epsilon).all()
         assert np.isfinite(bank.components).all()
-        stat = pca_statistic(outputs[0], bank)
+        stat = pca_columns(outputs[0], bank)
         assert np.isfinite(stat).all()
 
     def test_fewer_samples_than_channels_rejected(self):
@@ -145,14 +166,14 @@ class TestPcaStatistic:
         outputs = rng.normal(size=(5, 3, 3, 4))
         bank = fit_pca_bank(outputs, layer_index=1)
         flat_mean = np.broadcast_to(bank.mean, (3, 3, 4)).copy()
-        assert (pca_statistic(flat_mean, bank) == 0.0).all()
+        assert (pca_columns(flat_mean, bank) == 0.0).all()
 
     def test_single_pixel_hand_projection_oracle(self):
         rng = np.random.default_rng(5)
         outputs = rng.normal(size=(8, 4, 4, 3))
         bank = fit_pca_bank(outputs, layer_index=1)
         pixel = rng.normal(size=3)
-        got = pca_statistic(pixel.reshape(1, 1, 3), bank)
+        got = pca_columns(pixel.reshape(1, 1, 3), bank)
         want = np.abs((pixel - bank.mean) @ bank.components / bank.stds)
         assert np.allclose(got, want, rtol=0, atol=1e-14)
 
@@ -163,33 +184,33 @@ class TestPcaStatistic:
         img = rng.normal(size=(4, 4, 3))
         perm = rng.permutation(16)
         shuffled = img.reshape(16, 3)[perm].reshape(4, 4, 3)
-        assert np.allclose(pca_statistic(img, bank), pca_statistic(shuffled, bank),
+        assert np.allclose(pca_columns(img, bank), pca_columns(shuffled, bank),
                            rtol=1e-12, atol=1e-12)
 
     def test_channel_mismatch_rejected(self):
         rng = np.random.default_rng(7)
         bank = fit_pca_bank(rng.normal(size=(4, 3, 3, 2)), layer_index=1)
         with pytest.raises(ValidationError, match="channels"):
-            pca_statistic(rng.normal(size=(3, 3, 5)), bank)
+            pca_columns(rng.normal(size=(3, 3, 5)), bank)
 
 
 class TestExtremalAndPercentiles:
     def test_constant_channel_all_stats_equal(self):
         img = np.full((4, 5, 2), 0.75)
-        ex = extremal_stats(img)
-        pc = percentile_stats(img)
+        ex = extremal_columns(img)
+        pc = percentile_columns(img)
         assert (ex == 0.75).all()
         assert (pc == 0.75).all()
 
     def test_values_1_to_100_sort_interpolate_oracle(self):
         img = np.arange(1.0, 101.0).reshape(10, 10, 1)
-        pc = percentile_stats(img)
+        pc = percentile_columns(img)
         assert pc.tolist() == [25.75, 50.5, 75.25]
 
     def test_single_pixel_channel_all_stats_equal_pixel(self):
         img = np.array([[[3.5, -1.25]]])
-        ex = extremal_stats(img)
-        pc = percentile_stats(img)
+        ex = extremal_columns(img)
+        pc = percentile_columns(img)
         assert ex.tolist() == [3.5, -1.25, 3.5, -1.25]
         assert pc.tolist() == [3.5, -1.25, 3.5, -1.25, 3.5, -1.25]
 
@@ -198,17 +219,17 @@ class TestExtremalAndPercentiles:
                   elements=st.floats(-100, 100, width=64)))
     def test_exact_equality_with_sorted_oracle(self, values):
         img = values.reshape(-1, 1, 1)
-        pc = percentile_stats(img)
+        pc = percentile_columns(img)
         for i, p in enumerate((25.0, 50.0, 75.0)):
             assert pc[i] == sorted_percentile_oracle(values, p)
-        ex = extremal_stats(img)
+        ex = extremal_columns(img)
         assert ex[0] == min(values) and ex[1] == max(values)
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, (3, 4, 2), elements=st.floats(-50, 50, width=64)))
     def test_per_channel_order_invariant(self, img):
-        ex = extremal_stats(img)
-        pc = percentile_stats(img)
+        ex = extremal_columns(img)
+        pc = percentile_columns(img)
         k = 2
         mins, maxs = ex[:k], ex[k:]
         p25, p50, p75 = pc[:k], pc[k : 2 * k], pc[2 * k :]
@@ -233,30 +254,25 @@ class TestStatMatrix:
 
 class TestLayerFeatureVector:
     def test_length_and_composition(self, victim_bundle, fitted_banks):
-        img = victim_bundle.dataset.tensor(0)
-        vec = layer_feature_vector(victim_bundle.network, img, 1, fitted_banks[0])
-        assert vec.vector.shape == (6 * 8,)
-        from cascade_guard.victim import layer_outputs
-
-        out = layer_outputs(victim_bundle.network, img)[0]
-        manual = np.concatenate([
-            pca_statistic(out, fitted_banks[0]),
-            extremal_stats(out),
-            percentile_stats(out),
-        ])
-        # manual order is [pca | min | max | p25 | p50 | p75]
-        manual = np.concatenate([manual[:8], manual[8:16], manual[16:24],
-                                 manual[24:32], manual[32:40], manual[40:48]])
-        assert np.array_equal(vec.vector, manual)
+        bank = fitted_banks[0]
+        out = layer_outputs_batch(victim_bundle.network, victim_bundle.dataset.images[:1])[0]
+        row = stat_matrix(out, bank)[0]
+        assert row.shape == (6 * 8,)
+        pixels = out[0].reshape(-1, 8)
+        z = (pixels - bank.mean) @ bank.components / bank.stds
+        # row order is [pca | min | max | p25 | p50 | p75]
+        want = np.concatenate([np.abs(z).mean(axis=0), pixels.min(axis=0), pixels.max(axis=0)]
+                              + [np.percentile(pixels, p, axis=0) for p in PERCENTILES])
+        assert np.allclose(row, want, rtol=0, atol=1e-12)
 
     def test_stat_matrix_matches_single_image_path(self, victim_bundle, fitted_banks):
+        # A one-image batch gets the row it gets inside a larger batch.
         net = victim_bundle.network
         images = victim_bundle.dataset.images[:5]
-        batch = layer_outputs_batch(net, images)[0]
-        rows = stat_matrix(batch, fitted_banks[0])
+        rows = stat_matrix(layer_outputs_batch(net, images)[0], fitted_banks[0])
         for i in range(5):
-            vec = layer_feature_vector(net, Tensor(images[i]), 1, fitted_banks[0])
-            assert np.array_equal(rows[i], vec.vector)
+            single = stat_matrix(layer_outputs_batch(net, images[i : i + 1])[0], fitted_banks[0])
+            assert np.array_equal(rows[i], single[0])
 
     def test_ea_statistics_deviate_far_more_than_gradient_box(
             self, victim_bundle, corpus, ea_records, fitted_banks):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -13,18 +11,14 @@ from cascade_guard.autograd import (
 )
 from cascade_guard.dataio import Dataset
 from cascade_guard.errors import TrainingError, ValidationError
-from cascade_guard.tensor import ConvFilterBank, Tensor, conv2d, relu
 from cascade_guard.victim import (
     Network,
     NetworkSpec,
     TrainConfig,
     default_victim_spec,
-    layer_outputs,
     layer_outputs_batch,
-    predict,
     predict_batch,
     prediction_census,
-    raw_score_percentile,
     train_victim,
 )
 
@@ -132,22 +126,24 @@ class TestPredict:
     def test_zero_weight_network_uniform(self):
         spec = dense_only_spec(3, 4)
         net = Network(spec, [(np.zeros((4, 3)), np.zeros(4)), None])
-        rec = predict(net, Tensor(np.random.default_rng(0).random((1, 3, 1))))
-        assert np.allclose(rec.probs, 0.25, atol=1e-15)
+        _, probs, _ = predict_batch(net, np.random.default_rng(0).random((1, 1, 3, 1)))
+        assert np.allclose(probs, 0.25, atol=1e-15)
 
     def test_pure_function(self, victim_bundle):
-        img = victim_bundle.dataset.tensor(0)
-        a = predict(victim_bundle.network, img)
-        b = predict(victim_bundle.network, img)
-        assert np.array_equal(a.raw, b.raw) and a.label == b.label
+        img = victim_bundle.dataset.images[:1]
+        a = predict_batch(victim_bundle.network, img)
+        b = predict_batch(victim_bundle.network, img)
+        assert np.array_equal(a[0], b[0]) and a[2] == b[2]
 
     def test_equals_first_row_of_predict_batch(self, victim_bundle):
-        img = victim_bundle.dataset.tensor(5)
-        rec = predict(victim_bundle.network, img)
-        raw, probs, labels = predict_batch(victim_bundle.network, [img])
-        assert rec.raw.tobytes() == raw[0].tobytes()
-        assert rec.probs.tobytes() == probs[0].tobytes()
-        assert rec.label == labels[0]
+        # A one-image batch gets the row it gets inside a larger batch, to
+        # rounding: BLAS picks the dense kernel by batch shape.
+        images = victim_bundle.dataset.images[5:9]
+        raw1, probs1, labels1 = predict_batch(victim_bundle.network, images[:1])
+        raw, probs, labels = predict_batch(victim_bundle.network, images)
+        assert np.allclose(raw1[0], raw[0], rtol=0, atol=1e-12)
+        assert np.allclose(probs1[0], probs[0], rtol=0, atol=1e-12)
+        assert labels1[0] == labels[0]
 
     def test_argmax_consistent_between_raw_and_softmax(self, victim_bundle):
         images, _ = victim_bundle.dataset.split("test")
@@ -157,7 +153,7 @@ class TestPredict:
 
     def test_dims_mismatch_rejected(self, victim_bundle):
         with pytest.raises(ValidationError, match="dims"):
-            predict(victim_bundle.network, Tensor(np.zeros((5, 5, 1))))
+            predict_batch(victim_bundle.network, np.zeros((1, 5, 5, 1)))
 
     def test_identity_conv_insertion_preserves_predictions(self, victim_bundle):
         net = victim_bundle.network
@@ -169,24 +165,26 @@ class TestPredict:
             ident[k, 0, 0, k] = 1.0
         weights = list(net.weights[:3]) + [(ident, np.zeros(8))] + list(net.weights[3:])
         bigger = Network(NetworkSpec(spec.input_dims, spec.classes, layers), weights)
-        img = victim_bundle.dataset.tensor(3)
-        assert np.allclose(predict(net, img).raw, predict(bigger, img).raw,
+        img = victim_bundle.dataset.images[3:4]
+        assert np.allclose(predict_batch(net, img)[0], predict_batch(bigger, img)[0],
                            rtol=0, atol=1e-10)
 
 
 class TestLayerOutputs:
     def test_one_tensor_per_conv_layer_nonnegative(self, victim_bundle):
-        outs = layer_outputs(victim_bundle.network, victim_bundle.dataset.tensor(1))
+        outs = layer_outputs_batch(victim_bundle.network, victim_bundle.dataset.images[1:2])
         assert len(outs) == 2
-        assert all((o.array >= 0).all() for o in outs)
+        assert all((o >= 0).all() for o in outs)
 
     def test_equals_first_row_of_layer_outputs_batch(self, victim_bundle):
-        img = victim_bundle.dataset.tensor(5)
-        outs = layer_outputs(victim_bundle.network, img)
-        batches = layer_outputs_batch(victim_bundle.network, [img])
-        assert len(outs) == len(batches)
-        for out, batch in zip(outs, batches):
-            assert out.array.tobytes() == batch[0].tobytes()
+        # A one-image batch gets the activations it gets inside a larger batch.
+        images = victim_bundle.dataset.images[5:9]
+        singles = layer_outputs_batch(victim_bundle.network, images[:1])
+        batches = layer_outputs_batch(victim_bundle.network, images)
+        assert len(singles) == len(batches)
+        for single, batch in zip(singles, batches):
+            assert single.shape[1:] == batch.shape[1:]
+            assert np.allclose(single[0], batch[0], rtol=0, atol=1e-12)
 
     def test_batch_bytes_equal_concatenated_chunk_forwards(self, victim_bundle):
         net = victim_bundle.network
@@ -201,10 +199,11 @@ class TestLayerOutputs:
 
     def test_first_entry_recomputed_standalone(self, victim_bundle):
         net = victim_bundle.network
-        img = victim_bundle.dataset.tensor(2)
-        outs = layer_outputs(net, img)
-        want = relu(conv2d(img, ConvFilterBank(*net.weights[0])))
-        assert np.array_equal(outs[0].array, want.array)
+        img = victim_bundle.dataset.images[2:3]
+        outs = layer_outputs_batch(net, img)
+        want, _, _ = forward_pass([ConvLayer(filters=8, kernel=3), ReluLayer()],
+                                  [net.weights[0], None], img)
+        assert np.array_equal(outs[0], want)
 
 
 class TestCensus:
@@ -235,7 +234,7 @@ class TestCensus:
         net = victim_bundle.network
         normals = corpus.normal_bank[1500:1800]
         advs = np.stack([r.image.array for r in corpus.successful[:300]])
-        t90 = raw_score_percentile(net, normals, 90.0)
+        t90 = np.percentile(predict_batch(net, normals)[0], 90.0)
         tn = prediction_census(net, normals, [t90])
         ta = prediction_census(net, advs, [t90])
         assert ta.raw_mean_counts[0] < tn.raw_mean_counts[0]
