@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .featstats import stat_matrix
+from .featstats import _fit_pca_bank_in_place, stat_matrix
 from .victim import _logits_and_layer_outputs
 
 __all__ = [
@@ -185,7 +185,7 @@ class CascadeConfig:
             raise ValidationError("svm C must be positive")
 
 
-def train_cascade(pool_layers, adv_layers, banks, config=CascadeConfig()) -> CascadeModel:
+def train_cascade(pool_layers, adv_layers, banks=None, config=CascadeConfig()) -> CascadeModel:
     """Stage-by-stage training with pool elimination.
 
     pool_layers and adv_layers are the per-conv-layer activation arrays of the
@@ -197,14 +197,18 @@ def train_cascade(pool_layers, adv_layers, banks, config=CascadeConfig()) -> Cas
     the training adversarials and drops the pool normals that score below it.
     Stops when conv layers run out or the pool empties. Stage rates are the
     stage's own rates on the alive pool and the training adversarials.
+
+    Without banks, stage k fits the bank of layer k on the pool's own layer-k
+    array, as fit_pca_bank would, and consumes that array: it is overwritten
+    with its centered samples. Layers the emptied pool never reaches still
+    get their banks. The detector is the one fit_pca_bank's banks give.
     """
     pool_layers, adv_layers = list(pool_layers), list(adv_layers)
     if len(pool_layers) != len(adv_layers) or any(
             a.ndim != 4 or p.shape[1:] != a.shape[1:] for p, a in zip(pool_layers, adv_layers)):
         raise ValidationError("pool and adversarial activations must be N x h x w x k "
                               "arrays of the same conv layers")
-    banks = tuple(banks)
-    n_layers = min(len(banks), len(pool_layers))
+    n_layers = len(pool_layers) if banks is None else min(len(banks), len(pool_layers))
     if config.max_stages is not None:
         n_layers = min(n_layers, config.max_stages)
     if n_layers < 1:
@@ -220,13 +224,19 @@ def train_cascade(pool_layers, adv_layers, banks, config=CascadeConfig()) -> Cas
     alive = np.arange(n_pool)
     pool_feats = np.empty((n_pool, 0))
     adv_feats = np.empty((n_p, 0))
+    fitted = []
     stages = []
-    for m, bank in enumerate(banks[:n_layers]):
+    for m in range(n_layers):
         if alive.size == 0:
             break
-        # Every row is alive at stage 1; indexing would copy the whole layer.
-        rows = pool_layers[m] if m == 0 else pool_layers[m][alive]
-        pool_feats = np.concatenate([pool_feats, stat_matrix(rows, bank)], axis=1)
+        if banks is None:
+            bank, rows = _fit_pca_bank_in_place(pool_layers[m], alive, m + 1)
+            fitted.append(bank)
+        else:
+            bank = banks[m]
+            # Every row is alive at stage 1; indexing would copy the whole layer.
+            rows = stat_matrix(pool_layers[m] if m == 0 else pool_layers[m][alive], bank)
+        pool_feats = np.concatenate([pool_feats, rows], axis=1)
         adv_feats = np.concatenate([adv_feats, stat_matrix(adv_layers[m], bank)], axis=1)
         draw = rng.choice(alive, size=min(n_p, alive.size), replace=False)
         x = np.concatenate([pool_feats[np.searchsorted(alive, draw)], adv_feats])
@@ -240,10 +250,13 @@ def train_cascade(pool_layers, adv_layers, banks, config=CascadeConfig()) -> Cas
                                    tpr=float((adv_scores >= tau).mean())))
         alive = alive[kept]
         pool_feats = pool_feats[kept]
+    if banks is None:
+        banks = fitted + [_fit_pca_bank_in_place(pool_layers[m], alive, m + 1)[0]
+                          for m in range(len(fitted), n_layers)]
 
     return CascadeModel(
         stages=tuple(stages),
-        banks=banks[:n_layers],
+        banks=tuple(banks[:n_layers]),
         target_tpr=config.target_tpr,
         metadata={"svm_c": config.svm_c, "seed": config.seed,
                   "pool_size": int(n_pool), "adv_train_size": int(n_p),

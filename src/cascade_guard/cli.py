@@ -34,7 +34,7 @@ from .cascade import (
     train_cascade,
 )
 from .errors import CascadeGuardError, ValidationError
-from .featstats import fit_pca_bank, spectral_report
+from .featstats import spectral_report
 from .recovery import recovery_eval
 from .selfaware import (
     ErrorTable,
@@ -44,6 +44,7 @@ from .selfaware import (
 )
 from .victim import (
     TrainConfig,
+    _census_table,
     _forward_chunks,
     default_victim_spec,
     layer_outputs_batch,
@@ -225,13 +226,15 @@ def _cmd_fit_detector(args):
     if not records:
         raise ValidationError("no adversarial records to train on")
     pool, _ = _split_images(normals, args.split)
-    advs = np.stack([r.image.array for r in records])
+    fingerprint = dataio.dataset_fingerprint(normals)
+    adv_layers = layer_outputs_batch(net, np.stack([r.image.array for r in records]))
     pool_layers = layer_outputs_batch(net, pool)
-    banks = [fit_pca_bank(batch, layer_index=m + 1)
-             for m, batch in enumerate(pool_layers)]
+    # Only the activations are needed from here on, and train_cascade fits
+    # each bank in place on them.
+    del normals, records, pool
     config = CascadeConfig(target_tpr=args.target_tpr, svm_c=args.c, seed=args.seed)
-    model = train_cascade(pool_layers, layer_outputs_batch(net, advs), banks, config)
-    model.metadata["normals_fingerprint"] = dataio.dataset_fingerprint(normals)
+    model = train_cascade(pool_layers, adv_layers, config=config)
+    model.metadata["normals_fingerprint"] = fingerprint
     dataio.save_detector(args.out, model)
     rates = ", ".join(f"stage{s.layer_index}: fpr={s.fpr:.3f} tpr={s.tpr:.3f}"
                       for s in model.stages)
@@ -276,19 +279,20 @@ def _cmd_evaluate(args):
 
 
 def _cmd_census(args):
-    net = dataio.load_network(args.net)
-    normals = dataio.load_dataset(args.normals)
-    images, _ = _split_images(normals, args.split)
-    raw, _, _ = predict_batch(net, images)
+    ts = None
     if args.thresholds:
         try:
             ts = np.array([float(v) for v in args.thresholds.split(",")])
         except ValueError:
             raise ValidationError(f"--thresholds takes comma-separated numbers, "
                                   f"got {args.thresholds!r}") from None
-    else:
+    net = dataio.load_network(args.net)
+    normals = dataio.load_dataset(args.normals)
+    images, _ = _split_images(normals, args.split)
+    raw, probs, _ = predict_batch(net, images)
+    if ts is None:
         ts = np.linspace(raw.min(), raw.max(), 25)
-    table = prediction_census(net, images, ts)
+    table = _census_table(raw, probs, ts)
     header = ["threshold", "normal_raw_mean", "normal_softmax_mean"]
     columns = [table.thresholds, table.raw_mean_counts, table.softmax_mean_counts]
     if args.adversarials:

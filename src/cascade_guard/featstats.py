@@ -7,6 +7,11 @@ mean absolute normalized projection coefficient per dimension, plus per
 channel extrema and percentiles. All extractors are order statistics or
 absolute means, so nothing here is differentiable end to end and the module
 never touches gradient machinery.
+
+fit_pca_bank leaves its input as it is. train_cascade, given no banks, fits
+each bank with _fit_pca_bank_in_place instead, which consumes the pool's
+layer array: it centers it in place, so the fit holds one array of the
+layer's size, the projection, rather than two.
 """
 from __future__ import annotations
 
@@ -72,63 +77,110 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fit_input(layer_outputs) -> np.ndarray:
+    # (N, H, W, K) float64 layer outputs with at least K pixel samples.
+    batch = np.asarray(layer_outputs, dtype=np.float64)
+    if batch.ndim != 4:
+        raise ValidationError(f"layer outputs must be N x H x W x K, got shape {batch.shape}")
+    n, k = int(np.prod(batch.shape[:3])), batch.shape[3]
+    if n < k:
+        raise ValidationError(f"need at least {k} pixel samples, got {n}")
+    return batch
+
+
+def _std_in_place(x: np.ndarray) -> np.ndarray:
+    # x.std(axis=0) by np.std's own steps, run on x itself: the same bits, and
+    # no temporary of x's size. x is overwritten.
+    n = len(x)
+    mean = x.sum(axis=0, keepdims=True)
+    mean /= n
+    x -= mean
+    np.square(x, out=x)
+    var = x.sum(axis=0)
+    var /= n
+    return np.sqrt(var, out=var)
+
+
+def _bank_from_centered(centered: np.ndarray, mean: np.ndarray, layer_index) -> PcaBank:
+    # The bank math on (M, K) centered samples; holds one more (M, K) array,
+    # the projection, and leaves centered as it is.
+    cov = centered.T @ centered / len(centered)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(-eigvals, kind="stable")
+    components = _fix_signs(eigvecs[:, order])
+    stds = np.maximum(_std_in_place(centered @ components), _STD_FLOOR)
+    return PcaBank(layer_index=int(layer_index), mean=mean, components=components,
+                   stds=stds)
+
+
 def fit_pca_bank(layer_outputs, layer_index: int) -> PcaBank:
     """Fit mean, projection and stds from normal-image layer outputs.
 
     layer_outputs is an (N, H, W, K) array, as layer_outputs_batch returns per
     conv layer; every pixel of every image is one sample. Requires at least K
     samples. Stds are floored at 1e-8, which the bank records as its epsilon.
-    Beyond its input the fit holds at most two arrays of the input's size:
-    the centered samples are freed once projected.
+    The input is left as it is; beyond it the fit holds two arrays of the
+    input's size, the centered samples and their projection.
     """
-    batch = np.asarray(layer_outputs, dtype=np.float64)
-    if batch.ndim != 4:
-        raise ValidationError(f"layer outputs must be N x H x W x K, got shape {batch.shape}")
-    k = batch.shape[3]
-    samples = batch.reshape(-1, k)
-    n = samples.shape[0]
-    if n < k:
-        raise ValidationError(f"need at least {k} pixel samples, got {n}")
+    batch = _fit_input(layer_outputs)
+    samples = batch.reshape(-1, batch.shape[3])
     mean = samples.mean(axis=0)
-    centered = samples - mean
-    cov = centered.T @ centered / n
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(-eigvals, kind="stable")
-    components = _fix_signs(eigvecs[:, order])
-    proj = centered @ components
-    del centered
-    stds = np.maximum(proj.std(axis=0), _STD_FLOOR)
-    return PcaBank(layer_index=int(layer_index), mean=mean, components=components,
-                   stds=stds)
+    return _bank_from_centered(samples - mean, mean, layer_index)
+
+
+def _chunks(layer_batch: np.ndarray, alive: np.ndarray):
+    # (rows, pixels) for 256 images of layer_batch[alive] at a time: rows
+    # slices the (len(alive), ...) result, pixels is (n, H * W, K). Slices,
+    # not copies, while every image is alive.
+    from .victim import _CHUNK_ROWS
+
+    n, h, w, k = layer_batch.shape
+    for start in range(0, len(alive), _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, len(alive)))
+        part = layer_batch[rows] if len(alive) == n else layer_batch[alive[rows]]
+        yield rows, part.reshape(-1, h * w, k)
 
 
 def _pca_rows(pixels: np.ndarray, bank: PcaBank) -> np.ndarray:
     # (N, P, K) pixels -> (N, K) mean absolute std-normalized projections.
-    if pixels.shape[2] != bank.k:
-        raise ValidationError(
-            f"layer output has {pixels.shape[2]} channels but bank expects {bank.k}"
-        )
-    z = (pixels - bank.mean) @ bank.components / bank.stds
-    return np.abs(z).mean(axis=1)
+    # Centering against a tiled row runs each subtraction over a whole image.
+    n, npix, k = pixels.shape
+    if k != bank.k:
+        raise ValidationError(f"layer output has {k} channels but bank expects {bank.k}")
+    centered = pixels.reshape(n, npix * k) - np.tile(bank.mean, npix)
+    return _projected_rows(centered.reshape(n, npix, k), bank)
+
+
+def _projected_rows(centered: np.ndarray, bank: PcaBank) -> np.ndarray:
+    # (N, P, K) centered pixels -> (N, K). The mean over P stays in the
+    # (N, P, K) layout: numpy sums that axis sequentially for K > 1 but
+    # pairwise for K = 1, so another layout would change bits.
+    n, npix, k = centered.shape
+    z = (centered @ bank.components).reshape(n, npix * k)
+    z /= np.tile(bank.stds, npix)
+    np.abs(z, out=z)
+    return z.reshape(n, npix, k).mean(axis=1)
 
 
 def _order_rows(pixels: np.ndarray) -> np.ndarray:
     # (N, P, K) pixels -> (N, 5K) per-channel [min | max | p25 | p50 | p75].
-    # Percentiles interpolate linearly at rank (p / 100) * (P - 1) of the
-    # sorted pixels.
+    # One channel-major (N, K, P) copy, so min, max and the sort run along
+    # contiguous P-long rows rather than K-long inner loops. Percentiles
+    # interpolate linearly at rank (p / 100) * (P - 1) of the sorted pixels.
     npix = pixels.shape[1]
-    sorted_vals = np.sort(pixels, axis=1)
-    pcs = []
+    channels = pixels.transpose(0, 2, 1).copy()
+    stats = [channels.min(axis=2), channels.max(axis=2)]
+    channels.sort(axis=2)
     for p in PERCENTILES:
         rank = (p / 100.0) * (npix - 1)
         lo = int(np.floor(rank))
         frac = rank - lo
-        lo_vals = sorted_vals[:, lo, :]
+        lo_vals = channels[:, :, lo]
         if lo + 1 >= npix:
-            pcs.append(lo_vals)
+            stats.append(lo_vals)
         else:
-            pcs.append(lo_vals + (sorted_vals[:, lo + 1, :] - lo_vals) * frac)
-    return np.concatenate([pixels.min(axis=1), pixels.max(axis=1)] + pcs, axis=1)
+            stats.append(lo_vals + (channels[:, :, lo + 1] - lo_vals) * frac)
+    return np.concatenate(stats, axis=1)
 
 
 def stat_matrix(layer_batch: np.ndarray, bank: PcaBank) -> np.ndarray:
@@ -142,16 +194,35 @@ def stat_matrix(layer_batch: np.ndarray, bank: PcaBank) -> np.ndarray:
     size. Every statistic is computed per image, so the chunking changes no
     bit of any row.
     """
-    from .victim import _CHUNK_ROWS
-
-    n, h, w, k = layer_batch.shape
-    out = np.empty((n, 6 * k))
-    for start in range(0, n, _CHUNK_ROWS):
-        pixels = layer_batch[start : start + _CHUNK_ROWS].reshape(-1, h * w, k)
-        rows = out[start : start + len(pixels)]
-        rows[:, :k] = _pca_rows(pixels, bank)
-        rows[:, k:] = _order_rows(pixels)
+    k = layer_batch.shape[3]
+    out = np.empty((len(layer_batch), 6 * k))
+    for rows, pixels in _chunks(layer_batch, np.arange(len(layer_batch))):
+        out[rows, :k] = _pca_rows(pixels, bank)
+        out[rows, k:] = _order_rows(pixels)
     return out
+
+
+def _fit_pca_bank_in_place(layer_outputs, alive, layer_index: int):
+    """(bank, rows): fit_pca_bank's bank and stat_matrix's rows of layer_outputs[alive].
+
+    Consumes layer_outputs: a C-contiguous float64 array is overwritten with
+    its centered samples. The order statistics are taken from the raw rows first, the PCA
+    statistic from the centered ones, so both equal the non-destructive
+    functions' bit for bit. Beyond its input the fit holds one array of the
+    input's size, the projection. alive holds sorted row indices.
+    """
+    batch = _fit_input(layer_outputs)
+    k = batch.shape[3]
+    out = np.empty((len(alive), 6 * k))
+    for rows, pixels in _chunks(batch, alive):
+        out[rows, k:] = _order_rows(pixels)
+    samples = batch.reshape(-1, k)
+    mean = samples.mean(axis=0)
+    samples -= mean
+    bank = _bank_from_centered(samples, mean, layer_index)
+    for rows, centered in _chunks(samples.reshape(batch.shape), alive):
+        out[rows, :k] = _projected_rows(centered, bank)
+    return bank, out
 
 
 def feature_matrix(network, images, banks, upto_layer=None) -> np.ndarray:

@@ -310,10 +310,15 @@ class CensusTable:
 
 def prediction_census(network: Network, images, thresholds) -> CensusTable:
     """For each threshold t, the average number of classes with score > t."""
+    raw, probs, _ = predict_batch(network, images)
+    return _census_table(raw, probs, thresholds)
+
+
+def _census_table(raw, probs, thresholds) -> CensusTable:
+    """prediction_census's table from predict_batch's raw scores and probabilities."""
     ts = np.asarray(thresholds, dtype=np.float64)
     if ts.ndim != 1 or ts.size == 0:
         raise ValidationError("need a non-empty list of thresholds")
-    raw, probs, _ = predict_batch(network, images)
     raw_counts = (raw[:, :, None] > ts).sum(axis=1).mean(axis=0)
     soft_counts = (probs[:, :, None] > ts).sum(axis=1).mean(axis=0)
     return CensusTable(ts, raw_counts.astype(np.float64), soft_counts.astype(np.float64))

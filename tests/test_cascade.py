@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from cascade_guard.cascade import (
     train_cascade,
     train_svm,
 )
+from cascade_guard.dataio import save_detector
 from cascade_guard.errors import ValidationError
+from cascade_guard.featstats import fit_pca_bank
 from cascade_guard.victim import layer_outputs_batch
 
 
@@ -36,6 +39,18 @@ def pair_counting_auc(scores, labels):
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def relu_layers(seed, n, shift=0.0):
+    """Synthetic ReLU activations of two conv layers, (n, 12, 12, 4) and (n, 5, 5, 6)."""
+    rng = np.random.default_rng(seed)
+    return [np.maximum(rng.normal(shift, 1.0, size=(n,) + shape), 0.0)
+            for shape in ((12, 12, 4), (5, 5, 6))]
+
+
+def detector_bytes(model, path):
+    save_detector(path, model)
+    return path.read_bytes()
 
 
 def reference_svm_solver(x, y, c, iters=60000):
@@ -222,6 +237,85 @@ class TestTrainCascade:
         assert [layer for layer, _ in calls] == [layer for layer, _ in expected]
         for (_, got), (_, want) in zip(calls, expected):
             np.testing.assert_array_equal(got, want)
+
+
+    @pytest.mark.parametrize("shift, max_stages, n_stages, survivors", [
+        (0.1, None, 2, 400),  # stage 2 sees the 550 stage-1 survivors
+        (0.1, 1, 1, 550),     # max_stages=1: layer 2 gets no bank
+        (0.3, None, 1, 0),    # the pool empties after stage 1; layer 2 still gets its bank
+    ])
+    def test_no_banks_detector_bytes_equal_fit_pca_bank_banks(
+            self, tmp_path, shift, max_stages, n_stages, survivors):
+        pool = relu_layers(0, 1024)
+        advs = relu_layers(1, 64, shift)
+        config = CascadeConfig(seed=3, max_stages=max_stages)
+        banks = [fit_pca_bank(layer, m + 1) for m, layer in enumerate(pool)]
+        want = train_cascade(pool, advs, banks, config)
+        got = train_cascade(pool, advs, config=config)
+        assert (len(got.stages), got.metadata["pool_survivors"]) == (n_stages, survivors)
+        assert len(got.banks) == (1 if max_stages == 1 else 2)
+        assert detector_bytes(got, tmp_path / "got.json") == \
+            detector_bytes(want, tmp_path / "want.json")
+
+    def test_no_banks_peak_memory_well_below_two_layer_one_arrays(self):
+        # fit_pca_bank holds the centered samples and their projection at
+        # once, two arrays of layer 1's size; fitting in place holds the
+        # projection only (tracemalloc counts about 1.06x layer 1).
+        pool = relu_layers(0, 1024)
+        advs = relu_layers(1, 64, 0.1)
+        config = CascadeConfig(seed=3)
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        banks_first = traced_peak(lambda: train_cascade(
+            pool, advs, [fit_pca_bank(layer, m + 1) for m, layer in enumerate(pool)], config))
+        in_place = traced_peak(lambda: train_cascade(pool, advs, config=config))
+        assert banks_first > 1.9 * pool[0].nbytes
+        assert in_place < 1.25 * pool[0].nbytes
+
+    def test_no_banks_deeper_statistics_only_for_pool_normals_still_alive(
+            self, victim_bundle, corpus, monkeypatch):
+        import cascade_guard.featstats as featstats_module
+        from cascade_guard.featstats import feature_matrix
+
+        net = victim_bundle.network
+        pool = corpus.normal_bank[:600]
+        advs = np.stack([r.image.array for r in corpus.successful[:400]])
+        pool_layers = layer_outputs_batch(net, pool)
+        raw_pool = [layer.copy() for layer in pool_layers]
+        adv_layers = layer_outputs_batch(net, advs)
+        calls = {"order": [], "projected": []}
+
+        def recording(name, original):
+            def record(pixels, *args):
+                calls[name].append(pixels.copy())
+                return original(pixels, *args)
+            return record
+
+        monkeypatch.setattr(featstats_module, "_order_rows",
+                            recording("order", featstats_module._order_rows))
+        monkeypatch.setattr(featstats_module, "_projected_rows",
+                            recording("projected", featstats_module._projected_rows))
+        model = train_cascade(pool_layers, adv_layers, config=CascadeConfig(seed=5))
+        monkeypatch.undo()
+        if len(model.stages) < 2:
+            pytest.skip("single-stage model")
+
+        stage = model.stages[0]
+        s1 = stage.svm.decision_scores(feature_matrix(net, pool, model.banks, upto_layer=1))
+        survivors = np.nonzero(s1 >= stage.tau)[0]
+        assert 0 < survivors.size < len(pool)
+        _, h, w, k = adv_layers[1].shape
+        raw = np.concatenate([raw_pool[1][survivors], adv_layers[1]]).reshape(-1, h * w, k)
+        for name, want in (("order", raw), ("projected", raw - model.banks[1].mean)):
+            got = [c for c in calls[name] if c.shape[1:] == (h * w, k)]
+            np.testing.assert_array_equal(np.concatenate(got), want)
 
 
 class TestCascadePredict:

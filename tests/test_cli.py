@@ -174,6 +174,35 @@ class TestSelfaware:
         assert (tmp_path / "counted.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
+class TestCensus:
+    def test_normals_are_forwarded_once(self, pipeline, tmp_path, monkeypatch):
+        import cascade_guard.victim as victim_module
+
+        args = ["census", "--net", pipeline / "net.json", "--normals", pipeline / "bank"]
+        n_test = len(dataio.load_dataset(pipeline / "bank").indices("test"))
+        rows = []
+        original = victim_module.forward_pass
+
+        def counting(layers, weights, x, *args, **kwargs):
+            rows.append(len(x))
+            return original(layers, weights, x, *args, **kwargs)
+
+        for extra in ([], ["--thresholds", "0.5,2"]):
+            assert run([*args, *extra, "--out-csv", tmp_path / "plain.csv"]) == 0
+            monkeypatch.setattr(victim_module, "forward_pass", counting)
+            rows.clear()
+            assert run([*args, *extra, "--out-csv", tmp_path / "counted.csv"]) == 0
+            monkeypatch.undo()
+            assert sum(rows) == n_test
+            assert (tmp_path / "counted.csv").read_bytes() == \
+                (tmp_path / "plain.csv").read_bytes()
+
+        monkeypatch.setattr(victim_module, "forward_pass", counting)
+        rows.clear()
+        assert run([*args, "--thresholds", "a,b", "--out-csv", tmp_path / "bad.csv"]) == 1
+        assert rows == []
+
+
 class TestReproducibility:
     def test_synth_data_byte_identical(self, tmp_path):
         a = tmp_path / "a"

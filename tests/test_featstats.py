@@ -118,6 +118,12 @@ class TestFitPcaBank:
         outputs = np.random.default_rng(5).normal(size=(1024, 12, 12, 4))
         assert traced_peak(fit_pca_bank, outputs, 1) < 2.5 * outputs.nbytes
 
+    def test_input_left_byte_identical(self):
+        outputs = np.maximum(np.random.default_rng(8).normal(size=(40, 5, 5, 3)), 0.0)
+        before = outputs.tobytes()
+        fit_pca_bank(outputs, layer_index=1)
+        assert outputs.tobytes() == before
+
     def test_training_projections_centered_and_unit_std(self):
         rng = np.random.default_rng(0)
         outputs = rng.normal(size=(6, 5, 5, 4))
@@ -250,6 +256,21 @@ class TestStatMatrix:
         outputs = np.random.default_rng(7).normal(size=(1024, 12, 12, 4))
         bank = fit_pca_bank(outputs, layer_index=1)
         assert traced_peak(stat_matrix, outputs, bank) < outputs.nbytes
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(st.integers(1, 12), st.integers(250, 300)), h=st.integers(1, 4),
+           w=st.integers(1, 4), k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_rows_bytes_equal_whole_batch_formula_on_relu_values(self, n, h, w, k, seed):
+        # Rounding to one decimal makes ties, the ReLU makes runs of zeros;
+        # 250-300 images cross the 256-image chunk boundary.
+        rng = np.random.default_rng(seed)
+        outputs = np.maximum(np.round(rng.normal(size=(n, h, w, k)), 1), 0.0)
+        mean = rng.normal(size=k)
+        components = np.linalg.qr(rng.normal(size=(k, k)))[0]
+        bank = PcaBank(layer_index=1, mean=mean, components=components,
+                       stds=rng.uniform(0.5, 2.0, size=k))
+        got = stat_matrix(outputs, bank)
+        assert got.tobytes() == whole_batch_stat_rows(outputs, bank).tobytes()
 
 
 class TestLayerFeatureVector:
