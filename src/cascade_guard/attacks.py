@@ -29,23 +29,29 @@ __all__ = [
 ]
 
 ATTACK_KINDS = ("gradient-box", "gradient-sign", "evolutionary")
-TARGET_POLICIES = ("fixed", "least-likely", "random-other")
+TARGET_POLICIES = ("least-likely", "random-other")
 
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Knobs for all three attack mechanisms; unused fields are ignored."""
+    """Settings of the three attack mechanisms.
+
+    kind picks the mechanism, and each reads only its own fields: c,
+    step_size and max_iterations for gradient-box; step_size and
+    max_iterations for gradient-sign; seed, population, mutation_rate,
+    mutation_std and generations for evolutionary. target_policy names the
+    choose_targets rule for the gradient attacks. confidence_goal defines
+    success for all three. A gradient-box row, and an evolutionary search,
+    stop at the first iterate that meets it; gradient-sign runs every step.
+    """
 
     kind: str = "gradient-box"
     target_policy: str = "random-other"
-    target_label: int | None = None
     c: float = 0.05
     step_size: float = 0.01
     max_iterations: int = 400
     confidence_goal: float = 0.9
     seed: int = 0
-    stop_at_goal: bool = True
-    keep_trace: bool = False
     population: int = 50
     mutation_rate: float = 0.1
     mutation_std: float = 0.1
@@ -94,7 +100,6 @@ class AdversarialRecord:
     linf: float | None
     iterations: int
     success: bool
-    trace: list | None = None
 
     def __post_init__(self):
         arr = self.image.array
@@ -104,17 +109,10 @@ class AdversarialRecord:
             raise ValidationError("achieved confidence must lie in [0, 1]")
 
 
-def choose_targets(raw_scores: np.ndarray, policy: str, rng: np.random.Generator,
-                   fixed: int | None = None) -> np.ndarray:
+def choose_targets(raw_scores: np.ndarray, policy: str, rng: np.random.Generator) -> np.ndarray:
     """Pick a target label per image from its raw scores."""
     n, classes = raw_scores.shape
     original = np.argmax(raw_scores, axis=1)
-    if policy == "fixed":
-        if fixed is None:
-            raise ValidationError("fixed target policy needs a target label")
-        if not 0 <= fixed < classes:
-            raise ValidationError(f"target label {fixed} out of range for {classes} classes")
-        return np.full(n, int(fixed), dtype=np.int64)
     if policy == "least-likely":
         return np.argmin(raw_scores, axis=1).astype(np.int64)
     if policy == "random-other":
@@ -136,9 +134,9 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
                               original_labels=None) -> list[AdversarialRecord]:
     """Projected gradient descent on c*||r||_1 + CE(f(x0+r), y), clipped to [0,1].
 
-    Tracks the best iterate by objective; when any iterate reaches the
-    confidence goal the best successful iterate is returned instead, so a
-    success is never discarded for a lower-objective failure.
+    Tracks the best iterate by objective. A row stops at the first iterate
+    that reaches the confidence goal and returns that iterate, so a success
+    is never discarded for a lower-objective failure.
     """
     x0 = np.asarray(images, dtype=np.float64)
     if x0.ndim != 4:
@@ -155,13 +153,9 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
     best_obj = np.full(n, np.inf)
     best_x = x0.copy()
     best_conf = np.zeros(n)
-    succ_obj = np.full(n, np.inf)
-    succ_x = np.zeros_like(x0)
-    succ_conf = np.zeros(n)
     has_succ = np.zeros(n, dtype=bool)
     active = np.ones(n, dtype=bool)
     iters_used = np.zeros(n, dtype=np.int64)
-    trace = [] if cfg.keep_trace and n == 1 else None
 
     it = 0
     while it <= cfg.max_iterations:
@@ -184,18 +178,11 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
         best_conf[upd] = conf[improved]
 
         goal = (conf >= cfg.confidence_goal) & (np.argmax(logits, axis=1) == y[idx])
-        s_improved = goal & (obj < succ_obj[idx])
-        upd = idx[s_improved]
-        succ_obj[upd] = obj[s_improved]
-        succ_x[upd] = xa[s_improved]
-        succ_conf[upd] = conf[s_improved]
-        has_succ[idx[goal]] = True
-
-        if trace is not None:
-            trace.append(float(best_obj[0]))
-
-        if cfg.stop_at_goal:
-            active[idx[goal]] = False
+        upd = idx[goal]
+        best_x[upd] = xa[goal]
+        best_conf[upd] = conf[goal]
+        has_succ[upd] = True
+        active[upd] = False
         if it == cfg.max_iterations:
             break
         step_rows = active[idx]
@@ -213,23 +200,18 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
 
     records = []
     for i in range(n):
-        if has_succ[i]:
-            img, conf_i = succ_x[i], succ_conf[i]
-        else:
-            img, conf_i = best_x[i], best_conf[i]
-        l1, linf = _box_norms(img[None], x0[i][None])
+        l1, linf = _box_norms(best_x[i][None], x0[i][None])
         records.append(AdversarialRecord(
             source_image_id=None if source_ids is None else int(source_ids[i]),
-            image=Tensor(img),
+            image=Tensor(best_x[i]),
             original_label=None if original_labels is None else int(original_labels[i]),
             target_label=int(y[i]),
             kind="gradient-box",
-            achieved_confidence=float(conf_i),
+            achieved_confidence=float(best_conf[i]),
             l1=float(l1[0]),
             linf=float(linf[0]),
             iterations=int(iters_used[i]),
             success=bool(has_succ[i]),
-            trace=trace if (trace is not None and i == 0) else None,
         ))
     return records
 
@@ -305,7 +287,7 @@ def evolutionary_attack(predict_probs, input_dims, target: int,
     best_probs = probs[order[0]].copy()
     gens_run = 0
     for _ in range(cfg.generations):
-        if cfg.stop_at_goal and best_fit >= cfg.confidence_goal:
+        if best_fit >= cfg.confidence_goal:
             break
         gens_run += 1
         parents = pop[order[: max(1, cfg.population // 2)]]

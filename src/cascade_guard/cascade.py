@@ -176,7 +176,6 @@ class CascadeConfig:
     target_tpr: float = 0.97
     svm_c: float = 0.005
     seed: int = 0
-    max_stages: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.target_tpr <= 1.0:
@@ -195,8 +194,10 @@ def train_cascade(pool_layers, adv_layers, banks=None, config=CascadeConfig()) -
     then draws a balanced subset of the alive normals, trains the SVM against
     all training adversarials, calibrates the threshold at the target TPR on
     the training adversarials and drops the pool normals that score below it.
-    Stops when conv layers run out or the pool empties. Stage rates are the
-    stage's own rates on the alive pool and the training adversarials.
+    Stops when the conv layers, or the given banks, run out, or when the pool
+    empties. Stage rates are the stage's own rates on the alive pool and the
+    training adversarials. The detector keeps a bank for every conv layer it
+    covers, reached by a stage or not.
 
     Without banks, stage k fits the bank of layer k on the pool's own layer-k
     array, as fit_pca_bank would, and consumes that array: it is overwritten
@@ -209,8 +210,6 @@ def train_cascade(pool_layers, adv_layers, banks=None, config=CascadeConfig()) -
         raise ValidationError("pool and adversarial activations must be N x h x w x k "
                               "arrays of the same conv layers")
     n_layers = len(pool_layers) if banks is None else min(len(banks), len(pool_layers))
-    if config.max_stages is not None:
-        n_layers = min(n_layers, config.max_stages)
     if n_layers < 1:
         raise ValidationError("need at least one conv layer with a fitted bank")
     n_p = len(adv_layers[0])

@@ -8,6 +8,7 @@ values win.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -170,12 +171,6 @@ def _split_images(ds, split):
 
 
 def _cmd_attack(args):
-    net = dataio.load_network(args.net)
-    ds = dataio.load_dataset(args.data)
-    if args.n < 0:
-        raise ValidationError("--n must be non-negative")
-    if args.chunk < 1:
-        raise ValidationError(f"--chunk must be positive, got {args.chunk}")
     cfg = AttackConfig(
         kind=args.kind, target_policy=args.target_policy, c=args.c,
         step_size=args.step_size, max_iterations=args.iterations,
@@ -183,6 +178,14 @@ def _cmd_attack(args):
         population=args.population, generations=args.generations,
         mutation_rate=args.mutation_rate, mutation_std=args.mutation_std,
     )
+    if args.n < 0:
+        raise ValidationError("--n must be non-negative")
+    if args.chunk < 1:
+        raise ValidationError(f"--chunk must be positive, got {args.chunk}")
+    if args.threads < 1:
+        raise ValidationError(f"--threads must be positive, got {args.threads}")
+    net = dataio.load_network(args.net)
+    ds = dataio.load_dataset(args.data)
     rng = np.random.default_rng(args.seed)
     if args.kind == "evolutionary":
         targets = rng.integers(0, net.spec.classes, size=args.n)
@@ -194,7 +197,7 @@ def _cmd_attack(args):
         pick = rng.choice(len(images), size=args.n, replace=False)
         sources = images[pick]
         raw, _, _ = predict_batch(net, sources) if args.n else (np.zeros((0, 1)), None, None)
-        targets = choose_targets(raw, cfg.target_policy, rng, cfg.target_label) \
+        targets = choose_targets(raw, cfg.target_policy, rng) \
             if args.n else np.zeros(0, dtype=np.int64)
         attack_fn = (gradient_box_attack_batch if args.kind == "gradient-box"
                      else gradient_sign_attack_batch)
@@ -217,7 +220,24 @@ def _cmd_attack(args):
     return 0
 
 
+def _trim_heap():
+    """Return the C heap's free pages to the system; a no-op off glibc.
+
+    glibc serves buffers below its mmap threshold, which rises as large
+    buffers are freed, from one heap and keeps their pages after they are
+    freed. How many of those pages later buffers reuse depends on everything
+    allocated before, so without a trim here the fit's peak memory varied by
+    up to a sixth between runs on the same inputs.
+    """
+    try:
+        malloc_trim = ctypes.CDLL("libc.so.6").malloc_trim
+    except (OSError, AttributeError):
+        return
+    malloc_trim(0)
+
+
 def _cmd_fit_detector(args):
+    config = CascadeConfig(target_tpr=args.target_tpr, svm_c=args.c, seed=args.seed)
     net = dataio.load_network(args.net)
     normals = dataio.load_dataset(args.normals)
     records = dataio.load_adversarial_batch(args.adversarials)
@@ -232,7 +252,7 @@ def _cmd_fit_detector(args):
     # Only the activations are needed from here on, and train_cascade fits
     # each bank in place on them.
     del normals, records, pool
-    config = CascadeConfig(target_tpr=args.target_tpr, svm_c=args.c, seed=args.seed)
+    _trim_heap()
     model = train_cascade(pool_layers, adv_layers, config=config)
     model.metadata["normals_fingerprint"] = fingerprint
     dataio.save_detector(args.out, model)

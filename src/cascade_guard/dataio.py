@@ -677,11 +677,17 @@ def load_adversarial_batch(dir_path):
     from .attacks import AdversarialRecord
 
     d = Path(dir_path)
-    payload = _load_json(d / "manifest.json")
-    _check_version(payload, d / "manifest.json")
+    manifest = d / "manifest.json"
+    payload = _load_json(manifest)
+    _check_version(payload, manifest)
     records = []
-    for entry in _require(payload, "records", d / "manifest.json", list):
-        image = load_tensor(d / _require(entry, "file", d / "manifest.json", str))
+    for entry in _require(payload, "records", manifest, list):
+        name = _require(entry, "file", manifest, str)
+        # A plain file name: no path separator, no "..", nothing absolute.
+        if name in ("", "..") or Path(name).name != name:
+            raise FormatError(f"artifact {manifest} names {name!r}, "
+                              f"not a file in its batch directory")
+        image = load_tensor(d / name)
         records.append(AdversarialRecord(
             source_image_id=_require(entry, "source_image_id", d, int, None),
             image=image,

@@ -17,11 +17,11 @@ from .victim import predict_batch
 __all__ = ["average_filter", "recovery_eval", "RecoveryReport"]
 
 
-def average_filter(image: Tensor, k: int, border: str = "replicate") -> Tensor:
+def average_filter(image: Tensor, k: int) -> Tensor:
     """Per-channel k x k box mean; k must be odd and fit the image.
 
-    border="replicate" (default) clamps edges and preserves the image dims;
-    border="none" computes interior windows only, shrinking the output.
+    Edges are clamped (each edge pixel is repeated outward), so the output
+    has the image's dims.
     """
     k = int(k)
     if k < 1 or k % 2 == 0:
@@ -29,18 +29,12 @@ def average_filter(image: Tensor, k: int, border: str = "replicate") -> Tensor:
     h, w, _ = image.dims
     if k > min(h, w):
         raise ValidationError(f"filter size {k} exceeds image extent {h}x{w}")
-    if border not in ("replicate", "none"):
-        raise ValidationError(f"unknown border mode {border!r}")
-    arr = image.array
-    if border == "replicate":
-        r = k // 2
-        arr = np.pad(arr, ((r, r), (r, r), (0, 0)), mode="edge")
-    ho = arr.shape[0] - k + 1
-    wo = arr.shape[1] - k + 1
-    acc = np.zeros((ho, wo, arr.shape[2]))
+    r = k // 2
+    arr = np.pad(image.array, ((r, r), (r, r), (0, 0)), mode="edge")
+    acc = np.zeros(image.dims)
     for i in range(k):
         for j in range(k):
-            acc += arr[i : i + ho, j : j + wo, :]
+            acc += arr[i : i + h, j : j + w, :]
     return Tensor._wrap(acc / (k * k))
 
 

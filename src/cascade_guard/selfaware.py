@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _RIDGE = 1e-6  # tiny L2 penalty keeps the fit finite under perfect separation
+_MIN_COUNT = 30  # classes predicted fewer times fall back to the global error rate
 
 
 @dataclass(frozen=True)
@@ -87,17 +88,16 @@ def calibrate_omega(scores, labels) -> OmegaCalibration:
 class ErrorTable:
     """Victim misclassification rate per predicted class, with a global fallback.
 
-    Classes predicted fewer than min_count times on the validation set fall
-    back to the global error rate.
+    Classes predicted fewer than _MIN_COUNT (30) times on the validation set
+    fall back to the global error rate.
     """
 
     per_class: np.ndarray
     counts: np.ndarray
     global_rate: float
-    min_count: int = 30
 
     @classmethod
-    def from_validation(cls, network, images, labels, min_count: int = 30):
+    def from_validation(cls, network, images, labels):
         labels = np.asarray(labels, dtype=np.int64)
         if len(images) == 0:
             raise ValidationError("validation set is empty")
@@ -111,11 +111,11 @@ class ErrorTable:
             if counts[c]:
                 per_class[c] = float((labels[mask] != c).mean())
         return cls(per_class=per_class, counts=counts,
-                   global_rate=float((pred != labels).mean()), min_count=min_count)
+                   global_rate=float((pred != labels).mean()))
 
     def p_err(self, predicted_class: int) -> float:
         c = int(predicted_class)
-        if self.counts[c] < self.min_count:
+        if self.counts[c] < _MIN_COUNT:
             return self.global_rate
         return float(self.per_class[c])
 

@@ -31,24 +31,12 @@ class Tensor:
 
     __slots__ = ("array",)
 
-    def __init__(self, data, dims=None):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
-        if dims is not None:
-            h, w, c = (int(d) for d in dims)
-            if h <= 0 or w <= 0 or c <= 0:
-                raise ValidationError(f"tensor dims must be positive, got {(h, w, c)}")
-            if arr.size != h * w * c:
-                raise ValidationError(
-                    f"data length {arr.size} does not match dims {h}x{w}x{c}"
-                )
-            arr = arr.reshape(h, w, c)
-        else:
-            if arr.ndim == 2:
-                arr = arr[:, :, None]
-            if arr.ndim != 3 or arr.size == 0:
-                raise ValidationError(
-                    f"tensor data must be HxW or HxWxC, got shape {arr.shape}"
-                )
+        if arr.ndim == 2:
+            arr = arr[:, :, None]
+        if arr.ndim != 3 or arr.size == 0:
+            raise ValidationError(f"tensor data must be HxW or HxWxC, got shape {arr.shape}")
         arr = np.array(arr, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise ValidationError("tensor contains non-finite values")

@@ -158,16 +158,6 @@ class TestTrainCascade:
         assert [s.layer_index for s in model.stages] == list(
             range(1, len(model.stages) + 1))
 
-    def test_pool_empty_after_stage_one_gives_one_stage(
-            self, victim_bundle, corpus, fitted_banks):
-        net = victim_bundle.network
-        advs = np.stack([r.image.array for r in corpus.successful[:80]])
-        # max_stages=1 exercises the loop exit precisely
-        model = train_cascade(layer_outputs_batch(net, corpus.normal_bank[:100]),
-                              layer_outputs_batch(net, advs), fitted_banks,
-                              CascadeConfig(seed=0, max_stages=1))
-        assert len(model.stages) == 1
-
     def test_stage_one_eliminates_sizable_share_with_high_precision(
             self, victim_bundle, corpus, fitted_banks):
         # Directional desk analogue: the first stage releases a sizable share
@@ -239,21 +229,20 @@ class TestTrainCascade:
             np.testing.assert_array_equal(got, want)
 
 
-    @pytest.mark.parametrize("shift, max_stages, n_stages, survivors", [
-        (0.1, None, 2, 400),  # stage 2 sees the 550 stage-1 survivors
-        (0.1, 1, 1, 550),     # max_stages=1: layer 2 gets no bank
-        (0.3, None, 1, 0),    # the pool empties after stage 1; layer 2 still gets its bank
+    @pytest.mark.parametrize("shift, n_stages, survivors", [
+        (0.1, 2, 400),  # stage 2 sees the 550 stage-1 survivors
+        (0.3, 1, 0),    # the pool empties after stage 1; layer 2 still gets its bank
     ])
     def test_no_banks_detector_bytes_equal_fit_pca_bank_banks(
-            self, tmp_path, shift, max_stages, n_stages, survivors):
+            self, tmp_path, shift, n_stages, survivors):
         pool = relu_layers(0, 1024)
         advs = relu_layers(1, 64, shift)
-        config = CascadeConfig(seed=3, max_stages=max_stages)
+        config = CascadeConfig(seed=3)
         banks = [fit_pca_bank(layer, m + 1) for m, layer in enumerate(pool)]
         want = train_cascade(pool, advs, banks, config)
         got = train_cascade(pool, advs, config=config)
         assert (len(got.stages), got.metadata["pool_survivors"]) == (n_stages, survivors)
-        assert len(got.banks) == (1 if max_stages == 1 else 2)
+        assert len(got.banks) == 2
         assert detector_bytes(got, tmp_path / "got.json") == \
             detector_bytes(want, tmp_path / "want.json")
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cascade_guard import dataio
 from cascade_guard.cli import main
+from cascade_guard.victim import predict_batch
 
 
 def run(args):
@@ -149,6 +150,38 @@ class TestFitDetector:
         assert sum(rows) == n_train + n_advs
         assert (tmp_path / "det.json").read_bytes() == (pipeline / "det.json").read_bytes()
 
+    @pytest.mark.parametrize("libc", ["glibc", "no-malloc-trim", "no-libc"])
+    def test_heap_trimmed_once_before_training(self, pipeline, tmp_path, monkeypatch, libc):
+        import cascade_guard.cli as cli_module
+
+        events = []
+
+        class Glibc:
+            def malloc_trim(self, pad):
+                events.append(("malloc_trim", pad))
+
+        def cdll(name):
+            if libc == "no-libc":
+                raise OSError(f"{name}: cannot open shared object file")
+            return Glibc() if libc == "glibc" else object()
+
+        original = cli_module.train_cascade
+
+        def training(*args, **kwargs):
+            events.append("train_cascade")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module.ctypes, "CDLL", cdll)
+        monkeypatch.setattr(cli_module, "train_cascade", training)
+        assert run(["fit-detector", "--net", pipeline / "net.json",
+                    "--normals", pipeline / "bank", "--split", "train",
+                    "--adversarials", pipeline / "advs_train",
+                    "--seed", 2, "--out", tmp_path / "det.json"]) == 0
+        monkeypatch.undo()
+        trims = [("malloc_trim", 0)] if libc == "glibc" else []
+        assert events == trims + ["train_cascade"]
+        assert (tmp_path / "det.json").read_bytes() == (pipeline / "det.json").read_bytes()
+
 
 class TestSelfaware:
     def test_each_image_is_forwarded_once(self, pipeline, tmp_path, monkeypatch):
@@ -224,6 +257,20 @@ class TestReproducibility:
         for i in range(24):
             name = f"img_{i:05d}.json"
             assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+class TestTargetPolicy:
+    def test_least_likely_targets_argmin_of_raw_scores(self, pipeline, tmp_path):
+        out = tmp_path / "ll"
+        assert run(["attack", "--net", pipeline / "net.json", "--data", pipeline / "bank",
+                    "--split", "test", "--n", 12, "--seed", 3, "--iterations", 2,
+                    "--target-policy", "least-likely", "--out", out]) == 0
+        records = dataio.load_adversarial_batch(out)
+        images, _ = dataio.load_dataset(pipeline / "bank").split("test")
+        ids = [r.source_image_id for r in records]
+        raw, _, _ = predict_batch(dataio.load_network(pipeline / "net.json"), images[ids])
+        assert len(records) == 12
+        assert [r.target_label for r in records] == np.argmin(raw, axis=1).tolist()
 
 
 class TestEdgeCases:
@@ -406,6 +453,52 @@ class TestExitCodes:
         assert err.startswith("ERROR 1:") and err.count("\n") == 1
         assert "costs must be positive" in err
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("attack", "--target-policy", "fixed", "unknown target policy 'fixed'"),
+        ("attack", "--target-policy", "bogus", "unknown target policy 'bogus'"),
+        ("attack", "--kind", "bogus", "unknown attack kind 'bogus'"),
+        ("attack", "--confidence-goal", "1.5", "confidence goal"),
+        ("attack", "--n", "-1", "--n"),
+        ("attack", "--chunk", "0", "--chunk"),
+        ("attack", "--threads", "0", "--threads"),
+        ("fit-detector", "--target-tpr", "1.5", "target TPR"),
+        ("fit-detector", "--c", "0", "svm C"),
+    ], ids=["target-policy-fixed", "target-policy-unknown", "kind-unknown",
+            "confidence-goal-above-one", "n-negative", "chunk-zero", "threads-zero",
+            "target-tpr-above-one", "c-zero"])
+    def test_bad_flag_fails_before_loading(self, tmp_path, capsys, command, flag, value,
+                                           message):
+        inputs = {
+            "attack": ["--data", tmp_path / "no-data", "--out", tmp_path / "advs"],
+            "fit-detector": ["--normals", tmp_path / "no-data",
+                             "--adversarials", tmp_path / "no-advs",
+                             "--out", tmp_path / "det.json"],
+        }[command]
+        code = run([command, "--net", tmp_path / "no-net.json", *inputs, flag, value])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("ERROR 1:") and err.count("\n") == 1
+        assert message in err and "missing artifact" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["../advs_ea/img_00000.json", "ABSOLUTE"],
+                             ids=["parent", "absolute"])
+    def test_manifest_file_outside_batch_is_validation_error(self, pipeline, tmp_path,
+                                                             capsys, name):
+        shutil.copytree(pipeline / "advs_test", tmp_path / "advs")
+        if name == "ABSOLUTE":
+            name = str(pipeline / "advs_ea" / "img_00000.json")
+        payload = json.loads((tmp_path / "advs" / "manifest.json").read_text())
+        payload["records"][0]["file"] = name
+        (tmp_path / "advs" / "manifest.json").write_text(json.dumps(payload))
+        code = run(["census", "--net", pipeline / "net.json", "--normals", pipeline / "bank",
+                    "--adversarials", tmp_path / "advs", "--out-csv", tmp_path / "census.csv"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("ERROR 1:") and err.count("\n") == 1
+        assert "not a file in its batch directory" in err
+        assert not (tmp_path / "census.csv").exists()
+
     @pytest.mark.parametrize("command, flag, value", [
         ("selfaware", "--ea-range", "2:8"),
         ("selfaware", "--ea-range", "2:8:x"),
@@ -413,8 +506,11 @@ class TestExitCodes:
         ("spectral", "--layer", "foo"),
         ("attack", "--chunk", "0"),
         ("attack", "--chunk", "-1"),
+        ("attack", "--threads", "0"),
+        ("attack", "--threads", "-4"),
     ], ids=["ea-range-two-fields", "ea-range-not-number", "thresholds-not-number",
-            "layer-not-number", "chunk-zero", "chunk-negative"])
+            "layer-not-number", "chunk-zero", "chunk-negative", "threads-zero",
+            "threads-negative"])
     def test_malformed_flag_value_is_validation_error(self, pipeline, tmp_path, capsys,
                                                       command, flag, value):
         inputs = {

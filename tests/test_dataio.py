@@ -148,6 +148,15 @@ class TestTensorFile:
         with pytest.raises(FormatError, match="base64"):
             dataio.load_tensor(path)
 
+    def test_rejects_length_mismatch(self, tmp_path):
+        path = tmp_path / "t.json"
+        dataio.save_tensor(path, Tensor(np.zeros((2, 3, 1))))
+        payload = json.loads(path.read_text())
+        payload["dims"] = [2, 2, 1]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="6 values, expected 4"):
+            dataio.load_tensor(path)
+
 
 class TestNetworkArtifact:
     def test_roundtrip_bit_exact(self, tmp_path, victim_bundle):
@@ -216,6 +225,24 @@ class TestAdversarialBatch:
     def test_empty_batch_roundtrip(self, tmp_path):
         dataio.save_adversarial_batch(tmp_path / "b", [], {"kind": "gradient-box"})
         assert dataio.load_adversarial_batch(tmp_path / "b") == []
+
+    @pytest.mark.parametrize("name", ["../a3/img_00000.json", "ABSOLUTE",
+                                      "sub/img_00000.json", ".."],
+                             ids=["parent", "absolute", "subdirectory", "dot-dot"])
+    def test_file_outside_batch_directory_rejected(self, tmp_path, name):
+        # Every named file exists, so only the name itself can be at fault.
+        dataio.save_adversarial_batch(tmp_path / "a3", self._records())
+        batch = tmp_path / "b"
+        dataio.save_adversarial_batch(batch, self._records())
+        (batch / "sub").mkdir()
+        (batch / "sub" / "img_00000.json").write_bytes((batch / "img_00000.json").read_bytes())
+        if name == "ABSOLUTE":
+            name = str(tmp_path / "a3" / "img_00000.json")
+        payload = json.loads((batch / "manifest.json").read_text())
+        payload["records"][0]["file"] = name
+        (batch / "manifest.json").write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="not a file in its batch directory"):
+            dataio.load_adversarial_batch(batch)
 
 
 class TestCrossProcess:

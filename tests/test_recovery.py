@@ -72,12 +72,12 @@ class TestAverageFilter:
                + b * average_filter(Tensor(y), 3).array)
         assert np.allclose(lhs, rhs, rtol=0, atol=1e-12)
 
-    def test_interior_only_whole_image_window_preserves_mean(self):
+    def test_whole_image_window_at_centre_preserves_mean(self):
         rng = np.random.default_rng(4)
         arr = rng.random((5, 5, 1))
-        out = average_filter(Tensor(arr), 5, border="none")
-        assert out.dims == (1, 1, 1)
-        assert out.array[0, 0, 0] == pytest.approx(arr.mean(), abs=1e-12)
+        out = average_filter(Tensor(arr), 5)
+        assert out.dims == (5, 5, 1)
+        assert out.array[2, 2, 0] == pytest.approx(arr.mean(), abs=1e-12)
 
 
 class TestRecoveryEval:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cascade_guard.errors import ValidationError
 from cascade_guard.selfaware import (
+    _MIN_COUNT,
     ErrorTable,
     OmegaCalibration,
     abstain_decide,
@@ -138,12 +139,11 @@ class TestAbstainDecide:
 
 
 class TestErrorTable:
-    def test_per_class_fallback_below_min_count(self, victim_bundle):
-        images, labels = victim_bundle.dataset.split("val")
-        table = ErrorTable.from_validation(victim_bundle.network, images, labels,
-                                           min_count=10**9)
-        for c in range(10):
-            assert table.p_err(c) == table.global_rate
+    def test_per_class_fallback_below_min_count(self):
+        counts = np.array([0, _MIN_COUNT - 1, _MIN_COUNT, _MIN_COUNT + 5])
+        table = ErrorTable(per_class=np.array([0.0, 0.1, 0.2, 0.3]), counts=counts,
+                           global_rate=0.5)
+        assert [table.p_err(c) for c in range(4)] == [0.5, 0.5, 0.2, 0.3]
 
     def test_random_guess_error(self):
         assert random_guess_error(10) == 0.9
