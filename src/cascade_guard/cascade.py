@@ -166,9 +166,9 @@ class CascadeModel:
             raise ValidationError("cascade needs at least one stage")
         if len(self.stages) > len(self.banks):
             raise ValidationError("more stages than fitted banks")
-        for i, stage in enumerate(self.stages):
-            if stage.layer_index != i + 1:
-                raise ValidationError("stages must cover conv layers 1..K in order")
+        for name, parts in (("stages", self.stages), ("banks", self.banks)):
+            if [p.layer_index for p in parts] != list(range(1, len(parts) + 1)):
+                raise ValidationError(f"{name} must cover conv layers 1..K in order")
 
 
 @dataclass(frozen=True)

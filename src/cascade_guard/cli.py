@@ -170,6 +170,16 @@ def _split_images(ds, split):
     return images, labels
 
 
+def _adversarial_images(path, successful_only=False):
+    """The records of an adversarial batch and their (N, H, W, C) image stack."""
+    records = dataio.load_adversarial_batch(path)
+    if successful_only:
+        records = [r for r in records if r.success]
+    if not records:
+        raise ValidationError(f"adversarial batch {path} has no records to use")
+    return records, np.stack([r.image.array for r in records])
+
+
 def _cmd_attack(args):
     cfg = AttackConfig(
         kind=args.kind, target_policy=args.target_policy, c=args.c,
@@ -240,18 +250,14 @@ def _cmd_fit_detector(args):
     config = CascadeConfig(target_tpr=args.target_tpr, svm_c=args.c, seed=args.seed)
     net = dataio.load_network(args.net)
     normals = dataio.load_dataset(args.normals)
-    records = dataio.load_adversarial_batch(args.adversarials)
-    if args.successful_only:
-        records = [r for r in records if r.success]
-    if not records:
-        raise ValidationError("no adversarial records to train on")
+    records, adv_images = _adversarial_images(args.adversarials, args.successful_only)
     pool, _ = _split_images(normals, args.split)
     fingerprint = dataio.dataset_fingerprint(normals)
-    adv_layers = layer_outputs_batch(net, np.stack([r.image.array for r in records]))
+    adv_layers = layer_outputs_batch(net, adv_images)
     pool_layers = layer_outputs_batch(net, pool)
     # Only the activations are needed from here on, and train_cascade fits
     # each bank in place on them.
-    del normals, records, pool
+    del normals, records, adv_images, pool
     _trim_heap()
     model = train_cascade(pool_layers, adv_layers, config=config)
     model.metadata["normals_fingerprint"] = fingerprint
@@ -262,15 +268,14 @@ def _cmd_fit_detector(args):
     return 0
 
 
-def _scores_and_labels(model, net, normal_images, records):
-    adv_images = np.stack([r.image.array for r in records])
+def _scores_and_labels(model, net, normal_images, adv_images):
     scores = np.concatenate([
         detector_score_batch(model, net, normal_images),
         detector_score_batch(model, net, adv_images),
     ])
     labels = np.concatenate([
         np.zeros(len(normal_images), dtype=bool),
-        np.ones(len(records), dtype=bool),
+        np.ones(len(adv_images), dtype=bool),
     ])
     return scores, labels
 
@@ -279,20 +284,16 @@ def _cmd_evaluate(args):
     net = dataio.load_network(args.net)
     model = dataio.load_detector(args.detector)
     normals = dataio.load_dataset(args.normals)
-    records = dataio.load_adversarial_batch(args.adversarials)
-    if args.successful_only:
-        records = [r for r in records if r.success]
-    if not records:
-        raise ValidationError("no adversarial records to evaluate")
+    _, adv_images = _adversarial_images(args.adversarials, args.successful_only)
     images, _ = _split_images(normals, args.split)
-    scores, labels = _scores_and_labels(model, net, images, records)
+    scores, labels = _scores_and_labels(model, net, images, adv_images)
     curve = roc_auc(scores, labels)
     acc_calibrated = accuracy_at_threshold(scores, labels, 0.0)
     _, acc_best = best_threshold_accuracy(scores, labels)
     rows = [(_fmt(t), _fmt(f), _fmt(tp))
             for t, f, tp in zip(curve.thresholds, curve.fpr, curve.tpr)]
     footer = [f"# summary auc={_fmt(curve.auc)} acc_calibrated={_fmt(acc_calibrated)} "
-              f"acc_best={_fmt(acc_best)} n_normal={len(images)} n_adversarial={len(records)}"]
+              f"acc_best={_fmt(acc_best)} n_normal={len(images)} n_adversarial={len(adv_images)}"]
     _write_csv(args.out_csv, ("threshold", "fpr", "tpr"), rows, footer)
     print(f"auc={curve.auc:.4f} acc_calibrated={acc_calibrated:.4f} acc_best={acc_best:.4f}")
     return 0
@@ -303,8 +304,10 @@ def _cmd_census(args):
     if args.thresholds:
         try:
             ts = np.array([float(v) for v in args.thresholds.split(",")])
+            if not np.isfinite(ts).all():
+                raise ValueError
         except ValueError:
-            raise ValidationError(f"--thresholds takes comma-separated numbers, "
+            raise ValidationError(f"--thresholds takes comma-separated finite numbers, "
                                   f"got {args.thresholds!r}") from None
     net = dataio.load_network(args.net)
     normals = dataio.load_dataset(args.normals)
@@ -316,10 +319,7 @@ def _cmd_census(args):
     header = ["threshold", "normal_raw_mean", "normal_softmax_mean"]
     columns = [table.thresholds, table.raw_mean_counts, table.softmax_mean_counts]
     if args.adversarials:
-        records = dataio.load_adversarial_batch(args.adversarials)
-        if not records:
-            raise ValidationError("adversarial batch is empty")
-        adv_images = np.stack([r.image.array for r in records])
+        _, adv_images = _adversarial_images(args.adversarials)
         adv_table = prediction_census(net, adv_images, ts)
         header += ["adv_raw_mean", "adv_softmax_mean"]
         columns += [adv_table.raw_mean_counts, adv_table.softmax_mean_counts]
@@ -338,28 +338,29 @@ def _flat_layer_features(net, images, layer):
             raise ValidationError("network has no dense layer to take features from")
         return np.concatenate([a.reshape(len(a), -1) for a, _ in _forward_chunks(
             spec.layers[:head], net.weights[:head], images)])
-    try:
-        m = int(layer)
-    except ValueError:
-        raise ValidationError(
-            f"--layer takes 'penultimate' or a conv layer number, got {layer!r}") from None
     per_layer = layer_outputs_batch(net, images)
-    if not 1 <= m <= len(per_layer):
-        raise ValidationError(f"conv layer {m} out of range (1..{len(per_layer)})")
-    batch = per_layer[m - 1]
+    if layer > len(per_layer):
+        raise ValidationError(f"conv layer {layer} out of range (1..{len(per_layer)})")
+    batch = per_layer[layer - 1]
     return batch.reshape(len(batch), -1)
 
 
 def _cmd_spectral(args):
+    layer = args.layer
+    if layer != "penultimate":
+        try:
+            layer = int(layer)
+            if layer < 1:
+                raise ValueError
+        except ValueError:
+            raise ValidationError(f"--layer takes 'penultimate' or a conv layer number "
+                                  f">= 1, got {args.layer!r}") from None
     net = dataio.load_network(args.net)
     normals = dataio.load_dataset(args.normals)
-    records = dataio.load_adversarial_batch(args.adversarials)
-    if not records:
-        raise ValidationError("adversarial batch is empty")
+    _, adv_images = _adversarial_images(args.adversarials)
     images, _ = _split_images(normals, args.split)
-    adv_images = np.stack([r.image.array for r in records])
-    xn = _flat_layer_features(net, images, args.layer)
-    xa = _flat_layer_features(net, adv_images, args.layer)
+    xn = _flat_layer_features(net, images, layer)
+    xa = _flat_layer_features(net, adv_images, layer)
     report = spectral_report(xn, xa)
     rows = [
         (i, _fmt(report.eigenvalues[i]), _fmt(report.normal_extremal[i]),
@@ -375,15 +376,17 @@ def _cmd_spectral(args):
 
 
 def _cmd_recover(args):
+    # Fail before anything is loaded; average_filter checks k again.
+    if args.k < 1 or args.k % 2 == 0:
+        raise ValidationError(f"--k must be odd and at least 1, got {args.k}")
     net = dataio.load_network(args.net)
     model = dataio.load_detector(args.detector)
-    records = dataio.load_adversarial_batch(args.adversarials)
-    labeled = [r for r in records if r.original_label is not None]
+    records, images = _adversarial_images(args.adversarials)
+    labeled = [i for i, r in enumerate(records) if r.original_label is not None]
     if not labeled:
         raise ValidationError("no records carry an original label")
-    images = np.stack([r.image.array for r in labeled])
-    flagged, _, _ = cascade_predict_batch(model, net, images)
-    chosen = [r for r, f in zip(labeled, flagged) if f]
+    flagged, _, _ = cascade_predict_batch(model, net, images[labeled])
+    chosen = [records[i] for i, f in zip(labeled, flagged) if f]
     if not chosen:
         raise ValidationError("detector flagged no records to recover")
     report = recovery_eval(net, chosen, args.k)
@@ -403,23 +406,23 @@ def _cmd_selfaware(args):
         raise ValidationError("--mixture takes DATASET_DIR,ADV_BATCH_DIR") from None
     try:
         lo, hi, count = (float(v) for v in args.ea_range.split(":"))
-        e_a_values = np.linspace(lo, hi, int(count))
-    except (ValueError, OverflowError):
-        raise ValidationError(f"--ea-range takes LO:HI:COUNT (numbers, COUNT >= 0), "
-                              f"got {args.ea_range!r}") from None
+        if not (count >= 1 and count.is_integer()):
+            raise ValueError
+    except ValueError:
+        raise ValidationError(f"--ea-range takes LO:HI:COUNT (numbers, COUNT a whole "
+                              f"number >= 1), got {args.ea_range!r}") from None
+    e_a_values = np.linspace(lo, hi, int(count))
     # Fail before anything is loaded; selfaware_sweep checks the costs again.
     if not ((args.eq_random_guess or args.eq > 0) and (e_a_values > 0).all()):
         raise ValidationError("costs must be positive")
     net = dataio.load_network(args.net)
     model = dataio.load_detector(args.detector)
     normals = dataio.load_dataset(normals_path)
-    records = dataio.load_adversarial_batch(adv_path)
-    if not records:
-        raise ValidationError("adversarial batch is empty")
+    records, adv_images = _adversarial_images(adv_path)
     images, labels = _split_images(normals, args.split)
     val_images, val_labels = _split_images(normals, "val")
     table = ErrorTable.from_validation(net, val_images, val_labels)
-    batch = np.concatenate([images, np.stack([r.image.array for r in records])])
+    batch = np.concatenate([images, adv_images])
     is_adv = np.arange(len(batch)) >= len(images)
     true_labels = np.concatenate([labels, [
         -1 if r.original_label is None else r.original_label for r in records]])
@@ -444,14 +447,12 @@ def _build_parser():
     parser = _Parser(prog="cascade-guard",
                      description="Victim training, attacks, detection, abstention, recovery.")
     sub = parser.add_subparsers(dest="command", required=True)
-    tables = {}
 
     def command(name, fn, help):
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=fn, _table={})
         p.add_argument("--config", default=None,
                        help="key=value file supplying defaults for any flag")
-        tables[name] = p
         return p, p.get_default("_table")
 
     p, t = command("synth-data", _cmd_synth_data, "generate the bundled synthetic dataset")

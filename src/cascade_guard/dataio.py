@@ -426,7 +426,7 @@ def _check_version(payload: dict, path):
 def save_tensor(path, tensor: Tensor):
     payload = {
         "version": ARTIFACT_VERSION,
-        "dims": list(tensor.dims),
+        "dims": list(tensor.array.shape),
         "data": _f64_to_b64(tensor.array),
     }
     _dump_json(path, payload)
@@ -689,15 +689,15 @@ def load_adversarial_batch(dir_path):
                               f"not a file in its batch directory")
         image = load_tensor(d / name)
         records.append(AdversarialRecord(
-            source_image_id=_require(entry, "source_image_id", d, int, None),
+            source_image_id=_require(entry, "source_image_id", manifest, int, None),
             image=image,
-            original_label=_require(entry, "original_label", d, int, None),
-            target_label=_require(entry, "target_label", d, int),
-            kind=_require(entry, "kind", d, str),
-            achieved_confidence=_require(entry, "achieved_confidence", d, float),
-            l1=_require(entry, "l1", d, float, None),
-            linf=_require(entry, "linf", d, float, None),
-            iterations=_require(entry, "iterations", d, int),
-            success=_require(entry, "success", d, bool),
+            original_label=_require(entry, "original_label", manifest, int, None),
+            target_label=_require(entry, "target_label", manifest, int),
+            kind=_require(entry, "kind", manifest, str),
+            achieved_confidence=_require(entry, "achieved_confidence", manifest, float),
+            l1=_require(entry, "l1", manifest, float, None),
+            linf=_require(entry, "linf", manifest, float, None),
+            iterations=_require(entry, "iterations", manifest, int),
+            success=_require(entry, "success", manifest, bool),
         ))
     return records

@@ -23,60 +23,22 @@ __all__ = ["Tensor"]
 
 
 class Tensor:
-    """Immutable dense image tensor with explicit (height, width, channels) layout.
+    """Immutable image of an attack record or a tensor file: an H x W x C float64 array.
 
-    Data is stored row-major: height, then width, then channels. Construction
-    rejects non-finite values.
+    Construction copies the data, rejects non-finite values and makes the
+    copy read-only.
     """
 
     __slots__ = ("array",)
 
     def __init__(self, data):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
+        arr = np.array(data, dtype=np.float64)
         if arr.ndim != 3 or arr.size == 0:
-            raise ValidationError(f"tensor data must be HxW or HxWxC, got shape {arr.shape}")
-        arr = np.array(arr, dtype=np.float64)
+            raise ValidationError(f"tensor data must be HxWxC, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValidationError("tensor contains non-finite values")
         arr.flags.writeable = False
         self.array = arr
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        # Adopt a freshly computed float64 array without copying it.
-        if not np.isfinite(arr).all():
-            raise ValidationError("operation produced non-finite values")
-        t = cls.__new__(cls)
-        arr.flags.writeable = False
-        t.array = arr
-        return t
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.array.shape  # type: ignore[return-value]
-
-    @property
-    def height(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.array.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.array.shape[2]
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view (height, then width, then channels)."""
-        return self.array.reshape(-1)
-
-    def __repr__(self) -> str:
-        h, w, c = self.dims
-        return f"Tensor({h}x{w}x{c})"
 
 
 # ---------------------------------------------------------------------------

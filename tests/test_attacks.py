@@ -86,7 +86,7 @@ class TestGradientBox:
                            confidence_goal=0.5)
         rec = box_attack(net, x0.reshape(1, 2, 1), 1, cfg)
         assert rec.success
-        l2 = np.linalg.norm(rec.image.data - x0)
+        l2 = np.linalg.norm(rec.image.array.ravel() - x0)
         assert l2 == pytest.approx(distance, rel=0.05)
 
     def test_box_constraint_exact(self, victim_bundle, corpus):
@@ -140,7 +140,7 @@ class TestGradientSign:
         cfg = AttackConfig(kind="gradient-sign", step_size=eps, max_iterations=1)
         rec = sign_attack(net, x0, 0, cfg)
         before = float(w @ x0.ravel())
-        after = float(w @ rec.image.data)
+        after = float(w @ rec.image.array.ravel())
         assert after - before == pytest.approx(eps * np.abs(w).sum(), abs=1e-12)
 
     def test_output_in_box_even_for_eps_one(self, victim_bundle):
@@ -175,7 +175,7 @@ class TestEvolutionary:
         cfg = AttackConfig(kind="evolutionary", generations=50, population=20,
                            confidence_goal=0.9, seed=1)
         rec = evolutionary_attack(self.pixel_threshold_victim, (1, 1, 1), 1, cfg)
-        assert rec.image.data[0] > 0.5
+        assert rec.image.array.ravel()[0] > 0.5
         assert rec.success
 
     def test_no_source_image_and_no_norms(self):

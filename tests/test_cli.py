@@ -378,6 +378,7 @@ class TestExitCodes:
         ("net.json", lambda p: p["spec"]["layers"][0].update(stride=0)),
         ("net.json", lambda p: p["spec"]["layers"][0].update(padding=-1)),
         ("advs_test/manifest.json", lambda p: p["records"][0].update(file="")),
+        ("det.json", lambda p: [bank.update(layer=7) for bank in p["pca_banks"]]),
     ], ids=["net-weight-entry-missing", "net-weights-not-list", "net-shape-not-list",
             "net-layer-not-object", "det-banks-not-list", "det-stages-not-list",
             "tensor-dims-not-list", "adv-records-not-list", "dataset-splits-not-object",
@@ -388,7 +389,8 @@ class TestExitCodes:
             "det-stage-rates-short", "det-stage-rate-not-pair", "det-bank-epsilons-not-list",
             "det-bank-epsilons-short", "net-metadata-not-object",
             "dataset-provenance-not-object", "dataset-classes-not-number",
-            "spec-conv-stride-zero", "spec-conv-padding-negative", "adv-file-empty"])
+            "spec-conv-stride-zero", "spec-conv-padding-negative", "adv-file-empty",
+            "det-bank-layers-not-in-order"])
     def test_wrong_artifact_type_is_validation_error(self, pipeline, tmp_path, capsys,
                                                       artifact, corrupt):
         for name in ("net.json", "det.json"):
@@ -405,6 +407,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1, err
         assert err.startswith("ERROR 1:") and err.count("\n") == 1
+        if artifact.endswith("manifest.json"):  # not the directory that holds it
+            assert "manifest.json" in err
 
     @pytest.mark.parametrize("corrupt", [
         lambda w: w[0].update(kind="dense"),
@@ -463,9 +467,19 @@ class TestExitCodes:
         ("attack", "--threads", "0", "--threads"),
         ("fit-detector", "--target-tpr", "1.5", "target TPR"),
         ("fit-detector", "--c", "0", "svm C"),
+        ("recover", "--k", "4", "--k"),
+        ("recover", "--k", "0", "--k"),
+        ("spectral", "--layer", "0", "--layer"),
+        ("spectral", "--layer", "-1", "--layer"),
+        ("selfaware", "--ea-range", "2:8:0", "--ea-range"),
+        ("selfaware", "--ea-range", "2:8:2.7", "--ea-range"),
+        ("census", "--thresholds", "nan", "--thresholds"),
+        ("census", "--thresholds", "0.5,inf", "--thresholds"),
     ], ids=["target-policy-fixed", "target-policy-unknown", "kind-unknown",
             "confidence-goal-above-one", "n-negative", "chunk-zero", "threads-zero",
-            "target-tpr-above-one", "c-zero"])
+            "target-tpr-above-one", "c-zero", "k-even", "k-zero", "layer-zero",
+            "layer-negative", "ea-range-count-zero", "ea-range-count-fraction",
+            "thresholds-nan", "thresholds-inf"])
     def test_bad_flag_fails_before_loading(self, tmp_path, capsys, command, flag, value,
                                            message):
         inputs = {
@@ -473,6 +487,16 @@ class TestExitCodes:
             "fit-detector": ["--normals", tmp_path / "no-data",
                              "--adversarials", tmp_path / "no-advs",
                              "--out", tmp_path / "det.json"],
+            "recover": ["--detector", tmp_path / "no-det.json",
+                        "--adversarials", tmp_path / "no-advs",
+                        "--out-csv", tmp_path / "out.csv"],
+            "spectral": ["--normals", tmp_path / "no-data",
+                         "--adversarials", tmp_path / "no-advs",
+                         "--out-csv", tmp_path / "out.csv"],
+            "selfaware": ["--detector", tmp_path / "no-det.json",
+                          "--mixture", f"{tmp_path / 'no-data'},{tmp_path / 'no-advs'}",
+                          "--out-csv", tmp_path / "out.csv"],
+            "census": ["--normals", tmp_path / "no-data", "--out-csv", tmp_path / "out.csv"],
         }[command]
         code = run([command, "--net", tmp_path / "no-net.json", *inputs, flag, value])
         err = capsys.readouterr().err

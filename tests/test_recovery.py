@@ -3,7 +3,6 @@ import pytest
 
 from cascade_guard.errors import ValidationError
 from cascade_guard.recovery import average_filter, recovery_eval
-from cascade_guard.tensor import Tensor
 
 
 def replicate_box_oracle(arr, k):
@@ -24,15 +23,19 @@ def replicate_box_oracle(arr, k):
     return out
 
 
+def one_row(arr, k):
+    """average_filter on a one-row batch of an H x W x C image."""
+    return average_filter(arr[None], k)[0]
+
+
 class TestAverageFilter:
     def test_constant_image_unchanged(self):
-        t = Tensor(np.full((6, 6, 2), 0.4))
-        assert np.allclose(average_filter(t, 3).array, 0.4, atol=1e-15)
+        assert np.allclose(one_row(np.full((6, 6, 2), 0.4), 3), 0.4, atol=1e-15)
 
     def test_center_impulse_against_replicate_oracle(self):
         arr = np.zeros((3, 3, 1))
         arr[1, 1, 0] = 1.0
-        got = average_filter(Tensor(arr), 3).array
+        got = one_row(arr, 3)
         want = replicate_box_oracle(arr, 3)
         assert np.allclose(got, want, rtol=0, atol=1e-15)
         assert got[1, 1, 0] == pytest.approx(1.0 / 9.0)
@@ -40,26 +43,25 @@ class TestAverageFilter:
     def test_random_image_against_oracle(self):
         rng = np.random.default_rng(0)
         arr = rng.random((7, 5, 2))
-        got = average_filter(Tensor(arr), 3).array
+        got = one_row(arr, 3)
         assert np.allclose(got, replicate_box_oracle(arr, 3), rtol=0, atol=1e-12)
 
     def test_k1_is_identity(self):
         rng = np.random.default_rng(1)
-        t = Tensor(rng.random((5, 5, 1)))
-        assert np.array_equal(average_filter(t, 1).array, t.array)
+        arr = rng.random((5, 5, 1))
+        assert np.array_equal(one_row(arr, 1), arr)
 
     def test_even_k_rejected(self):
         with pytest.raises(ValidationError, match="odd"):
-            average_filter(Tensor(np.zeros((4, 4, 1))), 2)
+            one_row(np.zeros((4, 4, 1)), 2)
 
     def test_k_exceeding_image_rejected(self):
         with pytest.raises(ValidationError, match="exceeds"):
-            average_filter(Tensor(np.zeros((3, 3, 1))), 5)
+            one_row(np.zeros((3, 3, 1)), 5)
 
     def test_values_stay_in_unit_interval(self):
         rng = np.random.default_rng(2)
-        t = Tensor(rng.random((9, 9, 1)))
-        out = average_filter(t, 5).array
+        out = one_row(rng.random((9, 9, 1)), 5)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_linearity(self):
@@ -67,17 +69,26 @@ class TestAverageFilter:
         x = rng.random((6, 6, 1))
         y = rng.random((6, 6, 1))
         a, b = 0.3, -0.7
-        lhs = average_filter(Tensor._wrap(a * x + b * y), 3).array
-        rhs = (a * average_filter(Tensor(x), 3).array
-               + b * average_filter(Tensor(y), 3).array)
+        lhs = one_row(a * x + b * y, 3)
+        rhs = a * one_row(x, 3) + b * one_row(y, 3)
         assert np.allclose(lhs, rhs, rtol=0, atol=1e-12)
 
     def test_whole_image_window_at_centre_preserves_mean(self):
         rng = np.random.default_rng(4)
         arr = rng.random((5, 5, 1))
-        out = average_filter(Tensor(arr), 5)
-        assert out.dims == (5, 5, 1)
-        assert out.array[2, 2, 0] == pytest.approx(arr.mean(), abs=1e-12)
+        out = one_row(arr, 5)
+        assert out.shape == (5, 5, 1)
+        assert out[2, 2, 0] == pytest.approx(arr.mean(), abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_batch_equals_stacked_one_row_calls(self, k):
+        images = np.random.default_rng(5).random((20, 9, 7, 2))
+        stacked = np.stack([one_row(im, k) for im in images])
+        assert average_filter(images, k).tobytes() == stacked.tobytes()
+
+    def test_non_batch_input_rejected(self):
+        with pytest.raises(ValidationError, match="N, H, W, C"):
+            average_filter(np.zeros((4, 4, 1)), 3)
 
 
 class TestRecoveryEval:
@@ -99,7 +110,7 @@ class TestRecoveryEval:
 
         images = corpus.normal_bank[:300]
         labels = corpus.normal_labels[:300]
-        filtered = np.stack([average_filter(Tensor(im), 3).array for im in images])
+        filtered = average_filter(images, 3)
         _, _, raw_pred = predict_batch(victim_bundle.network, images)
         _, _, blur_pred = predict_batch(victim_bundle.network, filtered)
         raw_acc = (raw_pred == labels).mean()
