@@ -253,11 +253,14 @@ def _cmd_fit_detector(args):
     records, adv_images = _adversarial_images(args.adversarials, args.successful_only)
     pool, _ = _split_images(normals, args.split)
     fingerprint = dataio.dataset_fingerprint(normals)
-    adv_layers = layer_outputs_batch(net, adv_images)
+    # Each input is dropped once forwarded, the large pool first, so no
+    # forward runs beside arrays that are no longer needed. train_cascade
+    # fits each bank in place on the activations.
+    del normals
     pool_layers = layer_outputs_batch(net, pool)
-    # Only the activations are needed from here on, and train_cascade fits
-    # each bank in place on them.
-    del normals, records, adv_images, pool
+    del pool
+    adv_layers = layer_outputs_batch(net, adv_images)
+    del records, adv_images
     _trim_heap()
     model = train_cascade(pool_layers, adv_layers, config=config)
     model.metadata["normals_fingerprint"] = fingerprint
@@ -336,12 +339,9 @@ def _flat_layer_features(net, images, layer):
         head = next((i for i, l in enumerate(spec.layers) if isinstance(l, DenseLayer)), None)
         if head is None:
             raise ValidationError("network has no dense layer to take features from")
-        return np.concatenate([a.reshape(len(a), -1) for a, _ in _forward_chunks(
+        return np.concatenate([a.reshape(len(a), -1) for a in _forward_chunks(
             spec.layers[:head], net.weights[:head], images)])
-    per_layer = layer_outputs_batch(net, images)
-    if layer > len(per_layer):
-        raise ValidationError(f"conv layer {layer} out of range (1..{len(per_layer)})")
-    batch = per_layer[layer - 1]
+    batch = layer_outputs_batch(net, images)[layer - 1]
     return batch.reshape(len(batch), -1)
 
 
@@ -356,6 +356,8 @@ def _cmd_spectral(args):
             raise ValidationError(f"--layer takes 'penultimate' or a conv layer number "
                                   f">= 1, got {args.layer!r}") from None
     net = dataio.load_network(args.net)
+    if layer != "penultimate" and layer > net.spec.conv_count:
+        raise ValidationError(f"conv layer {layer} out of range (1..{net.spec.conv_count})")
     normals = dataio.load_dataset(args.normals)
     _, adv_images = _adversarial_images(args.adversarials)
     images, _ = _split_images(normals, args.split)

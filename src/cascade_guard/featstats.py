@@ -8,10 +8,13 @@ channel extrema and percentiles. All extractors are order statistics or
 absolute means, so nothing here is differentiable end to end and the module
 never touches gradient machinery.
 
-fit_pca_bank leaves its input as it is. train_cascade, given no banks, fits
-each bank with _fit_pca_bank_in_place instead, which consumes the pool's
-layer array: it centers it in place, so the fit holds one array of the
-layer's size, the projection, rather than two.
+No bank fit of a layer with K >= 2 channels holds the projection of all its
+samples: the projection stds are taken 16,384 sample rows at a time.
+fit_pca_bank leaves its input as it is, so it holds one more array of the
+layer's size, the centered samples. train_cascade, given no banks, fits each
+bank with _fit_pca_bank_in_place instead, which consumes the pool's layer
+array: it centers it in place, so beyond the layer the fit holds one block's
+and one chunk's temporaries.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ __all__ = [
 
 PERCENTILES = (25.0, 50.0, 75.0)
 _STD_FLOOR = 1e-8  # projection stds are floored here so normalization never divides by 0
+_STD_BLOCK_ROWS = 16384  # sample rows per block of a bank fit's projection stds
 
 
 @dataclass(frozen=True)
@@ -101,14 +105,50 @@ def _std_in_place(x: np.ndarray) -> np.ndarray:
     return np.sqrt(var, out=var)
 
 
+def _projection_std(centered: np.ndarray, components: np.ndarray) -> np.ndarray:
+    # _std_in_place(centered @ components), bit for bit, from one block of
+    # projection rows at a time. Row 0 of the block buffer carries the running
+    # column sums into the next block, so each column is still summed row
+    # after row, as numpy's axis-0 reduction does for K >= 2. Each block after
+    # the first also recomputes the row before it into row 0, because numpy
+    # sends a one-row product to gemv, whose sums differ from gemm's in the
+    # last bits. K = 1 keeps the whole array: numpy sums that case pairwise.
+    m, k = centered.shape
+    if k == 1:
+        return _std_in_place(centered @ components)
+    buf = np.empty((min(m, _STD_BLOCK_ROWS) + 1, k))
+
+    def column_sums(shift):
+        total = None
+        for start in range(0, m, _STD_BLOCK_ROWS):
+            lo = 0 if total is None else 1
+            stop = min(start + _STD_BLOCK_ROWS, m)
+            rows = buf[: lo + stop - start]
+            np.matmul(centered[start - lo : stop], components, out=rows)
+            if shift is not None:
+                block = rows[lo:]
+                block -= shift
+                np.square(block, out=block)
+            if lo:
+                rows[0] = total
+            total = rows.sum(axis=0)
+        return total
+
+    mean = column_sums(None)
+    mean /= m
+    var = column_sums(mean)
+    var /= m
+    return np.sqrt(var, out=var)
+
+
 def _bank_from_centered(centered: np.ndarray, mean: np.ndarray, layer_index) -> PcaBank:
-    # The bank math on (M, K) centered samples; holds one more (M, K) array,
-    # the projection, and leaves centered as it is.
+    # The bank math on (M, K) centered samples; leaves centered as it is and
+    # holds no (M, K) array of its own.
     cov = centered.T @ centered / len(centered)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(-eigvals, kind="stable")
     components = _fix_signs(eigvecs[:, order])
-    stds = np.maximum(_std_in_place(centered @ components), _STD_FLOOR)
+    stds = np.maximum(_projection_std(centered, components), _STD_FLOOR)
     return PcaBank(layer_index=int(layer_index), mean=mean, components=components,
                    stds=stds)
 
@@ -119,8 +159,8 @@ def fit_pca_bank(layer_outputs, layer_index: int) -> PcaBank:
     layer_outputs is an (N, H, W, K) array, as layer_outputs_batch returns per
     conv layer; every pixel of every image is one sample. Requires at least K
     samples. Stds are floored at 1e-8, which the bank records as its epsilon.
-    The input is left as it is; beyond it the fit holds two arrays of the
-    input's size, the centered samples and their projection.
+    The input is left as it is; beyond it the fit holds one array of the
+    input's size, the centered samples, and one block of their projection.
     """
     batch = _fit_input(layer_outputs)
     samples = batch.reshape(-1, batch.shape[3])
@@ -208,8 +248,9 @@ def _fit_pca_bank_in_place(layer_outputs, alive, layer_index: int):
     Consumes layer_outputs: a C-contiguous float64 array is overwritten with
     its centered samples. The order statistics are taken from the raw rows first, the PCA
     statistic from the centered ones, so both equal the non-destructive
-    functions' bit for bit. Beyond its input the fit holds one array of the
-    input's size, the projection. alive holds sorted row indices.
+    functions' bit for bit. Beyond its input the fit holds one block of the
+    projection and one chunk's statistic temporaries, no array of the
+    input's size. alive holds sorted row indices.
     """
     batch = _fit_input(layer_outputs)
     k = batch.shape[3]

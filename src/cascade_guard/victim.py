@@ -254,7 +254,7 @@ def train_victim(dataset, spec: NetworkSpec, hyper: TrainConfig = TrainConfig())
 def _accuracy(network: Network, images, labels) -> float:
     if len(images) == 0:
         return float("nan")
-    pred = np.concatenate([np.argmax(logits, axis=1) for logits, _ in _forward_chunks(
+    pred = np.concatenate([np.argmax(logits, axis=1) for logits in _forward_chunks(
         network.spec.layers, network.weights, images)])
     return int((pred == labels).sum()) / len(images)
 
@@ -271,7 +271,8 @@ def layer_outputs_batch(network: Network, images):
     """Per-conv-layer activation arrays (N, h, w, k), forwarded 256 images at a time.
 
     Each chunk's activations are copied into arrays allocated once for the
-    whole batch, so the peak is the result plus one chunk's forward pass.
+    whole batch and dropped before the next chunk is forwarded, so the peak
+    is the result plus one chunk's forward pass.
     """
     return _logits_and_layer_outputs(network, images)[1]
 
@@ -283,20 +284,20 @@ def _logits_and_layer_outputs(network: Network, images):
     shapes = spec.shapes()
     logits = np.empty((len(batch), spec.classes))
     outputs = [np.empty((len(batch),) + shapes[i]) for i in spec.conv_indices]
-    chunks = _forward_chunks(spec.layers, network.weights, batch, capture_conv=True)
-    for start, (chunk_logits, captured) in zip(range(0, len(batch), _CHUNK_ROWS), chunks):
-        logits[start : start + len(chunk_logits)] = chunk_logits
-        for out, a in zip(outputs, captured):
-            out[start : start + len(a)] = a
+    for start in range(0, len(batch), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        logits[rows], _, captured = forward_pass(spec.layers, network.weights, batch[rows],
+                                                 capture_conv=True)
+        for m, out in enumerate(outputs):
+            out[rows] = captured[m]
+        del captured  # freed before the next chunk's forward, not during it
     return logits, outputs
 
 
-def _forward_chunks(layers, weights, batch, capture_conv=False):
-    """forward_pass over _CHUNK_ROWS images at a time; yields (output, captured)."""
+def _forward_chunks(layers, weights, batch):
+    """forward_pass's output over _CHUNK_ROWS images at a time."""
     for start in range(0, len(batch), _CHUNK_ROWS):
-        out, _, captured = forward_pass(layers, weights, batch[start : start + _CHUNK_ROWS],
-                                        capture_conv=capture_conv)
-        yield out, captured
+        yield forward_pass(layers, weights, batch[start : start + _CHUNK_ROWS])[0]
 
 
 @dataclass

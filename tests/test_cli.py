@@ -236,6 +236,30 @@ class TestCensus:
         assert rows == []
 
 
+class TestSpectral:
+    def test_conv_layer_above_network_count_fails_before_forwarding(
+            self, pipeline, tmp_path, capsys, monkeypatch):
+        import cascade_guard.victim as victim_module
+
+        rows = []
+        original = victim_module.forward_pass
+
+        def counting(layers, weights, x, *args, **kwargs):
+            rows.append(len(x))
+            return original(layers, weights, x, *args, **kwargs)
+
+        monkeypatch.setattr(victim_module, "forward_pass", counting)
+        code = run(["spectral", "--net", pipeline / "net.json", "--normals", pipeline / "bank",
+                    "--adversarials", pipeline / "advs_test", "--layer", 9,
+                    "--out-csv", tmp_path / "out.csv"])
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err == "ERROR 1: conv layer 9 out of range (1..2)\n"
+        assert rows == []
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestReproducibility:
     def test_synth_data_byte_identical(self, tmp_path):
         a = tmp_path / "a"

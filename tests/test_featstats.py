@@ -118,6 +118,24 @@ class TestFitPcaBank:
         outputs = np.random.default_rng(5).normal(size=(1024, 12, 12, 4))
         assert traced_peak(fit_pca_bank, outputs, 1) < 2.5 * outputs.nbytes
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("m", ["below", "block-1", "block", "block+1", "blocks+rest"])
+    def test_blockwise_stds_bytes_equal_whole_projection_std(self, k, m):
+        # Blocks are summed into a carried row; one block, a one-row
+        # remainder (a gemv product in numpy, whose last bits can differ
+        # from gemm's; the large last sample makes them show) and a K = 1
+        # layer (summed pairwise) must all give the whole array's bits.
+        block = featstats._STD_BLOCK_ROWS
+        m = {"below": 1000, "block-1": block - 1, "block": block, "block+1": block + 1,
+             "blocks+rest": 3 * block + 849}[m]
+        rng = np.random.default_rng(m + k)
+        outputs = rng.normal(size=(m, 1, 1, k)) * rng.uniform(0.1, 10.0, size=k) + 3.0
+        outputs[-1] *= 100.0
+        bank = fit_pca_bank(outputs, layer_index=1)
+        centered = outputs.reshape(m, k) - bank.mean
+        want = featstats._std_in_place(centered @ bank.components)
+        assert bank.stds.tobytes() == want.tobytes()
+
     def test_input_left_byte_identical(self):
         outputs = np.maximum(np.random.default_rng(8).normal(size=(40, 5, 5, 3)), 0.0)
         before = outputs.tobytes()

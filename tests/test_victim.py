@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,31 @@ class TestLayerOutputs:
         for got, parts in zip(batches, zip(*chunks)):
             want = np.concatenate(parts)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_peak_is_outputs_plus_one_chunk_forward(self, victim_bundle):
+        # 600 images run as chunks of 256, 256 and 88; no chunk's captures
+        # may still be alive while the next chunk is forwarded.
+        net = victim_bundle.network
+        images = victim_bundle.dataset.images[:600]
+
+        def traced(fn):
+            tracemalloc.start()
+            try:
+                result = fn()
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        one_chunk, _ = traced(lambda: forward_pass(net.spec.layers, net.weights, images[:256],
+                                                   capture_conv=True))
+        peak, outputs = traced(lambda: layer_outputs_batch(net, images))
+        assert len(outputs) == 2
+        assert peak - sum(o.nbytes for o in outputs) <= 1.1 * one_chunk
+
+    def test_network_without_conv_layer_gives_no_outputs(self):
+        spec = dense_only_spec(4, 2)
+        net = Network(spec, [(np.ones((2, 4)), np.zeros(2)), None])
+        assert layer_outputs_batch(net, np.ones((300, 1, 4, 1))) == []
 
     def test_first_entry_recomputed_standalone(self, victim_bundle):
         net = victim_bundle.network
