@@ -188,7 +188,7 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
         step_rows = active[idx]
         if not step_rows.any():
             break
-        gx = backward_pass(tape, grad).input
+        gx = backward_pass(tape, grad, wrt="input").input
         gx += cfg.c * np.sign(xa - x0[idx])
         # Fixed-length steps along the objective's subgradient direction:
         # each iteration moves every pixel at most step_size.
@@ -231,7 +231,7 @@ def gradient_sign_attack_batch(network: Network, images, targets,
     for _ in range(steps):
         logits, tape, _ = forward_pass(layers, weights, x, keep_tape=True)
         _, grad = softmax_cross_entropy(logits, y)
-        gx = backward_pass(tape, grad).input
+        gx = backward_pass(tape, grad, wrt="input").input
         x = np.clip(x - cfg.step_size * np.sign(gx), 0.0, 1.0)
     logits, probs, pred = predict_batch(network, x)
     conf = probs[np.arange(n), y]

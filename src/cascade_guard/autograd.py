@@ -1,8 +1,8 @@
 """Layer stacks with a recorded forward tape and exact reverse-mode gradients.
 
 The tape owns the activations of one forward evaluation; backward walks it in
-reverse and produces gradients with respect to every weight and the input
-batch. Nothing here mutates shared state, so independent evaluations can run
+reverse and produces gradients with respect to the input batch, every weight,
+or both. Nothing here mutates shared state, so independent evaluations can run
 in parallel against the same read-only weights.
 """
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .tensor import (
     _dense_forward,
     _maxpool_backward,
     _maxpool_forward,
-    _maxpool_values,
     _relu_backward,
     _relu_forward,
     _softmax,
@@ -139,8 +138,8 @@ class ForwardTape:
 class Gradients:
     """Reverse-mode gradients: input batch plus one entry per layer.
 
-    Parametric layers get (weight_grad, bias_grad); the rest get None. The
-    input gradient is None when backward_pass was told not to compute it.
+    Parametric layers get (weight_grad, bias_grad); the rest get None.
+    Whichever of the two backward_pass was told not to compute is None.
     """
 
     input: np.ndarray
@@ -185,11 +184,9 @@ def forward_pass(layers, weights, x, keep_tape=False, capture_conv=False):
             if capture_conv and pending_conv:
                 captured.append(a)
             pending_conv = False
+            out, arg = _maxpool_forward(a, layer.window, layer.stride, keep_arg=keep_tape)
             if keep_tape:
-                out, arg = _maxpool_forward(a, layer.window, layer.stride)
                 records.append(("maxpool", a.shape, arg, layer))
-            else:
-                out = _maxpool_values(a, layer.window, layer.stride)
             a = out
         elif isinstance(layer, DenseLayer):
             if capture_conv and pending_conv:
@@ -218,14 +215,21 @@ def forward_pass(layers, weights, x, keep_tape=False, capture_conv=False):
     return logits, tape, captured
 
 
-def backward_pass(tape: ForwardTape, grad_logits, input_grad=True) -> Gradients:
+_BACKWARD_WRT = ("input", "params", "both")
+
+
+def backward_pass(tape: ForwardTape, grad_logits, wrt="both") -> Gradients:
     """Walk the tape in reverse from a gradient seeded at the logits.
 
     conv, relu (subgradient 0 at 0), maxpool (gradient routed to the argmax,
-    first-found tie-break) and dense all receive exact gradients. With
-    input_grad=False the walk stops at the first parametric layer, which
-    computes only its weight and bias gradients, and Gradients.input is None.
+    first-found tie-break) and dense all receive exact gradients. wrt says
+    what to compute: "input" (Gradients.params is None; no layer forms a
+    weight or bias gradient), "params" (Gradients.input is None; the walk
+    stops at the first parametric layer, which forms only its weight and
+    bias gradients) or "both".
     """
+    if wrt not in _BACKWARD_WRT:
+        raise ValidationError(f"backward wrt must be one of {_BACKWARD_WRT}, got {wrt!r}")
     if tape is None or not isinstance(tape, ForwardTape) or not tape.records:
         raise ValidationError("backward needs the tape of a completed forward pass")
     g = np.asarray(grad_logits, dtype=np.float64)
@@ -235,6 +239,8 @@ def backward_pass(tape: ForwardTape, grad_logits, input_grad=True) -> Gradients:
         )
     if len(tape.records) != len(tape.layers):
         raise ValidationError("tape is incomplete; rerun the forward pass")
+    input_grad = wrt != "params"
+    param_grad = wrt != "input"
     params = [None] * len(tape.layers)
     first = 0
     if not input_grad:
@@ -249,19 +255,20 @@ def backward_pass(tape: ForwardTape, grad_logits, input_grad=True) -> Gradients:
         elif kind == "conv":
             _, a_in, w, layer = rec
             g, gw, gb = _conv_backward(a_in, w, layer.stride, layer.padding, g,
-                                       input_grad or idx > first)
+                                       input_grad or idx > first, param_grad)
             params[idx] = (gw, gb)
         elif kind == "maxpool":
             _, in_shape, arg, layer = rec
             g = _maxpool_backward(in_shape, layer.window, layer.stride, arg, g)
         elif kind == "dense":
             _, flat, in_shape, w = rec
-            g, gw, gb = _dense_backward(flat, w, g)
+            g, gw, gb = _dense_backward(flat, w, g, param_grad)
             params[idx] = (gw, gb)
             g = g.reshape(in_shape)
         else:  # pragma: no cover - records are produced above
             raise ValidationError(f"unknown tape record {kind!r}")
-    return Gradients(input=g if input_grad else None, params=params)
+    return Gradients(input=g if input_grad else None,
+                     params=params if param_grad else None)
 
 
 def softmax_cross_entropy(logits, labels):

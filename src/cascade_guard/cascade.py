@@ -91,7 +91,10 @@ def train_svm(x, y, c: float = 0.005, iters: int = 2000) -> LinearSvm:
 
     The regularization weight is lam = 1 / (c * n); steps follow the
     1/(lam * t) schedule. The bias rides along as an always-one feature, so it
-    is regularized too.
+    is regularized too. The margins that score an iterate's objective (the
+    one svm_objective computes) also give the next step's hinge violators, so
+    each iteration multiplies by the feature matrix twice: once for the step
+    and once for the new margins.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -111,14 +114,15 @@ def train_svm(x, y, c: float = 0.005, iters: int = 2000) -> LinearSvm:
     aug = np.concatenate([xs, np.ones((n, 1))], axis=1)
     lam = 1.0 / (c * n)
     w = np.zeros(d + 1)
+    margins = y * (aug @ w)
     best_w = w.copy()
     best_obj = svm_objective(w[:d], w[d], xs, y, lam)
     for t in range(1, iters + 1):
-        margins = y * (aug @ w)
         viol = margins < 1.0
         grad = lam * w - (y[viol] @ aug[viol]) / n
         w = w - grad / (lam * (t + 1))
-        obj = svm_objective(w[:d], w[d], xs, y, lam)
+        margins = y * (aug @ w)
+        obj = 0.5 * lam * (w @ w) + np.maximum(0.0, 1.0 - margins).mean()
         if obj < best_obj:
             best_obj = obj
             best_w = w.copy()

@@ -5,13 +5,14 @@ are bit-reproducible. Tensor is the image type of attack records and tensor
 files. The kernels take batches (leading axis N) and are private: the
 library reaches them only through autograd.
 
-Three kernels have fast paths that give the same bytes as the general code:
-conv with one input channel (chosen by the input's channel count), max
-pooling without the argmax record (used by forward passes that keep no
-tape; same bytes on input without NaN or -0.0, see _maxpool_values), and a
-conv backward that computes only the weight gradients (used for the first
-layer when no input gradient is asked for). None of them reorders a
-floating-point operation.
+Conv with one input channel has a fast path that gives the same bytes as
+the general code, chosen by the input's channel count. Max pooling takes its
+values with an in-place np.maximum and, when a tape is kept, records the
+argmax with a masked copy; a compare-and-select scan gives the same bytes
+on input without NaN or -0.0 (see _maxpool_forward). The conv and dense
+backward kernels compute only what backward_pass asks of them: the input
+gradient, the weight and bias gradients, or both. None of these paths
+reorders a floating-point operation.
 """
 from __future__ import annotations
 
@@ -102,28 +103,33 @@ def _conv_forward_one_channel(xp, weights, biases, ho, wo, s):
     return np.ascontiguousarray(planes.transpose(1, 2, 3, 0))
 
 
-def _conv_backward(x, weights, stride, padding, gy, input_grad=True):
-    """(gx, gweights, gbiases); gx is None when input_grad is False."""
+def _conv_backward(x, weights, stride, padding, gy, input_grad=True, param_grad=True):
+    """(gx, gweights, gbiases); gx is None without input_grad, the other two
+    None without param_grad."""
     n, h, w, cin = x.shape
     k, kh, kw, _ = weights.shape
     ho, wo = gy.shape[1], gy.shape[2]
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else x
-    wmat = weights.transpose(1, 2, 3, 0)
-    gxp = np.zeros_like(xp) if input_grad else None
-    gw = np.zeros((kh, kw, cin, k))
+    if param_grad:
+        xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else x
+        gw = np.zeros((kh, kw, cin, k))
+    if input_grad:
+        wmat = weights.transpose(1, 2, 3, 0)
+        gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, cin))
     s = stride
     for i in range(kh):
         for j in range(kw):
             rows = slice(i, i + (ho - 1) * s + 1, s)
             cols = slice(j, j + (wo - 1) * s + 1, s)
-            xs = xp[:, rows, cols, :]
-            gw[i, j] = np.tensordot(xs, gy, axes=([0, 1, 2], [0, 1, 2]))
+            if param_grad:
+                gw[i, j] = np.tensordot(xp[:, rows, cols, :], gy, axes=([0, 1, 2], [0, 1, 2]))
             if input_grad:
                 gxp[:, rows, cols, :] += gy @ wmat[i, j].T
-    gx = gxp[:, padding : padding + h, padding : padding + w, :] if padding and input_grad else gxp
-    gweights = gw.transpose(3, 0, 1, 2)
-    gbiases = gy.sum(axis=(0, 1, 2))
-    return gx, gweights, gbiases
+    gx = None
+    if input_grad:
+        gx = gxp[:, padding : padding + h, padding : padding + w, :] if padding else gxp
+    if not param_grad:
+        return gx, None, None
+    return gx, gw.transpose(3, 0, 1, 2), gy.sum(axis=(0, 1, 2))
 
 
 def _pool_out_dims(h, w, window, stride):
@@ -134,59 +140,47 @@ def _pool_out_dims(h, w, window, stride):
     return (h - window) // stride + 1, (w - window) // stride + 1
 
 
-def _maxpool_forward(x, window, stride):
-    n, h, w, c = x.shape
-    window = int(window)
-    stride = int(stride)
-    ho, wo = _pool_out_dims(h, w, window, stride)
-    best = np.full((n, ho, wo, c), -np.inf)
-    arg = np.zeros((n, ho, wo, c), dtype=np.int16)
-    idx = 0
+def _pool_taps(ho, wo, window, stride):
+    """(rows, cols) slices of each window tap, in scan order (row-major offset)."""
     for i in range(window):
         for j in range(window):
-            xs = x[:, i : i + (ho - 1) * stride + 1 : stride,
-                   j : j + (wo - 1) * stride + 1 : stride, :]
-            better = xs > best  # strict: ties resolve to the first offset in scan order
-            best = np.where(better, xs, best)
-            arg = np.where(better, idx, arg)
-            idx += 1
-    return best, arg
+            yield (slice(i, i + (ho - 1) * stride + 1, stride),
+                   slice(j, j + (wo - 1) * stride + 1, stride))
 
 
-def _maxpool_values(x, window, stride):
-    """The pooled values of _maxpool_forward, without the argmax record.
+def _maxpool_forward(x, window, stride, keep_arg=True):
+    """(values, arg): the window maxima and, with keep_arg, each maximum's
+    scan offset (int16), the first offset winning ties; arg is None otherwise.
 
-    An in-place np.maximum over the same window taps replaces the compare
-    and the two np.where of the scan. Both keep the same maximum; they can
-    differ only on NaN, which the scan skips, and in the sign of a zero
-    maximum over a window holding both -0.0 and +0.0. Neither reaches a pool
-    that follows a ReLU or a conv of finite values.
+    An in-place np.maximum over the window taps gives the values. It keeps
+    the maximum a compare-and-select scan keeps, except on NaN, which such a
+    scan skips, and in the sign of a zero maximum over a window holding both
+    -0.0 and +0.0. Neither reaches a pool that follows a ReLU or a conv of
+    finite values.
     """
     window = int(window)
     stride = int(stride)
     ho, wo = _pool_out_dims(x.shape[1], x.shape[2], window, stride)
-    best = None
-    for i in range(window):
-        for j in range(window):
-            xs = x[:, i : i + (ho - 1) * stride + 1 : stride,
-                   j : j + (wo - 1) * stride + 1 : stride, :]
-            if best is None:
-                best = xs.copy()
-            else:
-                np.maximum(best, xs, out=best)
-    return best
+    best = arg = None
+    for idx, (rows, cols) in enumerate(_pool_taps(ho, wo, window, stride)):
+        xs = x[:, rows, cols, :]
+        if best is None:
+            best = xs.copy()
+            if keep_arg:
+                arg = np.zeros(best.shape, dtype=np.int16)
+            continue
+        if keep_arg:
+            np.copyto(arg, idx, where=np.greater(xs, best))  # strict: first offset wins ties
+        np.maximum(best, xs, out=best)
+    return best, arg
 
 
 def _maxpool_backward(x_shape, window, stride, arg, gy):
     gx = np.zeros(x_shape)
-    ho, wo = gy.shape[1], gy.shape[2]
-    idx = 0
-    for i in range(window):
-        for j in range(window):
-            rows = slice(i, i + (ho - 1) * stride + 1, stride)
-            cols = slice(j, j + (wo - 1) * stride + 1, stride)
-            gx[:, rows, cols, :] += np.where(arg == idx, gy, 0.0)
-            idx += 1
+    taps = _pool_taps(gy.shape[1], gy.shape[2], window, stride)
+    for idx, (rows, cols) in enumerate(taps):
+        # gy * False is -0.0 where gy < 0; gx is never -0.0, so the sum keeps its bits.
+        gx[:, rows, cols, :] += gy * (arg == idx)
     return gx
 
 
@@ -204,11 +198,12 @@ def _dense_forward(xflat, weights, bias):
     return xflat @ weights.T + bias
 
 
-def _dense_backward(xflat, weights, gy):
+def _dense_backward(xflat, weights, gy, param_grad=True):
+    """(gx, gweights, gbias); the last two are None without param_grad."""
     gx = gy @ weights
-    gweights = gy.T @ xflat
-    gbias = gy.sum(axis=0)
-    return gx, gweights, gbias
+    if not param_grad:
+        return gx, None, None
+    return gx, gy.T @ xflat, gy.sum(axis=0)
 
 
 def _softmax(z):

@@ -221,7 +221,7 @@ def train_victim(dataset, spec: NetworkSpec, hyper: TrainConfig = TrainConfig())
             last_loss = float(losses.mean())
             if not np.isfinite(last_loss):
                 raise TrainingError(f"training diverged (non-finite loss) at epoch {epoch + 1}")
-            grads = backward_pass(tape, grad / len(idx), input_grad=False)
+            grads = backward_pass(tape, grad / len(idx), wrt="params")
             for li, g in enumerate(grads.params):
                 if g is None:
                     continue

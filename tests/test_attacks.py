@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cascade_guard.autograd as autograd_module
 from cascade_guard.attacks import (
     AttackConfig,
     choose_targets,
@@ -8,9 +9,16 @@ from cascade_guard.attacks import (
     gradient_box_attack_batch,
     gradient_sign_attack_batch,
 )
-from cascade_guard.autograd import DenseLayer, SoftmaxLayer, softmax_cross_entropy
+from cascade_guard.autograd import (
+    ConvLayer,
+    DenseLayer,
+    MaxPoolLayer,
+    ReluLayer,
+    SoftmaxLayer,
+    softmax_cross_entropy,
+)
 from cascade_guard.errors import ValidationError
-from cascade_guard.victim import Network, NetworkSpec, predict_batch
+from cascade_guard.victim import Network, NetworkSpec, _init_weights, predict_batch
 
 
 def box_attack(network, image, target, cfg):
@@ -148,6 +156,39 @@ class TestGradientSign:
         cfg = AttackConfig(kind="gradient-sign", step_size=1.0, max_iterations=3)
         rec = sign_attack(victim_bundle.network, img, 2, cfg)
         assert rec.image.array.min() >= 0.0 and rec.image.array.max() <= 1.0
+
+
+class TestInputOnlyBackward:
+    @pytest.mark.parametrize("attack,cfg", [
+        (gradient_box_attack_batch, AttackConfig(max_iterations=3, confidence_goal=0.999)),
+        (gradient_sign_attack_batch, AttackConfig(kind="gradient-sign", max_iterations=3)),
+    ], ids=["gradient-box", "gradient-sign"])
+    def test_gradient_attacks_form_no_parameter_gradient(self, monkeypatch, attack, cfg):
+        spec = NetworkSpec((6, 6, 2), 3, (ConvLayer(3, 3, padding=1), ReluLayer(),
+                                          MaxPoolLayer(2, 2), DenseLayer(3), SoftmaxLayer()))
+        rng = np.random.default_rng(4)
+        net = Network(spec, _init_weights(spec, rng))
+        formed = {}
+
+        def spy(name):
+            kernel = getattr(autograd_module, name)
+
+            def wrapped(*args):
+                gx, gw, gb = kernel(*args)
+                formed.setdefault(name, []).append(gw is not None or gb is not None)
+                return gx, gw, gb
+            monkeypatch.setattr(autograd_module, name, wrapped)
+
+        spy("_conv_backward")
+        spy("_dense_backward")
+        tensordots = []
+        tensordot = np.tensordot
+        monkeypatch.setattr(np, "tensordot",
+                            lambda *a, **k: tensordots.append(1) or tensordot(*a, **k))
+        attack(net, rng.random((4, 6, 6, 2)), [0, 1, 2, 0], cfg)
+        assert len(formed["_conv_backward"]) == len(formed["_dense_backward"]) == 3
+        assert not any(formed["_conv_backward"] + formed["_dense_backward"])
+        assert not tensordots
 
 
 class TestEvolutionary:

@@ -116,11 +116,14 @@ class TestBackward:
         assert flat[0, 0] == 1.0
         assert flat[0, 1] == flat[1, 0] == flat[1, 1] == 0.0
 
-    @settings(max_examples=30, deadline=None)
-    @given(channels=st.integers(1, 2), n=st.integers(1, 4), lead_relu=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_weight_only_backward_matches_full_backward(self, channels, n, lead_relu, seed):
-        layers = ((ReluLayer(),) if lead_relu else ()) + SMALL_SPEC
+    @settings(max_examples=40, deadline=None)
+    @given(wrt=st.sampled_from(["input", "params", "both"]), channels=st.integers(1, 2),
+           n=st.integers(1, 4), lead_relu=st.booleans(), stride=st.integers(1, 2),
+           padding=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+    def test_partial_backward_matches_full_backward(self, wrt, channels, n, lead_relu,
+                                                    stride, padding, seed):
+        head = (ConvLayer(filters=2, kernel=3, stride=stride, padding=padding),) + SMALL_SPEC[1:]
+        layers = ((ReluLayer(),) if lead_relu else ()) + head
         spec = NetworkSpec((5, 5, channels), 3, layers)
         rng = np.random.default_rng(seed)
         weights = _init_weights(spec, rng)
@@ -128,13 +131,27 @@ class TestBackward:
         logits, tape, _ = forward_pass(spec.layers, weights, x, keep_tape=True)
         gl = rng.normal(size=logits.shape)
         full = backward_pass(tape, gl)
-        weight_only = backward_pass(tape, gl, input_grad=False)
-        assert weight_only.input is None
-        for a, b in zip(full.params, weight_only.params):
+        part = backward_pass(tape, gl, wrt=wrt)
+        if wrt == "params":
+            assert part.input is None
+        else:
+            assert part.input.tobytes() == full.input.tobytes()
+        if wrt == "input":
+            assert part.params is None
+            return
+        for a, b in zip(full.params, part.params, strict=True):
             if a is None:
                 assert b is None
             else:
                 assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+
+    @pytest.mark.parametrize("wrt", ["weights", "Input", "", None, True])
+    def test_unknown_wrt_rejected(self, wrt):
+        spec, weights, rng = small_net(2)
+        logits, tape, _ = forward_pass(spec.layers, weights, rng.random((1, 4, 4, 2)),
+                                       keep_tape=True)
+        with pytest.raises(ValidationError, match="wrt"):
+            backward_pass(tape, np.zeros_like(logits), wrt=wrt)
 
     def test_backward_requires_completed_tape(self):
         with pytest.raises(ValidationError, match="tape"):

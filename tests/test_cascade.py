@@ -23,7 +23,7 @@ from cascade_guard.cascade import (
 )
 from cascade_guard.dataio import save_detector
 from cascade_guard.errors import ValidationError
-from cascade_guard.featstats import fit_pca_bank
+from cascade_guard.featstats import fit_pca_bank, stat_matrix
 from cascade_guard.victim import layer_outputs_batch
 
 
@@ -98,6 +98,32 @@ class TestTrainSvm:
         got_obj = svm_objective(svm.weights, svm.bias, xs, y, lam)
         assert got_obj <= ref_obj * 1.01
         assert np.linalg.norm(svm.weights - ref_w) <= 0.02 * np.linalg.norm(ref_w)
+
+    @pytest.mark.parametrize("case", ["separable-pair", "two-gaussians", "desk-stage-1"])
+    def test_carried_margins_give_the_reference_loop_iterate(self, case, request):
+        """train_svm scores each iterate from the margins it steps with; the
+        reference scores it with svm_objective. Both keep the same best iterate."""
+        if case == "separable-pair":
+            x, y, c, iters = np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]), 0.5, 2000
+        elif case == "two-gaussians":
+            rng = np.random.default_rng(10)
+            x = np.vstack([rng.normal([-1, -0.5], 0.6, (20, 2)),
+                           rng.normal([1, 0.5], 0.6, (20, 2))])
+            y = np.concatenate([-np.ones(20), np.ones(20)])
+            c, iters = 0.05, 4000
+        else:
+            net = request.getfixturevalue("victim_bundle").network
+            corpus = request.getfixturevalue("corpus")
+            bank = request.getfixturevalue("fitted_banks")[0]
+            advs = np.stack([r.image.array for r in corpus.successful[:400]])
+            x = np.concatenate([stat_matrix(layer_outputs_batch(net, imgs)[0], bank)
+                                for imgs in (corpus.normal_bank[:400], advs)])
+            y = np.concatenate([-np.ones(400), np.ones(400)])
+            c, iters = CascadeConfig().svm_c, 2000
+        svm = train_svm(x, y, c=c, iters=iters)
+        ref_w, ref_b, _, _ = reference_svm_solver(x, y, c, iters=iters)
+        got, want = np.append(svm.weights, svm.bias), np.append(ref_w, ref_b)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_default_regularization_constant(self):
         import cascade_guard.cascade as c

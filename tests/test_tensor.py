@@ -18,8 +18,8 @@ from cascade_guard.errors import ValidationError
 from cascade_guard.tensor import (
     Tensor,
     _conv_forward,
+    _maxpool_backward,
     _maxpool_forward,
-    _maxpool_values,
 )
 
 
@@ -173,6 +173,35 @@ class TestOneChannelConv:
         assert got.tobytes() == conv_tap_loop(x, weights, biases, stride, padding).tobytes()
 
 
+def pool_taps(x, window, stride):
+    """Every window tap of x as one (N, Ho, Wo, C) view, in scan order."""
+    ho = (x.shape[1] - window) // stride + 1
+    wo = (x.shape[2] - window) // stride + 1
+    return [x[:, i : i + (ho - 1) * stride + 1 : stride, j : j + (wo - 1) * stride + 1 : stride]
+            for i in range(window) for j in range(window)]
+
+
+def maxpool_scan(x, window, stride):
+    """The compare-and-select scan: the values and int16 argmax of the pool,
+    strict compare so the first offset in scan order wins ties."""
+    taps = pool_taps(x, window, stride)
+    best = np.full(taps[0].shape, -np.inf)
+    arg = np.zeros(taps[0].shape, dtype=np.int16)
+    for idx, xs in enumerate(taps):
+        better = xs > best
+        best = np.where(better, xs, best)
+        arg = np.where(better, idx, arg)
+    return best, arg
+
+
+def maxpool_backward_where(x_shape, window, stride, arg, gy):
+    """Route each output gradient to its argmax tap with np.where."""
+    gx = np.zeros(x_shape)
+    for idx, view in enumerate(pool_taps(gx, window, stride)):
+        view += np.where(arg == idx, gy, 0.0)
+    return gx
+
+
 class TestTapeFreePooling:
     @settings(max_examples=80, deadline=None)
     @example(n=2, h=7, w=5, c=3, window=2, stride=2, seed=0)
@@ -183,12 +212,38 @@ class TestTapeFreePooling:
         rng = np.random.default_rng(seed)
         # One decimal makes ties common; adding 0.0 turns rounded -0.0 into +0.0.
         x = np.round(rng.normal(size=(n, h, w, c)), 1) + 0.0
-        got = _maxpool_values(x, window, stride)
-        assert got.tobytes() == _maxpool_forward(x, window, stride)[0].tobytes()
+        got, arg = _maxpool_forward(x, window, stride, keep_arg=False)
+        assert arg is None
+        assert got.tobytes() == maxpool_scan(x, window, stride)[0].tobytes()
 
     def test_signed_zero_windows_keep_the_value(self):
         x = np.array([-0.0, 0.0, 0.0, -0.0, -1.0, -0.0, 0.0, -2.0]).reshape(2, 2, 2, 1)
-        assert np.array_equal(_maxpool_values(x, 2, 2), _maxpool_forward(x, 2, 2)[0])
+        got, _ = _maxpool_forward(x, 2, 2, keep_arg=False)
+        assert np.array_equal(got, maxpool_scan(x, 2, 2)[0])
+
+
+class TestTapedPooling:
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 8), st.integers(1, 8),
+                           st.integers(1, 3)),
+           window=st.integers(1, 3), stride=st.integers(1, 3), data=st.data())
+    def test_values_argmax_and_backward_bytes_equal_where_reference(self, shape, window,
+                                                                      stride, data):
+        assume(shape[1] >= window and shape[2] >= window)
+        # Values from -2..2 make ties common.
+        x = data.draw(arrays(np.float64, shape, elements=st.integers(-2, 2).map(float)))
+        best, arg = _maxpool_forward(x, window, stride)
+        ref_best, ref_arg = maxpool_scan(x, window, stride)
+        assert best.tobytes() == ref_best.tobytes()
+        assert arg.dtype == ref_arg.dtype and arg.tobytes() == ref_arg.tobytes()
+        # The first offset holding the window maximum wins the tie.
+        taps = np.stack(pool_taps(x, window, stride))
+        assert np.array_equal(arg, np.argmax(taps == best, axis=0))
+        # Where gy < 0, gy * (arg == idx) adds -0.0 where np.where adds 0.0.
+        gy = data.draw(arrays(np.float64, best.shape, elements=st.floats(-4, 4)))
+        got = _maxpool_backward(x.shape, window, stride, arg, gy)
+        assert got.tobytes() == maxpool_backward_where(x.shape, window, stride, ref_arg,
+                                                       gy).tobytes()
 
 
 class TestRelu:
