@@ -64,10 +64,10 @@ class AttackConfig:
             raise ValidationError(f"unknown target policy {self.target_policy!r}")
         if not 0.0 < self.confidence_goal < 1.0:
             raise ValidationError("confidence goal must lie in (0, 1)")
-        if self.kind == "gradient-box" and self.c <= 0:
-            raise ValidationError("c must be positive for the gradient-box attack")
-        if self.step_size < 0:
-            raise ValidationError("step size must be non-negative")
+        if self.kind == "gradient-box" and not 0 < self.c < np.inf:
+            raise ValidationError("c must be positive and finite for the gradient-box attack")
+        if not 0 <= self.step_size < np.inf:
+            raise ValidationError("step size must be non-negative and finite")
         if self.kind == "gradient-box" and self.step_size == 0:
             raise ValidationError("gradient-box attack needs a positive step size")
         if self.max_iterations < 0:
@@ -76,8 +76,8 @@ class AttackConfig:
             raise ValidationError("population must be at least 2")
         if not 0.0 < self.mutation_rate <= 1.0:
             raise ValidationError("mutation rate must lie in (0, 1]")
-        if self.mutation_std <= 0:
-            raise ValidationError("mutation stddev must be positive")
+        if not 0 < self.mutation_std < np.inf:
+            raise ValidationError("mutation stddev must be positive and finite")
         if self.generations < 0:
             raise ValidationError("generations must be non-negative")
 

@@ -106,8 +106,8 @@ def train_svm(x, y, c: float = 0.005, iters: int = 2000) -> LinearSvm:
         raise ValidationError("labels must be -1 (normal) or +1 (adversarial)")
     if (y > 0).sum() == 0 or (y < 0).sum() == 0:
         raise ValidationError("both classes must be present")
-    if c <= 0:
-        raise ValidationError("regularization parameter c must be positive")
+    if not 0 < c < np.inf:
+        raise ValidationError("regularization parameter c must be positive and finite")
     n, d = x.shape
     means, stds = _standardize_params(x)
     xs = (x - means) / stds
@@ -184,8 +184,8 @@ class CascadeConfig:
     def __post_init__(self):
         if not 0.0 < self.target_tpr <= 1.0:
             raise ValidationError("target TPR must lie in (0, 1]")
-        if self.svm_c <= 0:
-            raise ValidationError("svm C must be positive")
+        if not 0 < self.svm_c < np.inf:
+            raise ValidationError("svm C must be positive and finite")
 
 
 def train_cascade(pool_layers, adv_layers, banks=None, config=CascadeConfig()) -> CascadeModel:

@@ -1,9 +1,11 @@
 """Pipeline orchestration: one subcommand per phase, reproducible via seeds.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure. Errors print a
-single machine-parsable line "ERROR <code>: <message>" on stderr. A config
-file of key=value lines may supply any long flag; explicit command-line
-values win.
+single machine-parsable line "ERROR <code>: <message>" on stderr. Each flag's
+argparse type is its domain, checked before anything loads. A --config file
+of key=value lines may set a command's optional flags, not its required
+paths; its values meet the same domains and command-line values win. An
+unreadable file, an unknown key or a bad value exits 1.
 """
 from __future__ import annotations
 
@@ -17,6 +19,8 @@ import numpy as np
 
 from . import dataio
 from .attacks import (
+    ATTACK_KINDS,
+    TARGET_POLICIES,
     AttackConfig,
     choose_targets,
     evolutionary_attack_batch,
@@ -34,7 +38,7 @@ from .cascade import (
     roc_auc,
     train_cascade,
 )
-from .errors import CascadeGuardError, ValidationError
+from .errors import ValidationError
 from .featstats import spectral_report
 from .recovery import recovery_eval
 from .selfaware import (
@@ -54,8 +58,6 @@ from .victim import (
     train_victim,
 )
 
-_UNSET = object()
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -74,49 +76,55 @@ def _write_csv(path, header, rows, footer_lines=()):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_config(path) -> dict:
-    values = {}
-    text = Path(path).read_text("utf-8")
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValidationError(f"config line {lineno} is not key=value: {line!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
+# ---------------------------------------------------------------------------
+# Flag domains: each is a flag's argparse type. argparse prefixes their
+# messages with "argument --flag: " and runs them on config-file values too.
+# ---------------------------------------------------------------------------
+
+def _domain(rule, read, accepts=lambda value: True):
+    """An argparse type: `read(text)` if that parses and `accepts` it, else fail with `rule`."""
+    def domain(text):
+        try:
+            value = read(text)
+            if accepts(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+    return domain
 
 
-def _parse_bool(raw) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    text = str(raw).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError(f"expected a boolean, got {raw!r}")
+def _whole(least):
+    return _domain(f"must be a whole number >= {least}", int, lambda v: v >= least)
 
 
-def _resolve(args, spec_table):
-    """Fill _UNSET options from the config file, then from hard defaults."""
-    config = {}
-    if getattr(args, "config", None):
-        config = _read_config(args.config)
-    for dest, (flag, typ, default) in spec_table.items():
-        if getattr(args, dest, _UNSET) is not _UNSET:
-            continue
-        setattr(args, dest, typ(config[flag]) if flag in config else default)
-    return args
+def _positive(rule="must be a positive finite number"):
+    return _domain(rule, float, lambda v: 0 < v < np.inf)
 
 
-def _opt(parser, table, flag, *, type=str, default=None, help=None):
-    if type is bool:
-        type = _parse_bool
-    dest = flag.lstrip("-").replace("-", "_")
-    parser.add_argument(flag, dest=dest, type=type, default=_UNSET, help=help)
-    table[dest] = (flag.lstrip("-"), type, default)
+def _choice(name, options):
+    def domain(text):
+        if text not in options:
+            raise argparse.ArgumentTypeError(
+                f"unknown {name} {text!r} (choose from {', '.join(options)})")
+        return text
+    return domain
+
+
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+_BOOL = _domain("must be true or false", lambda text: _BOOLS.get(text.strip().lower()),
+               lambda value: value is not None)
+_SPLIT = _choice("split", dataio.SPLIT_TAGS)
+_COSTS = "costs must be positive and finite"
+
+
+def _ea_range(text):
+    """LO:HI:COUNT as COUNT evenly spaced abstain costs from LO to HI."""
+    lo, hi, count = (float(v) for v in text.split(":"))
+    if not (0 < lo < np.inf and 0 < hi < np.inf and count >= 1 and count.is_integer()):
+        raise ValueError(text)
+    return np.linspace(lo, hi, int(count))
 
 
 def _load_spec(spec_arg):
@@ -188,12 +196,6 @@ def _cmd_attack(args):
         population=args.population, generations=args.generations,
         mutation_rate=args.mutation_rate, mutation_std=args.mutation_std,
     )
-    if args.n < 0:
-        raise ValidationError("--n must be non-negative")
-    if args.chunk < 1:
-        raise ValidationError(f"--chunk must be positive, got {args.chunk}")
-    if args.threads < 1:
-        raise ValidationError(f"--threads must be positive, got {args.threads}")
     net = dataio.load_network(args.net)
     ds = dataio.load_dataset(args.data)
     rng = np.random.default_rng(args.seed)
@@ -303,15 +305,7 @@ def _cmd_evaluate(args):
 
 
 def _cmd_census(args):
-    ts = None
-    if args.thresholds:
-        try:
-            ts = np.array([float(v) for v in args.thresholds.split(",")])
-            if not np.isfinite(ts).all():
-                raise ValueError
-        except ValueError:
-            raise ValidationError(f"--thresholds takes comma-separated finite numbers, "
-                                  f"got {args.thresholds!r}") from None
+    ts = args.thresholds
     net = dataio.load_network(args.net)
     normals = dataio.load_dataset(args.normals)
     images, _ = _split_images(normals, args.split)
@@ -347,14 +341,6 @@ def _flat_layer_features(net, images, layer):
 
 def _cmd_spectral(args):
     layer = args.layer
-    if layer != "penultimate":
-        try:
-            layer = int(layer)
-            if layer < 1:
-                raise ValueError
-        except ValueError:
-            raise ValidationError(f"--layer takes 'penultimate' or a conv layer number "
-                                  f">= 1, got {args.layer!r}") from None
     net = dataio.load_network(args.net)
     if layer != "penultimate" and layer > net.spec.conv_count:
         raise ValidationError(f"conv layer {layer} out of range (1..{net.spec.conv_count})")
@@ -378,9 +364,6 @@ def _cmd_spectral(args):
 
 
 def _cmd_recover(args):
-    # Fail before anything is loaded; average_filter checks k again.
-    if args.k < 1 or args.k % 2 == 0:
-        raise ValidationError(f"--k must be odd and at least 1, got {args.k}")
     net = dataio.load_network(args.net)
     model = dataio.load_detector(args.detector)
     records, images = _adversarial_images(args.adversarials)
@@ -402,21 +385,7 @@ def _cmd_recover(args):
 
 
 def _cmd_selfaware(args):
-    try:
-        normals_path, adv_path = args.mixture.split(",", 1)
-    except ValueError:
-        raise ValidationError("--mixture takes DATASET_DIR,ADV_BATCH_DIR") from None
-    try:
-        lo, hi, count = (float(v) for v in args.ea_range.split(":"))
-        if not (count >= 1 and count.is_integer()):
-            raise ValueError
-    except ValueError:
-        raise ValidationError(f"--ea-range takes LO:HI:COUNT (numbers, COUNT a whole "
-                              f"number >= 1), got {args.ea_range!r}") from None
-    e_a_values = np.linspace(lo, hi, int(count))
-    # Fail before anything is loaded; selfaware_sweep checks the costs again.
-    if not ((args.eq_random_guess or args.eq > 0) and (e_a_values > 0).all()):
-        raise ValidationError("costs must be positive")
+    normals_path, adv_path = args.mixture
     net = dataio.load_network(args.net)
     model = dataio.load_detector(args.detector)
     normals = dataio.load_dataset(normals_path)
@@ -432,7 +401,7 @@ def _cmd_selfaware(args):
     calibration = calibrate_omega(scores, is_adv)
     e_q = random_guess_error(net.spec.classes) if args.eq_random_guess else args.eq
     points = selfaware_sweep(scores, predicted, is_adv, true_labels, calibration, table,
-                             e_q, e_a_values)
+                             e_q, args.ea_range)
     rows = [(_fmt(p.e_a), _fmt(p.abstain_fraction), _fmt(p.retained_accuracy),
              _fmt(p.expected_loss)) for p in points]
     _write_csv(args.out_csv,
@@ -445,106 +414,140 @@ def _cmd_selfaware(args):
 # Parser assembly.
 # ---------------------------------------------------------------------------
 
+def _optional_flags(command):
+    """A command parser's optional flags, as config-file key -> argparse action."""
+    return {a.option_strings[0][2:]: a for a in command._actions
+            if a.option_strings and not a.required and a.dest not in ("help", "config")}
+
+
+def _parse(parser, argv):
+    """Parse argv; a --config file's values become the command's string defaults.
+
+    argparse runs a string default through the flag's type where argv omits the flag.
+    """
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    try:
+        text = Path(args.config).read_text("utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise ValidationError(f"cannot read config file {args.config}: "
+                              f"{getattr(exc, 'strerror', None) or exc}") from None
+    command = args.command_parser
+    flags = _optional_flags(command)
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        where = f"config file {args.config} line {lineno}"
+        if not sep:
+            raise ValidationError(f"{where} is not key=value: {line!r}")
+        if key not in flags:
+            raise ValidationError(f"{where}: {key!r} is not an optional flag of {command.prog}")
+        command.set_defaults(**{flags[key].dest: value})
+    try:
+        return parser.parse_args(argv)
+    except ValidationError as exc:  # the command line parsed above, so a file value failed
+        raise ValidationError(f"config file {args.config}: {exc}") from None
+
+
 def _build_parser():
     parser = _Parser(prog="cascade-guard",
                      description="Victim training, attacks, detection, abstention, recovery.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help):
+    def command(name, fn, help, *required):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=fn, _table={})
-        p.add_argument("--config", default=None,
-                       help="key=value file supplying defaults for any flag")
-        return p, p.get_default("_table")
+        p.set_defaults(func=fn, command_parser=p)
+        p.add_argument("--config", help="key=value file setting the command's optional flags")
+        for flag in required:
+            p.add_argument(flag, required=True)
+        return p
 
-    p, t = command("synth-data", _cmd_synth_data, "generate the bundled synthetic dataset")
-    _opt(p, t, "--seed", type=int, default=0)
-    _opt(p, t, "--n-per-class", type=int, default=200)
-    p.add_argument("--out", required=True)
+    p = command("synth-data", _cmd_synth_data, "generate the bundled synthetic dataset",
+                "--out")
+    p.add_argument("--seed", type=_whole(0), default=0)
+    p.add_argument("--n-per-class", type=_whole(1), default=200)
 
-    p, t = command("train-victim", _cmd_train_victim, "train the victim CNN")
-    p.add_argument("--data", required=True)
-    _opt(p, t, "--spec", type=str, default="default")
-    _opt(p, t, "--seed", type=int, default=0)
-    _opt(p, t, "--epochs", type=int, default=12)
-    _opt(p, t, "--learning-rate", type=float, default=0.05)
-    _opt(p, t, "--batch-size", type=int, default=32)
-    p.add_argument("--out", required=True)
+    p = command("train-victim", _cmd_train_victim, "train the victim CNN", "--data", "--out")
+    p.add_argument("--spec", default="default")
+    p.add_argument("--seed", type=_whole(0), default=0)
+    p.add_argument("--epochs", type=_whole(1), default=12)
+    p.add_argument("--learning-rate", type=_positive(), default=0.05)
+    p.add_argument("--batch-size", type=_whole(1), default=32)
 
-    p, t = command("attack", _cmd_attack, "generate an adversarial batch")
-    p.add_argument("--net", required=True)
-    p.add_argument("--data", required=True)
-    _opt(p, t, "--kind", type=str, default="gradient-box")
-    _opt(p, t, "--n", type=int, default=100)
-    _opt(p, t, "--seed", type=int, default=0)
-    _opt(p, t, "--split", type=str, default="test")
-    _opt(p, t, "--target-policy", type=str, default="random-other")
-    _opt(p, t, "--c", type=float, default=0.05)
-    _opt(p, t, "--step-size", type=float, default=0.02)
-    _opt(p, t, "--iterations", type=int, default=300)
-    _opt(p, t, "--confidence-goal", type=float, default=0.9)
-    _opt(p, t, "--population", type=int, default=50)
-    _opt(p, t, "--generations", type=int, default=500)
-    _opt(p, t, "--mutation-rate", type=float, default=0.1)
-    _opt(p, t, "--mutation-std", type=float, default=0.1)
-    _opt(p, t, "--chunk", type=int, default=128)
-    _opt(p, t, "--threads", type=int, default=1)
-    p.add_argument("--out", required=True)
+    p = command("attack", _cmd_attack, "generate an adversarial batch",
+                "--net", "--data", "--out")
+    p.add_argument("--kind", type=_choice("attack kind", ATTACK_KINDS), default="gradient-box")
+    p.add_argument("--n", type=_whole(0), default=100)
+    p.add_argument("--seed", type=_whole(0), default=0)
+    p.add_argument("--split", type=_SPLIT, default="test")
+    p.add_argument("--target-policy", type=_choice("target policy", TARGET_POLICIES),
+                   default="random-other")
+    p.add_argument("--c", type=_positive(), default=0.05)
+    p.add_argument("--step-size", type=_domain("must be a finite number >= 0", float,
+                                               lambda v: 0 <= v < np.inf), default=0.02)
+    p.add_argument("--iterations", type=_whole(0), default=300)
+    p.add_argument("--confidence-goal", type=_domain("confidence goal must lie in (0, 1)",
+                                                     float, lambda v: 0 < v < 1), default=0.9)
+    p.add_argument("--population", type=_whole(2), default=50)
+    p.add_argument("--generations", type=_whole(0), default=500)
+    p.add_argument("--mutation-rate", type=_domain("mutation rate must lie in (0, 1]",
+                                                   float, lambda v: 0 < v <= 1), default=0.1)
+    p.add_argument("--mutation-std", type=_positive(), default=0.1)
+    p.add_argument("--chunk", type=_whole(1), default=128)
+    p.add_argument("--threads", type=_whole(1), default=1)
 
-    p, t = command("fit-detector", _cmd_fit_detector, "train the cascade detector")
-    p.add_argument("--net", required=True)
-    p.add_argument("--normals", required=True)
-    p.add_argument("--adversarials", required=True)
-    _opt(p, t, "--split", type=str, default="train")
-    _opt(p, t, "--target-tpr", type=float, default=0.97)
-    _opt(p, t, "--c", type=float, default=0.005)
-    _opt(p, t, "--seed", type=int, default=0)
-    _opt(p, t, "--successful-only", type=bool, default=True)
-    p.add_argument("--out", required=True)
+    p = command("fit-detector", _cmd_fit_detector, "train the cascade detector",
+                "--net", "--normals", "--adversarials", "--out")
+    p.add_argument("--split", type=_SPLIT, default="train")
+    p.add_argument("--target-tpr", type=_domain("target TPR must lie in (0, 1]", float,
+                                                lambda v: 0 < v <= 1), default=0.97)
+    p.add_argument("--c", type=_positive("svm C must be a positive finite number"),
+                   default=0.005)
+    p.add_argument("--seed", type=_whole(0), default=0)
+    p.add_argument("--successful-only", type=_BOOL, default=True)
 
-    p, t = command("evaluate", _cmd_evaluate, "ROC/AUC and accuracies of a detector")
-    p.add_argument("--detector", required=True)
-    p.add_argument("--net", required=True)
-    p.add_argument("--normals", required=True)
-    p.add_argument("--adversarials", required=True)
-    _opt(p, t, "--split", type=str, default="test")
-    _opt(p, t, "--successful-only", type=bool, default=True)
-    p.add_argument("--out-csv", required=True)
+    p = command("evaluate", _cmd_evaluate, "ROC/AUC and accuracies of a detector",
+                "--detector", "--net", "--normals", "--adversarials", "--out-csv")
+    p.add_argument("--split", type=_SPLIT, default="test")
+    p.add_argument("--successful-only", type=_BOOL, default=True)
 
-    p, t = command("census", _cmd_census, "above-threshold prediction counts")
-    p.add_argument("--net", required=True)
-    p.add_argument("--normals", required=True)
+    p = command("census", _cmd_census, "above-threshold prediction counts",
+                "--net", "--normals", "--out-csv")
     p.add_argument("--adversarials", default=None)
-    _opt(p, t, "--split", type=str, default="test")
-    _opt(p, t, "--thresholds", type=str, default="")
-    p.add_argument("--out-csv", required=True)
+    p.add_argument("--split", type=_SPLIT, default="test")
+    p.add_argument("--thresholds", default="", type=_domain(
+        "must be comma-separated finite numbers",
+        lambda text: np.array([float(v) for v in text.split(",")]) if text else None,
+        lambda ts: ts is None or np.isfinite(ts).all()))
 
-    p, t = command("spectral", _cmd_spectral, "eigenvector extrema/std comparison")
-    p.add_argument("--net", required=True)
-    p.add_argument("--normals", required=True)
-    p.add_argument("--adversarials", required=True)
-    _opt(p, t, "--split", type=str, default="test")
-    _opt(p, t, "--layer", type=str, default="penultimate")
-    p.add_argument("--out-csv", required=True)
+    p = command("spectral", _cmd_spectral, "eigenvector extrema/std comparison",
+                "--net", "--normals", "--adversarials", "--out-csv")
+    p.add_argument("--split", type=_SPLIT, default="test")
+    p.add_argument("--layer", default="penultimate", type=_domain(
+        "must be 'penultimate' or a conv layer number >= 1",
+        lambda text: text if text == "penultimate" else int(text),
+        lambda layer: layer == "penultimate" or layer >= 1))
 
-    p, t = command("recover", _cmd_recover, "average-filter recovery report")
-    p.add_argument("--detector", required=True)
-    p.add_argument("--net", required=True)
-    p.add_argument("--adversarials", required=True)
-    _opt(p, t, "--k", type=int, default=3)
-    p.add_argument("--out-csv", required=True)
+    p = command("recover", _cmd_recover, "average-filter recovery report",
+                "--detector", "--net", "--adversarials", "--out-csv")
+    p.add_argument("--k", type=_domain("must be an odd whole number >= 1", int,
+                                       lambda k: k >= 1 and k % 2 == 1), default=3)
 
-    p, t = command("selfaware", _cmd_selfaware, "abstention sweep over e_a")
-    p.add_argument("--detector", required=True)
-    p.add_argument("--net", required=True)
+    p = command("selfaware", _cmd_selfaware, "abstention sweep over e_a",
+                "--detector", "--net", "--out-csv")
     p.add_argument("--mixture", required=True,
-                   help="DATASET_DIR,ADV_BATCH_DIR forming the test mixture")
-    _opt(p, t, "--split", type=str, default="test")
-    _opt(p, t, "--eq", type=float, default=10.0)
-    _opt(p, t, "--eq-random-guess", type=bool, default=False,
-         help="use the uniform-guessing cost (C-1)/C instead of --eq")
-    _opt(p, t, "--ea-range", type=str, default="2:8:13")
-    p.add_argument("--out-csv", required=True)
+                   help="DATASET_DIR,ADV_BATCH_DIR forming the test mixture",
+                   type=_domain("must be DATASET_DIR,ADV_BATCH_DIR",
+                                lambda text: tuple(text.split(",", 1)), lambda v: len(v) == 2))
+    p.add_argument("--split", type=_SPLIT, default="test")
+    p.add_argument("--eq", type=_positive(_COSTS), default=10.0)
+    p.add_argument("--eq-random-guess", type=_BOOL, default=False,
+                   help="use the uniform-guessing cost (C-1)/C instead of --eq")
+    p.add_argument("--ea-range", default="2:8:13", type=_domain(
+        f"must be LO:HI:COUNT with COUNT a whole number >= 1 ({_COSTS})", _ea_range))
 
     return parser
 
@@ -552,15 +555,11 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        _resolve(args, args._table)
+        args = _parse(parser, argv)
         return args.func(args) or 0
     except ValidationError as exc:
         print(f"ERROR 1: {exc}", file=sys.stderr)
         return 1
-    except CascadeGuardError as exc:
-        print(f"ERROR 2: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # runtime failures keep the exit-code contract
         print(f"ERROR 2: {exc}", file=sys.stderr)
         return 2

@@ -134,8 +134,8 @@ def abstain_decide(p_omega: float, p_err: float, e_q: float, e_a: float) -> str:
     """
     if not 0.0 <= p_omega <= 1.0 or not 0.0 <= p_err <= 1.0:
         raise ValidationError("probabilities must lie in [0, 1]")
-    if e_q <= 0 or e_a <= 0:
-        raise ValidationError("costs must be positive")
+    if not (0 < e_q < np.inf and 0 < e_a < np.inf):
+        raise ValidationError("costs must be positive and finite")
     expected_predict = p_omega * p_err + (1.0 - p_omega) * e_q
     return "predict" if expected_predict < e_a else "abstain"
 
@@ -161,7 +161,7 @@ def selfaware_sweep(scores, predicted, is_adversarial, labels,
     argmax equals its true label, so retained items without one count as
     wrong. Expected loss charges e_a per abstention, e_q per retained
     adversarial and the 0/1 error per retained normal. Both costs must be
-    positive, as in abstain_decide.
+    positive and finite, as in abstain_decide.
     """
     scores = np.asarray(scores, dtype=np.float64)
     pred = np.asarray(predicted, dtype=np.int64)
@@ -172,8 +172,8 @@ def selfaware_sweep(scores, predicted, is_adversarial, labels,
     if scores.size == 0:
         raise ValidationError("mixture is empty")
     e_a_values = np.asarray(e_a_values, dtype=np.float64)
-    if not (e_q > 0 and (e_a_values > 0).all()):
-        raise ValidationError("costs must be positive")
+    if not (0 < e_q < np.inf and ((0 < e_a_values) & (e_a_values < np.inf)).all()):
+        raise ValidationError("costs must be positive and finite")
     p_omega = calibration.p_normal(scores)
     p_err = np.array([error_table.p_err(c) for c in pred])
     correct = pred == labels

@@ -203,8 +203,8 @@ def train_victim(dataset, spec: NetworkSpec, hyper: TrainConfig = TrainConfig())
         )
     if int(ytr.max()) >= spec.classes:
         raise ValidationError("dataset labels exceed the spec class count")
-    if hyper.epochs < 1 or hyper.batch_size < 1 or hyper.learning_rate <= 0:
-        raise ValidationError("epochs/batch size must be positive, learning rate > 0")
+    if hyper.epochs < 1 or hyper.batch_size < 1 or not 0 < hyper.learning_rate < np.inf:
+        raise ValidationError("epochs/batch size must be positive, learning rate finite and > 0")
 
     rng = np.random.default_rng(hyper.seed)
     weights = _init_weights(spec, rng)

@@ -17,8 +17,19 @@ from cascade_guard.autograd import (
     SoftmaxLayer,
     softmax_cross_entropy,
 )
+from cascade_guard.cascade import CascadeConfig, train_svm
+from cascade_guard.dataio import synth_dataset
 from cascade_guard.errors import ValidationError
-from cascade_guard.victim import Network, NetworkSpec, _init_weights, predict_batch
+from cascade_guard.selfaware import abstain_decide, selfaware_sweep
+from cascade_guard.victim import (
+    Network,
+    NetworkSpec,
+    TrainConfig,
+    _init_weights,
+    default_victim_spec,
+    predict_batch,
+    train_victim,
+)
 
 
 def box_attack(network, image, target, cfg):
@@ -59,6 +70,33 @@ class TestAttackConfig:
     def test_rejects_fixed_target_policy(self):
         with pytest.raises(ValidationError, match="unknown target policy"):
             AttackConfig(target_policy="fixed")
+
+
+class TestNonFiniteSettings:
+    """Every library validator of a positive or non-negative setting rejects NaN and inf.
+
+    A comparison with NaN is false, so a check written `x <= 0` lets NaN through.
+    """
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("validate", [
+        lambda v: CascadeConfig(svm_c=v),
+        lambda v: train_svm(np.array([[0.0], [1.0]]), np.array([-1.0, 1.0]), c=v),
+        lambda v: AttackConfig(c=v),
+        lambda v: AttackConfig(step_size=v),
+        lambda v: AttackConfig(kind="evolutionary", mutation_std=v),
+        lambda v: train_victim(synth_dataset(0, 2), default_victim_spec(),
+                               TrainConfig(epochs=1, learning_rate=v)),
+        lambda v: abstain_decide(0.5, 0.5, v, 1.0),
+        lambda v: abstain_decide(0.5, 0.5, 1.0, v),
+        lambda v: selfaware_sweep([0.0], [0], [False], [0], None, None, v, [1.0]),
+        lambda v: selfaware_sweep([0.0], [0], [False], [0], None, None, 1.0, [1.0, v]),
+    ], ids=["cascade-svm-c", "train-svm-c", "attack-c", "attack-step-size",
+            "attack-mutation-std", "train-victim-learning-rate", "abstain-e-q", "abstain-e-a",
+            "sweep-e-q", "sweep-e-a"])
+    def test_rejected(self, validate, value):
+        with pytest.raises(ValidationError, match="positive|non-negative"):
+            validate(value)
 
 
 class TestChooseTargets:

@@ -1,3 +1,4 @@
+import argparse
 import base64
 import contextlib
 import io
@@ -8,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cascade_guard import dataio
-from cascade_guard.cli import main
+from cascade_guard.cli import _build_parser, _optional_flags, main
 from cascade_guard.victim import predict_batch
 
 
@@ -317,6 +318,29 @@ class TestEdgeCases:
                     "--out", out2]) == 0
         assert dataio.load_dataset(out2).n == 50
 
+    @pytest.mark.parametrize("extra, write, names", [
+        ([], None, ["run.cfg"]),
+        ([], lambda cfg: cfg.mkdir(), ["run.cfg"]),
+        ([], lambda cfg: cfg.write_bytes(b"seed=\xff\n"), ["run.cfg"]),
+        ([], lambda cfg: cfg.write_text("seed=abc\n"), ["run.cfg", "--seed"]),
+        ([], lambda cfg: cfg.write_text("seed\n"), ["run.cfg", "line 1"]),
+        ([], lambda cfg: cfg.write_text("seed=4\nn-per-clas=5\n"), ["run.cfg", "n-per-clas"]),
+        (["--n-per-class", "5"], lambda cfg: cfg.write_text("out=elsewhere\n"),
+         ["run.cfg", "'out'"]),
+        (["--seed", "-1"], lambda cfg: cfg.write_text("n-per-class=5\n"), ["--seed"]),
+    ], ids=["missing", "directory", "not-utf8", "value-not-number", "not-key-value",
+            "misspelled-key", "required-flag-key", "seed-negative"])
+    def test_config_file_or_flag_error_exits_one(self, tmp_path, capsys, extra, write, names):
+        cfg = tmp_path / "run.cfg"
+        if write is not None:
+            write(cfg)
+        code = run(["synth-data", "--config", cfg, *extra, "--out", tmp_path / "data"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("ERROR 1:") and err.count("\n") == 1
+        assert all(name in err for name in names), err
+        assert not (tmp_path / "data").exists()
+
 
 class TestExitCodes:
     def test_missing_input_is_validation_error(self, tmp_path, capsys):
@@ -469,8 +493,10 @@ class TestExitCodes:
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("flag, value", [("--eq", "-1"), ("--eq", "0"),
-                                             ("--ea-range", "-2:8:3"), ("--ea-range", "0:8:3")],
-                             ids=["eq-negative", "eq-zero", "ea-range-negative", "ea-range-zero"])
+                                             ("--ea-range", "-2:8:3"), ("--ea-range", "0:8:3"),
+                                             ("--eq", "inf"), ("--ea-range", "2:inf:3")],
+                             ids=["eq-negative", "eq-zero", "ea-range-negative", "ea-range-zero",
+                                  "eq-inf", "ea-range-inf"])
     def test_non_positive_cost_fails_before_loading(self, tmp_path, capsys, flag, value):
         code = run(["selfaware", "--net", tmp_path / "no-net.json",
                     "--detector", tmp_path / "no-det.json",
@@ -576,6 +602,79 @@ class TestExitCodes:
         assert code == 1, err
         assert err.startswith("ERROR 1:") and err.count("\n") == 1
         assert flag in err
+
+
+_COMMANDS = next(a for a in _build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+_OPTIONAL_FLAGS = sorted((name, key) for name, command in _COMMANDS.items()
+                         for key in _optional_flags(command))
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+_ODD_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0"]),
+    st.integers(max_value=-1).map(str),
+    st.floats(max_value=-1e-9, allow_infinity=False).map(repr),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1,
+            max_size=6).filter(lambda s: s == s.strip() and not _is_number(s)))
+
+
+class TestFlagDomains:
+    """Every optional flag of every command, given NaN, +-inf, 0, a negative number or
+    a non-number, on the command line and from a config file.
+
+    Every input path points nowhere, so a value inside the flag's domain fails on
+    loading, and one outside it fails in argparse, naming the flag. Either way the
+    run exits 1 with one "ERROR 1:" line and writes nothing. NaN and +-inf are
+    outside the domain of every flag with a type, and so is a non-number for a
+    flag whose default is a number. synth-data loads nothing, so a value inside
+    its domains would run; those draws are skipped.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_any_value_exits_one_before_writing(self, data):
+        name, key = data.draw(st.sampled_from(_OPTIONAL_FLAGS), label="flag")
+        value = data.draw(_ODD_VALUES, label="value")
+        command = _COMMANDS[name]
+        action = _optional_flags(command)[key]
+        numeric = isinstance(action.default, (int, float)) and not isinstance(action.default, bool)
+        out_of_domain = action.type is not None and (
+            value in ("nan", "inf", "-inf") or (numeric and not _is_number(value)))
+        try:
+            (action.type or str)(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            out_of_domain = True
+        assume(out_of_domain or name != "synth-data")
+        flag = action.option_strings[0]
+        with tempfile.TemporaryDirectory() as tmp:
+            nowhere = Path(tmp) / "nowhere"
+            required = []
+            for a in command._actions:
+                if a.required:  # --mixture takes two paths
+                    path = nowhere / a.dest
+                    required += [a.option_strings[0],
+                                 f"{path},{path}" if a.dest == "mixture" else str(path)]
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+            for source, names in (([f"{flag}={value}"], [flag]),
+                                  (["--config", str(cfg)], [flag, str(cfg)])):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main([name, *required, *source])
+                err = err.getvalue()
+                assert code == 1, err
+                assert err.startswith("ERROR 1:") and err.count("\n") == 1, err
+                if out_of_domain:
+                    assert all(n in err for n in names), err
+                assert [p.name for p in Path(tmp).iterdir()] == ["run.cfg"]
 
 
 @pytest.fixture(scope="module")
