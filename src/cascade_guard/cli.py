@@ -423,7 +423,8 @@ def _optional_flags(command):
 def _parse(parser, argv):
     """Parse argv; a --config file's values become the command's string defaults.
 
-    argparse runs a string default through the flag's type where argv omits the flag.
+    Each file value meets its flag's type here, also where argv gives the flag
+    and argparse would never convert the default.
     """
     args = parser.parse_args(argv)
     if args.config is None:
@@ -445,11 +446,14 @@ def _parse(parser, argv):
             raise ValidationError(f"{where} is not key=value: {line!r}")
         if key not in flags:
             raise ValidationError(f"{where}: {key!r} is not an optional flag of {command.prog}")
-        command.set_defaults(**{flags[key].dest: value})
-    try:
-        return parser.parse_args(argv)
-    except ValidationError as exc:  # the command line parsed above, so a file value failed
-        raise ValidationError(f"config file {args.config}: {exc}") from None
+        action = flags[key]
+        if action.type is not None:
+            try:
+                action.type(value)
+            except argparse.ArgumentTypeError as exc:
+                raise ValidationError(f"{where}: argument --{key}: {exc}") from None
+        command.set_defaults(**{action.dest: value})
+    return parser.parse_args(argv)
 
 
 def _build_parser():

@@ -5,18 +5,20 @@ are bit-reproducible. Tensor is the image type of attack records and tensor
 files. The kernels take batches (leading axis N) and are private: the
 library reaches them only through autograd.
 
-Conv with one input channel has a fast path that gives the same bytes as
-the general code, chosen by the input's channel count. Max pooling takes its
-values with an in-place np.maximum and, when a tape is kept, records the
-argmax with a masked copy; a compare-and-select scan gives the same bytes
-on input without NaN or -0.0 (see _maxpool_forward). The conv and dense
-backward kernels compute only what backward_pass asks of them: the input
-gradient, the weight and bias gradients, or both. None of these paths
-reorders a floating-point operation.
+The conv forward is im2col with one GEMM per image (see _conv_forward). It
+rounds differently from a per-tap sum, but an image's output bytes depend
+only on the image and the layer, never on the rest of its batch. Max
+pooling takes its values with an in-place np.maximum and, when a tape is
+kept, records the argmax with a masked copy; a compare-and-select scan
+gives the same bytes on input without NaN or -0.0 (see _maxpool_forward).
+The conv and dense backward kernels compute only what backward_pass asks of
+them: the input gradient, the weight and bias gradients, or both, and reorder
+no floating-point operation.
 """
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 
@@ -46,6 +48,9 @@ class Tensor:
 # Batched kernels. x has shape (N, H, W, C); gradients mirror the inputs.
 # ---------------------------------------------------------------------------
 
+_IM2COL_IMAGES = 32  # per column block: 1.6 MB for the desk conv1, 2.2 MB for conv2
+
+
 def _conv_out_dims(h, w, kh, kw, stride, padding):
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
@@ -58,6 +63,11 @@ def _conv_out_dims(h, w, kh, kw, stride, padding):
 
 
 def _conv_forward(x, weights, biases, stride, padding):
+    """im2col conv: _IM2COL_IMAGES images at a time share one column buffer,
+    and each image is one GEMM, so its bytes do not depend on the rest of the
+    batch. A GEMM per image stays below OpenBLAS's threading threshold, which
+    one flat GEMM per block crosses.
+    """
     n, h, w, cin = x.shape
     k, kh, kw, ck = weights.shape
     if ck != cin:
@@ -66,41 +76,19 @@ def _conv_forward(x, weights, biases, stride, padding):
         )
     ho, wo = _conv_out_dims(h, w, kh, kw, stride, padding)
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else x
-    s = stride
-    if cin == 1:
-        return _conv_forward_one_channel(xp[..., 0], weights[..., 0], biases, ho, wo, s)
-    wmat = weights.transpose(1, 2, 3, 0)  # (kH, kW, C_in, K)
-    out = np.broadcast_to(biases, (n, ho, wo, k)).copy()
-    for i in range(kh):
-        for j in range(kw):
-            xs = xp[:, i : i + (ho - 1) * s + 1 : s, j : j + (wo - 1) * s + 1 : s, :]
-            out += xs @ wmat[i, j]
-    return out
-
-
-def _conv_forward_one_channel(xp, weights, biases, ho, wo, s):
-    """Conv of a padded one-channel batch (N, H, W); weights are (K, kH, kW).
-
-    With one input channel the general path's per-tap (..., 1) @ (1, K)
-    matmul is one exact product per element, so adding the same products to
-    a bias plane in the same tap order gives the same bytes. The matmul's
-    zero start turns a -0.0 product into +0.0; adding 0.0 to the bias has the
-    same effect on the only sum where that sign could survive.
-    """
-    n = xp.shape[0]
-    k, kh, kw = weights.shape
-    planes = np.empty((k, n, ho, wo))
-    tap = np.empty((n, ho, wo))
-    for c in range(k):
-        plane = planes[c]
-        plane[...] = biases[c] + 0.0
-        for i in range(kh):
-            for j in range(kw):
-                xs = xp[:, i : i + (ho - 1) * s + 1 : s, j : j + (wo - 1) * s + 1 : s]
-                np.multiply(xs, weights[c, i, j], out=tap)
-                plane += tap
-    # A contiguous (N, Ho, Wo, K) copy: a transposed view slows every later layer.
-    return np.ascontiguousarray(planes.transpose(1, 2, 3, 0))
+    # (N, Ho, Wo, kH, kW, C_in) windows, in the row order of wmat.
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    windows = windows.transpose(0, 1, 2, 4, 5, 3)
+    wmat = weights.transpose(1, 2, 3, 0).reshape(-1, k)
+    cols = np.empty((min(n, _IM2COL_IMAGES), ho, wo, kh, kw, cin))
+    out = np.empty((n, ho * wo, k))
+    for start in range(0, n, _IM2COL_IMAGES):
+        block = cols[: n - start]  # the last block may be short
+        stop = start + len(block)
+        block[...] = windows[start:stop]
+        np.matmul(block.reshape(len(block), ho * wo, -1), wmat, out=out[start:stop])
+    out += biases
+    return out.reshape(n, ho, wo, k)
 
 
 def _conv_backward(x, weights, stride, padding, gy, input_grad=True, param_grad=True):

@@ -323,12 +323,14 @@ class TestEdgeCases:
         ([], lambda cfg: cfg.mkdir(), ["run.cfg"]),
         ([], lambda cfg: cfg.write_bytes(b"seed=\xff\n"), ["run.cfg"]),
         ([], lambda cfg: cfg.write_text("seed=abc\n"), ["run.cfg", "--seed"]),
+        (["--seed", "4"], lambda cfg: cfg.write_text("seed=abc\n"), ["run.cfg", "--seed"]),
         ([], lambda cfg: cfg.write_text("seed\n"), ["run.cfg", "line 1"]),
         ([], lambda cfg: cfg.write_text("seed=4\nn-per-clas=5\n"), ["run.cfg", "n-per-clas"]),
         (["--n-per-class", "5"], lambda cfg: cfg.write_text("out=elsewhere\n"),
          ["run.cfg", "'out'"]),
         (["--seed", "-1"], lambda cfg: cfg.write_text("n-per-class=5\n"), ["--seed"]),
-    ], ids=["missing", "directory", "not-utf8", "value-not-number", "not-key-value",
+    ], ids=["missing", "directory", "not-utf8", "value-not-number",
+            "overridden-value-not-number", "not-key-value",
             "misspelled-key", "required-flag-key", "seed-negative"])
     def test_config_file_or_flag_error_exits_one(self, tmp_path, capsys, extra, write, names):
         cfg = tmp_path / "run.cfg"

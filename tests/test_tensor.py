@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ class TestConv2d:
 
 
 def conv_tap_loop(x, weights, biases, stride, padding):
-    """The general conv path: one (..., C_in) @ (C_in, K) matmul per kernel tap."""
+    """Reference conv: one (..., C_in) @ (C_in, K) matmul per kernel tap."""
     k, kh, kw, _ = weights.shape
     ho = (x.shape[1] + 2 * padding - kh) // stride + 1
     wo = (x.shape[2] + 2 * padding - kw) // stride + 1
@@ -157,20 +158,42 @@ def with_signed_zeros(rng, a):
     return a
 
 
-class TestOneChannelConv:
+class TestConvForward:
     @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(1, 3), h=st.integers(1, 9), w=st.integers(1, 9),
-           k=st.integers(1, 4), kernel=st.integers(1, 3), stride=st.integers(1, 3),
-           padding=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
-    def test_bytes_equal_tap_loop(self, n, h, w, k, kernel, stride, padding, seed):
+    @example(n=1, h=1, w=3, cin=1, k=1, kernel=2, stride=1, padding=1, seed=0)
+    @example(n=70, h=5, w=4, cin=3, k=2, kernel=3, stride=1, padding=1, seed=1)
+    @given(n=st.integers(1, 70), h=st.integers(1, 9), w=st.integers(1, 9),
+           cin=st.integers(1, 4), k=st.integers(1, 4), kernel=st.integers(1, 3),
+           stride=st.integers(1, 3), padding=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_close_to_tap_loop_and_rows_independent(self, n, h, w, cin, k, kernel, stride,
+                                                    padding, seed):
         assume(h + 2 * padding >= kernel and w + 2 * padding >= kernel)
         rng = np.random.default_rng(seed)
-        x = with_signed_zeros(rng, rng.normal(size=(n, h, w, 1)))
-        weights = with_signed_zeros(rng, rng.normal(size=(k, kernel, kernel, 1)))
+        x = with_signed_zeros(rng, rng.normal(size=(n, h, w, cin)))
+        weights = with_signed_zeros(rng, rng.normal(size=(k, kernel, kernel, cin)))
         biases = with_signed_zeros(rng, rng.normal(size=k))
         got = _conv_forward(x, weights, biases, stride, padding)
         assert got.flags.c_contiguous
-        assert got.tobytes() == conv_tap_loop(x, weights, biases, stride, padding).tobytes()
+        np.testing.assert_allclose(got, conv_tap_loop(x, weights, biases, stride, padding),
+                                   rtol=1e-12, atol=1e-12)
+        # Batches cross the column block; each image's bytes stay its own.
+        for i in range(n):
+            alone = _conv_forward(x[i : i + 1], weights, biases, stride, padding)
+            assert got[i].tobytes() == alone[0].tobytes()
+
+    def test_peak_memory_is_output_plus_one_column_block(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(256, 13, 13, 8))  # the desk conv2 input at fit-detector's chunk
+        weights = rng.normal(size=(16, 3, 3, 8))
+        tracemalloc.start()
+        try:
+            out = _conv_forward(x, weights, rng.normal(size=16), 1, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        column_block = 32 * 11 * 11 * 3 * 3 * 8 * 8  # 2.2 MB: 32 images, not the whole chunk
+        assert peak < out.nbytes + column_block + 256 * 1024
 
 
 def pool_taps(x, window, stride):
