@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .featstats import _fit_pca_bank_in_place, stat_matrix
-from .victim import _logits_and_layer_outputs
+from .tensor import _per_row
+from .victim import _chunked_forward
 
 __all__ = [
     "LinearSvm",
@@ -61,11 +62,12 @@ class LinearSvm:
         return self.weights.shape[0]
 
     def decision_scores(self, x: np.ndarray) -> np.ndarray:
+        """One score per row of x, formed on its own: a row scores the same in any batch."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ValidationError(f"features must be (N, {self.dim}), got {x.shape}")
         xs = (x - self.feature_means) / self.feature_stds
-        return xs @ self.weights + self.bias
+        return _per_row(xs, self.weights) + self.bias
 
 
 def _standardize_params(x: np.ndarray):
@@ -271,7 +273,7 @@ def _batch_scores(model: CascadeModel, network, images):
     # One forward pass; stage k appends layer-k statistics of its survivors
     # only, so an image that exits costs no deeper statistics. The victim's
     # argmax comes from the same pass.
-    logits, per_layer = _logits_and_layer_outputs(network, images)
+    logits, per_layer = _chunked_forward(network, images, capture_conv=True)
     if len(per_layer) < len(model.stages):
         raise ValidationError(
             f"network exposes {len(per_layer)} conv layers but the detector has "

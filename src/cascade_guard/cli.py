@@ -50,7 +50,7 @@ from .selfaware import (
 from .victim import (
     TrainConfig,
     _census_table,
-    _forward_chunks,
+    _chunked_forward,
     default_victim_spec,
     layer_outputs_batch,
     predict_batch,
@@ -134,9 +134,9 @@ def _load_spec(spec_arg):
     return dataio.spec_from_json(payload, spec_arg)
 
 
-def _chunked(n, size):
-    for start in range(0, n, size):
-        yield start, min(start + size, n)
+# Images per gradient-attack call, the unit of work of a --threads worker.
+# Every image is attacked on its own bytes, so no output depends on it.
+_ATTACK_CHUNK = 128
 
 
 def _run_chunks(worker, chunks, threads):
@@ -213,16 +213,14 @@ def _cmd_attack(args):
             if args.n else np.zeros(0, dtype=np.int64)
         attack_fn = (gradient_box_attack_batch if args.kind == "gradient-box"
                      else gradient_sign_attack_batch)
-        records = []
-        chunks = list(_chunked(args.n, args.chunk))
 
-        def worker(bounds):
-            lo, hi = bounds
-            return attack_fn(net, sources[lo:hi], targets[lo:hi], cfg,
-                             source_ids=pick[lo:hi], original_labels=labels[pick[lo:hi]])
+        def worker(start):
+            rows = slice(start, start + _ATTACK_CHUNK)
+            return attack_fn(net, sources[rows], targets[rows], cfg,
+                             source_ids=pick[rows], original_labels=labels[pick[rows]])
 
-        for part in _run_chunks(worker, chunks, args.threads):
-            records.extend(part)
+        starts = range(0, args.n, _ATTACK_CHUNK)
+        records = [r for part in _run_chunks(worker, starts, args.threads) for r in part]
     meta = {"kind": args.kind, "seed": args.seed, "n": args.n,
             "confidence_goal": cfg.confidence_goal, "c": cfg.c,
             "step_size": cfg.step_size, "iterations": cfg.max_iterations}
@@ -238,7 +236,7 @@ def _trim_heap():
     glibc serves buffers below its mmap threshold, which rises as large
     buffers are freed, from one heap and keeps their pages after they are
     freed. How many of those pages later buffers reuse depends on everything
-    allocated before, so without a trim here the fit's peak memory varied by
+    allocated before, so without trims fit-detector's peak memory varied by
     up to a sixth between runs on the same inputs.
     """
     try:
@@ -255,12 +253,14 @@ def _cmd_fit_detector(args):
     records, adv_images = _adversarial_images(args.adversarials, args.successful_only)
     pool, _ = _split_images(normals, args.split)
     fingerprint = dataio.dataset_fingerprint(normals)
-    # Each input is dropped once forwarded, the large pool first, so no
-    # forward runs beside arrays that are no longer needed. train_cascade
-    # fits each bank in place on the activations.
+    # Inputs are dropped once forwarded, the large pool first, and the heap
+    # is trimmed before each large step, so no step runs beside dead arrays
+    # or freed pages. train_cascade fits each bank in place on the activations.
     del normals
+    _trim_heap()
     pool_layers = layer_outputs_batch(net, pool)
     del pool
+    _trim_heap()
     adv_layers = layer_outputs_batch(net, adv_images)
     del records, adv_images
     _trim_heap()
@@ -333,8 +333,7 @@ def _flat_layer_features(net, images, layer):
         head = next((i for i, l in enumerate(spec.layers) if isinstance(l, DenseLayer)), None)
         if head is None:
             raise ValidationError("network has no dense layer to take features from")
-        return np.concatenate([a.reshape(len(a), -1) for a in _forward_chunks(
-            spec.layers[:head], net.weights[:head], images)])
+        return _chunked_forward(net, images, depth=head)[0].reshape(len(images), -1)
     batch = layer_outputs_batch(net, images)[layer - 1]
     return batch.reshape(len(batch), -1)
 
@@ -500,7 +499,6 @@ def _build_parser():
     p.add_argument("--mutation-rate", type=_domain("mutation rate must lie in (0, 1]",
                                                    float, lambda v: 0 < v <= 1), default=0.1)
     p.add_argument("--mutation-std", type=_positive(), default=0.1)
-    p.add_argument("--chunk", type=_whole(1), default=128)
     p.add_argument("--threads", type=_whole(1), default=1)
 
     p = command("fit-detector", _cmd_fit_detector, "train the cascade detector",

@@ -9,12 +9,11 @@ absolute means, so nothing here is differentiable end to end and the module
 never touches gradient machinery.
 
 No bank fit of a layer with K >= 2 channels holds the projection of all its
-samples: the projection stds are taken 16,384 sample rows at a time.
-fit_pca_bank leaves its input as it is, so it holds one more array of the
-layer's size, the centered samples. train_cascade, given no banks, fits each
-bank with _fit_pca_bank_in_place instead, which consumes the pool's layer
-array: it centers it in place, so beyond the layer the fit holds one block's
-and one chunk's temporaries.
+samples: the projection stds are taken 16,384 sample rows at a time. Every
+bank is fitted by _fit_pca_bank_in_place, which centers its input in place.
+train_cascade, given no banks, hands it the pool's layer array, so beyond
+the layer the fit holds one block's and one chunk's temporaries;
+fit_pca_bank hands it a copy and leaves its own input as it is.
 """
 from __future__ import annotations
 
@@ -81,17 +80,6 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fit_input(layer_outputs) -> np.ndarray:
-    # (N, H, W, K) float64 layer outputs with at least K pixel samples.
-    batch = np.asarray(layer_outputs, dtype=np.float64)
-    if batch.ndim != 4:
-        raise ValidationError(f"layer outputs must be N x H x W x K, got shape {batch.shape}")
-    n, k = int(np.prod(batch.shape[:3])), batch.shape[3]
-    if n < k:
-        raise ValidationError(f"need at least {k} pixel samples, got {n}")
-    return batch
-
-
 def _std_in_place(x: np.ndarray) -> np.ndarray:
     # x.std(axis=0) by np.std's own steps, run on x itself: the same bits, and
     # no temporary of x's size. x is overwritten.
@@ -141,35 +129,21 @@ def _projection_std(centered: np.ndarray, components: np.ndarray) -> np.ndarray:
     return np.sqrt(var, out=var)
 
 
-def _bank_from_centered(centered: np.ndarray, mean: np.ndarray, layer_index) -> PcaBank:
-    # The bank math on (M, K) centered samples; leaves centered as it is and
-    # holds no (M, K) array of its own.
-    cov = centered.T @ centered / len(centered)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(-eigvals, kind="stable")
-    components = _fix_signs(eigvecs[:, order])
-    stds = np.maximum(_projection_std(centered, components), _STD_FLOOR)
-    return PcaBank(layer_index=int(layer_index), mean=mean, components=components,
-                   stds=stds)
-
-
 def fit_pca_bank(layer_outputs, layer_index: int) -> PcaBank:
     """Fit mean, projection and stds from normal-image layer outputs.
 
     layer_outputs is an (N, H, W, K) array, as layer_outputs_batch returns per
     conv layer; every pixel of every image is one sample. Requires at least K
     samples. Stds are floored at 1e-8, which the bank records as its epsilon.
-    The input is left as it is; beyond it the fit holds one array of the
-    input's size, the centered samples, and one block of their projection.
+    The input is left as it is: the fit centers a copy of it in place, so
+    beyond the input it holds that copy and one block of the projection.
     """
-    batch = _fit_input(layer_outputs)
-    samples = batch.reshape(-1, batch.shape[3])
-    mean = samples.mean(axis=0)
-    return _bank_from_centered(samples - mean, mean, layer_index)
+    batch = np.array(layer_outputs, dtype=np.float64, order="C")
+    return _fit_pca_bank_in_place(batch, np.arange(0), layer_index)[0]
 
 
 def _chunks(layer_batch: np.ndarray, alive: np.ndarray):
-    # (rows, pixels) for 256 images of layer_batch[alive] at a time: rows
+    # (rows, pixels) for 64 images of layer_batch[alive] at a time: rows
     # slices the (len(alive), ...) result, pixels is (n, H * W, K). Slices,
     # not copies, while every image is alive.
     from .victim import _CHUNK_ROWS
@@ -230,7 +204,7 @@ def stat_matrix(layer_batch: np.ndarray, bank: PcaBank) -> np.ndarray:
     the mean absolute std-normalized projection coefficient per dimension,
     then the per-channel minimum, maximum and 25th, 50th and 75th percentiles
     over all pixels.
-    Rows are filled 256 images at a time, so the temporaries are one chunk's
+    Rows are filled 64 images at a time, so the temporaries are one chunk's
     size. Every statistic is computed per image, so the chunking changes no
     bit of any row.
     """
@@ -243,24 +217,32 @@ def stat_matrix(layer_batch: np.ndarray, bank: PcaBank) -> np.ndarray:
 
 
 def _fit_pca_bank_in_place(layer_outputs, alive, layer_index: int):
-    """(bank, rows): fit_pca_bank's bank and stat_matrix's rows of layer_outputs[alive].
+    """(bank, rows): the bank of layer_outputs and stat_matrix's rows of layer_outputs[alive].
 
     Consumes layer_outputs: a C-contiguous float64 array is overwritten with
-    its centered samples. The order statistics are taken from the raw rows first, the PCA
-    statistic from the centered ones, so both equal the non-destructive
-    functions' bit for bit. Beyond its input the fit holds one block of the
-    projection and one chunk's statistic temporaries, no array of the
+    its centered samples. The order statistics are taken from the raw rows
+    first, the PCA statistic from the centered ones, so the rows equal
+    stat_matrix's bit for bit. Beyond its input the fit holds one block of
+    the projection and one chunk's statistic temporaries, no array of the
     input's size. alive holds sorted row indices.
     """
-    batch = _fit_input(layer_outputs)
-    k = batch.shape[3]
+    batch = np.asarray(layer_outputs, dtype=np.float64)
+    if batch.ndim != 4:
+        raise ValidationError(f"layer outputs must be N x H x W x K, got shape {batch.shape}")
+    n, k = int(np.prod(batch.shape[:3])), batch.shape[3]
+    if n < k:
+        raise ValidationError(f"need at least {k} pixel samples, got {n}")
     out = np.empty((len(alive), 6 * k))
     for rows, pixels in _chunks(batch, alive):
         out[rows, k:] = _order_rows(pixels)
     samples = batch.reshape(-1, k)
     mean = samples.mean(axis=0)
     samples -= mean
-    bank = _bank_from_centered(samples, mean, layer_index)
+    eigvals, eigvecs = np.linalg.eigh(samples.T @ samples / len(samples))
+    components = _fix_signs(eigvecs[:, np.argsort(-eigvals, kind="stable")])
+    stds = np.maximum(_projection_std(samples, components), _STD_FLOOR)
+    bank = PcaBank(layer_index=int(layer_index), mean=mean, components=components,
+                   stds=stds)
     for rows, centered in _chunks(samples.reshape(batch.shape), alive):
         out[rows, :k] = _projected_rows(centered, bank)
     return bank, out

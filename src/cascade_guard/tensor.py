@@ -5,15 +5,16 @@ are bit-reproducible. Tensor is the image type of attack records and tensor
 files. The kernels take batches (leading axis N) and are private: the
 library reaches them only through autograd.
 
-The conv forward is im2col with one GEMM per image (see _conv_forward). It
-rounds differently from a per-tap sum, but an image's output bytes depend
-only on the image and the layer, never on the rest of its batch. Max
-pooling takes its values with an in-place np.maximum and, when a tape is
-kept, records the argmax with a masked copy; a compare-and-select scan
-gives the same bytes on input without NaN or -0.0 (see _maxpool_forward).
+No kernel's output for an image depends on the rest of its batch. The conv
+forward is im2col with one GEMM per image (see _conv_forward), and the dense
+layer and its input gradient are one product per row (see _per_row), because
+OpenBLAS rounds a 2-D product by its row count. Max pooling takes its values
+with an in-place np.maximum and, when a tape is kept, records the argmax
+with a masked copy; a compare-and-select scan gives the same bytes on input
+without NaN or -0.0 (see _maxpool_forward).
 The conv and dense backward kernels compute only what backward_pass asks of
-them: the input gradient, the weight and bias gradients, or both, and reorder
-no floating-point operation.
+them: the input gradient, the weight and bias gradients, or both. The weight
+gradients sum over the batch and are one product each.
 """
 from __future__ import annotations
 
@@ -181,14 +182,22 @@ def _relu_backward(x, gy):
     return gy * (x > 0.0)
 
 
+def _per_row(rows, matrix):
+    """rows @ matrix as one product per row: OpenBLAS rounds a 2-D product by
+    its row count, a stack of one-row products the same for every row."""
+    return np.matmul(rows[:, None, :], matrix)[:, 0]
+
+
 def _dense_forward(xflat, weights, bias):
     # weights has one row per output unit: (units, in_dim).
-    return xflat @ weights.T + bias
+    return _per_row(xflat, weights.T) + bias
 
 
 def _dense_backward(xflat, weights, gy, param_grad=True):
-    """(gx, gweights, gbias); the last two are None without param_grad."""
-    gx = gy @ weights
+    """(gx, gweights, gbias); the last two are None without param_grad.
+    gx is formed per row, as the forward is; the weight gradient sums over
+    the batch and stays one product."""
+    gx = _per_row(gy, weights)
     if not param_grad:
         return gx, None, None
     return gx, gy.T @ xflat, gy.sum(axis=0)

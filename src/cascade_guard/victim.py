@@ -3,6 +3,12 @@
 Defines the network description and trained-network containers, plain
 SGD-with-momentum training, batch predictions, per-conv-layer feature maps
 and the above-threshold prediction census.
+
+Every inference (predictions, accuracy, feature maps, the detector's pass
+and spectral's penultimate features) runs through one forward pass over
+64-image chunks, _chunked_forward. The layer kernels form each image's
+bytes on their own, so an image gets the same logits and feature maps
+alone, in a chunk or in any batch.
 """
 from __future__ import annotations
 
@@ -37,7 +43,10 @@ __all__ = [
 ]
 
 _MOMENTUM = 0.9  # SGD momentum of train_victim
-_CHUNK_ROWS = 256  # images per forward pass when a large batch is split
+# Images per forward pass when a large batch is split. At 64 desk images a
+# chunk's temporaries stay under 3 MB, so the peak memory moves little with
+# whether glibc serves them from its heap or by mmap (README, Memory).
+_CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -254,50 +263,47 @@ def train_victim(dataset, spec: NetworkSpec, hyper: TrainConfig = TrainConfig())
 def _accuracy(network: Network, images, labels) -> float:
     if len(images) == 0:
         return float("nan")
-    pred = np.concatenate([np.argmax(logits, axis=1) for logits in _forward_chunks(
-        network.spec.layers, network.weights, images)])
+    pred = np.argmax(_chunked_forward(network, images)[0], axis=1)
     return int((pred == labels).sum()) / len(images)
 
 
 def predict_batch(network: Network, images):
-    """(raw, probs, labels) arrays for a batch of images."""
-    batch = _as_batch(network.spec, images)
-    logits, _, _ = forward_pass(network.spec.layers, network.weights, batch)
-    probs = softmax_batch(logits)
-    return logits, probs, np.argmax(logits, axis=1)
+    """(raw, probs, labels) arrays for a batch of images, forwarded 64 at a time."""
+    logits = _chunked_forward(network, images)[0]
+    return logits, softmax_batch(logits), np.argmax(logits, axis=1)
 
 
 def layer_outputs_batch(network: Network, images):
-    """Per-conv-layer activation arrays (N, h, w, k), forwarded 256 images at a time.
+    """Per-conv-layer activation arrays (N, h, w, k), forwarded 64 images at a time."""
+    return _chunked_forward(network, images, capture_conv=True)[1]
 
-    Each chunk's activations are copied into arrays allocated once for the
-    whole batch and dropped before the next chunk is forwarded, so the peak
-    is the result plus one chunk's forward pass.
+
+def _chunked_forward(network: Network, images, depth=None, capture_conv=False):
+    """(out, per-conv-layer activations) of the network's first `depth` layers
+    (all by default), forwarded 64 images at a time. The activations are []
+    without capture_conv, which needs the whole network.
+
+    Every layer forms each image's bytes on their own, so chunking, or any
+    other batch, changes no bit of a row. Each chunk's results are copied
+    into arrays allocated once for the whole batch and dropped before the
+    next chunk is forwarded, so the peak is the results plus one chunk's
+    forward pass.
     """
-    return _logits_and_layer_outputs(network, images)[1]
-
-
-def _logits_and_layer_outputs(network: Network, images):
-    """(logits, per-conv-layer activations) of the chunked pass of layer_outputs_batch."""
     spec = network.spec
     batch = _as_batch(spec, images)
-    shapes = spec.shapes()
-    logits = np.empty((len(batch), spec.classes))
-    outputs = [np.empty((len(batch),) + shapes[i]) for i in spec.conv_indices]
+    layers, weights = spec.layers[:depth], network.weights[:depth]
+    shapes = (spec.input_dims,) + tuple(spec.shapes())
+    out = np.empty((len(batch),) + shapes[len(layers)])
+    convs = [np.empty((len(batch),) + shapes[i + 1])
+             for i in spec.conv_indices] if capture_conv else []
     for start in range(0, len(batch), _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        logits[rows], _, captured = forward_pass(spec.layers, network.weights, batch[rows],
-                                                 capture_conv=True)
-        for m, out in enumerate(outputs):
-            out[rows] = captured[m]
+        out[rows], _, captured = forward_pass(layers, weights, batch[rows],
+                                              capture_conv=capture_conv)
+        for m, conv in enumerate(convs):
+            conv[rows] = captured[m]
         del captured  # freed before the next chunk's forward, not during it
-    return logits, outputs
-
-
-def _forward_chunks(layers, weights, batch):
-    """forward_pass's output over _CHUNK_ROWS images at a time."""
-    for start in range(0, len(batch), _CHUNK_ROWS):
-        yield forward_pass(layers, weights, batch[start : start + _CHUNK_ROWS])[0]
+    return out, convs
 
 
 @dataclass

@@ -431,12 +431,25 @@ class TestDetectorScore:
         assert ((scores >= 0.0) == is_adv).all()
 
     def test_single_matches_batch(self, trained_cascade):
-        # agreement to rounding: BLAS kernels differ between batch shapes
         net, model, normals, _ = trained_cascade
         batch = detector_score_batch(model, net, normals[:5])
         for i in range(5):
             single = detector_score_batch(model, net, normals[i : i + 1])[0]
-            assert single == pytest.approx(batch[i], abs=1e-10)
+            assert single.tobytes() == batch[i].tobytes()
+
+    def test_every_row_bytes_equal_one_image_call(self, trained_cascade, corpus):
+        # The training adversarials are included: one of them sits exactly at
+        # a stage's threshold, where a last-bit change flips its decision.
+        net, model, normals, advs = trained_cascade
+        train_advs = np.stack([r.image.array for r in corpus.successful[:400]])
+        images = np.concatenate([normals[:100], train_advs, advs[:100]])
+        scores = detector_score_batch(model, net, images)
+        decisions = cascade_predict_batch(model, net, images)
+        singles = [(detector_score_batch(model, net, images[i : i + 1]),
+                    *cascade_predict_batch(model, net, images[i : i + 1]))
+                   for i in range(len(images))]
+        for got, parts in zip((scores, *decisions), zip(*singles)):
+            assert got.tobytes() == np.concatenate(parts).tobytes()
 
     def test_holdout_auc_clears_soft_target(self, trained_cascade):
         net, model, normals, advs = trained_cascade

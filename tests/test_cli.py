@@ -12,13 +12,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cascade_guard import dataio
+from cascade_guard import cli, dataio
 from cascade_guard.cli import _build_parser, _optional_flags, main
 from cascade_guard.victim import predict_batch
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def assert_same_files(one, two):
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in two.iterdir())
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
 def read_eval_summary(path):
@@ -166,21 +173,26 @@ class TestFitDetector:
                 raise OSError(f"{name}: cannot open shared object file")
             return Glibc() if libc == "glibc" else object()
 
-        original = cli_module.train_cascade
+        def logged(name):
+            original = getattr(cli_module, name)
 
-        def training(*args, **kwargs):
-            events.append("train_cascade")
-            return original(*args, **kwargs)
+            def call(*args, **kwargs):
+                events.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cli_module, name, call)
 
         monkeypatch.setattr(cli_module.ctypes, "CDLL", cdll)
-        monkeypatch.setattr(cli_module, "train_cascade", training)
+        logged("layer_outputs_batch")
+        logged("train_cascade")
         assert run(["fit-detector", "--net", pipeline / "net.json",
                     "--normals", pipeline / "bank", "--split", "train",
                     "--adversarials", pipeline / "advs_train",
                     "--seed", 2, "--out", tmp_path / "det.json"]) == 0
         monkeypatch.undo()
-        trims = [("malloc_trim", 0)] if libc == "glibc" else []
-        assert events == trims + ["train_cascade"]
+        # Once before training, as before each of the two forwards.
+        trim = [("malloc_trim", 0)] if libc == "glibc" else []
+        assert events == (trim + ["layer_outputs_batch"] + trim + ["layer_outputs_batch"]
+                          + trim + ["train_cascade"])
         assert (tmp_path / "det.json").read_bytes() == (pipeline / "det.json").read_bytes()
 
 
@@ -270,18 +282,36 @@ class TestReproducibility:
         for name in ("images.idx", "labels.idx", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_attack_thread_count_does_not_change_outputs(self, pipeline, tmp_path):
+    def test_attack_thread_count_does_not_change_outputs(self, pipeline, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setattr(cli, "_ATTACK_CHUNK", 8)
         one = tmp_path / "t1"
         two = tmp_path / "t2"
         for out, threads in ((one, 1), (two, 4)):
             assert run(["attack", "--net", pipeline / "net.json",
                         "--data", pipeline / "bank", "--split", "test",
-                        "--n", 24, "--seed", 5, "--chunk", 8,
+                        "--n", 24, "--seed", 5,
                         "--threads", threads, "--out", out]) == 0
-        assert (one / "manifest.json").read_bytes() == (two / "manifest.json").read_bytes()
-        for i in range(24):
-            name = f"img_{i:05d}.json"
-            assert (one / name).read_bytes() == (two / name).read_bytes()
+        assert_same_files(one, two)
+
+    @pytest.mark.parametrize("kind, iterations", [("gradient-box", 300),
+                                                  ("gradient-sign", 3)])
+    def test_attack_chunk_does_not_change_outputs(self, pipeline, tmp_path, monkeypatch,
+                                                  kind, iterations):
+        # Chunks of 7 leave a one-image tail, and a gradient-box row can be
+        # left alone in its chunk's active set; chunks of 1 attack every
+        # image alone. A one-row product is the one a 2-D BLAS call rounds
+        # differently.
+        outs = []
+        for chunk in (cli._ATTACK_CHUNK, 7, 1):
+            monkeypatch.setattr(cli, "_ATTACK_CHUNK", chunk)
+            outs.append(tmp_path / f"chunk{chunk}")
+            assert run(["attack", "--net", pipeline / "net.json",
+                        "--data", pipeline / "bank", "--split", "test", "--kind", kind,
+                        "--n", 22, "--seed", 5, "--iterations", iterations,
+                        "--out", outs[-1]]) == 0
+        assert_same_files(outs[0], outs[1])
+        assert_same_files(outs[0], outs[2])
 
 
 class TestTargetPolicy:
@@ -515,7 +545,6 @@ class TestExitCodes:
         ("attack", "--kind", "bogus", "unknown attack kind 'bogus'"),
         ("attack", "--confidence-goal", "1.5", "confidence goal"),
         ("attack", "--n", "-1", "--n"),
-        ("attack", "--chunk", "0", "--chunk"),
         ("attack", "--threads", "0", "--threads"),
         ("fit-detector", "--target-tpr", "1.5", "target TPR"),
         ("fit-detector", "--c", "0", "svm C"),
@@ -528,7 +557,7 @@ class TestExitCodes:
         ("census", "--thresholds", "nan", "--thresholds"),
         ("census", "--thresholds", "0.5,inf", "--thresholds"),
     ], ids=["target-policy-fixed", "target-policy-unknown", "kind-unknown",
-            "confidence-goal-above-one", "n-negative", "chunk-zero", "threads-zero",
+            "confidence-goal-above-one", "n-negative", "threads-zero",
             "target-tpr-above-one", "c-zero", "k-even", "k-zero", "layer-zero",
             "layer-negative", "ea-range-count-zero", "ea-range-count-fraction",
             "thresholds-nan", "thresholds-inf"])
@@ -580,12 +609,10 @@ class TestExitCodes:
         ("selfaware", "--ea-range", "2:8:x"),
         ("census", "--thresholds", "a,b"),
         ("spectral", "--layer", "foo"),
-        ("attack", "--chunk", "0"),
-        ("attack", "--chunk", "-1"),
         ("attack", "--threads", "0"),
         ("attack", "--threads", "-4"),
     ], ids=["ea-range-two-fields", "ea-range-not-number", "thresholds-not-number",
-            "layer-not-number", "chunk-zero", "chunk-negative", "threads-zero",
+            "layer-not-number", "threads-zero",
             "threads-negative"])
     def test_malformed_flag_value_is_validation_error(self, pipeline, tmp_path, capsys,
                                                       command, flag, value):

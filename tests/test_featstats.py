@@ -263,7 +263,7 @@ class TestExtremalAndPercentiles:
 
 class TestStatMatrix:
     def test_chunked_rows_bytes_equal_whole_batch_formula(self):
-        # 600 images cross two 256-image chunk boundaries.
+        # 600 images cross nine 64-image chunk boundaries.
         outputs = np.maximum(np.random.default_rng(6).normal(size=(600, 6, 6, 4)), 0.0)
         bank = fit_pca_bank(outputs, layer_index=1)
         got = stat_matrix(outputs, bank)
@@ -280,7 +280,7 @@ class TestStatMatrix:
            w=st.integers(1, 4), k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
     def test_rows_bytes_equal_whole_batch_formula_on_relu_values(self, n, h, w, k, seed):
         # Rounding to one decimal makes ties, the ReLU makes runs of zeros;
-        # 250-300 images cross the 256-image chunk boundary.
+        # 250-300 images cross the 64-image chunk boundaries up to 256.
         rng = np.random.default_rng(seed)
         outputs = np.maximum(np.round(rng.normal(size=(n, h, w, k)), 1), 0.0)
         mean = rng.normal(size=k)

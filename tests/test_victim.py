@@ -14,6 +14,7 @@ from cascade_guard.autograd import (
 from cascade_guard.dataio import Dataset
 from cascade_guard.errors import TrainingError, ValidationError
 from cascade_guard.victim import (
+    _CHUNK_ROWS,
     Network,
     NetworkSpec,
     TrainConfig,
@@ -28,6 +29,16 @@ from cascade_guard.victim import (
 def dense_only_spec(features, classes):
     return NetworkSpec((1, features, 1), classes,
                        (DenseLayer(classes), SoftmaxLayer()))
+
+
+def traced_peak(fn):
+    """(tracemalloc peak, result) of fn()."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def toy_dataset(images, labels, tag="train"):
@@ -138,14 +149,31 @@ class TestPredict:
         assert np.array_equal(a[0], b[0]) and a[2] == b[2]
 
     def test_equals_first_row_of_predict_batch(self, victim_bundle):
-        # A one-image batch gets the row it gets inside a larger batch, to
-        # rounding: BLAS picks the dense kernel by batch shape.
+        # A one-image batch gets the row it gets inside a larger batch.
         images = victim_bundle.dataset.images[5:9]
         raw1, probs1, labels1 = predict_batch(victim_bundle.network, images[:1])
         raw, probs, labels = predict_batch(victim_bundle.network, images)
-        assert np.allclose(raw1[0], raw[0], rtol=0, atol=1e-12)
-        assert np.allclose(probs1[0], probs[0], rtol=0, atol=1e-12)
+        assert raw1[0].tobytes() == raw[0].tobytes()
+        assert probs1[0].tobytes() == probs[0].tobytes()
         assert labels1[0] == labels[0]
+
+    def test_every_row_bytes_equal_one_image_call(self, victim_bundle):
+        # 600 images cross nine 64-image chunk boundaries; each row must be
+        # the bytes its image gets alone.
+        net = victim_bundle.network
+        images = victim_bundle.dataset.images[:600]
+        batch = predict_batch(net, images)
+        singles = [predict_batch(net, images[i : i + 1]) for i in range(len(images))]
+        for got, parts in zip(batch, zip(*singles)):
+            assert got.tobytes() == np.concatenate(parts).tobytes()
+
+    def test_peak_is_logits_plus_one_chunk_forward(self, victim_bundle):
+        net = victim_bundle.network
+        images = victim_bundle.dataset.images[:600]
+        one_chunk, _ = traced_peak(lambda: forward_pass(net.spec.layers, net.weights,
+                                                        images[:_CHUNK_ROWS]))
+        peak, outputs = traced_peak(lambda: predict_batch(net, images))
+        assert peak - sum(o.nbytes for o in outputs) <= 1.1 * one_chunk
 
     def test_argmax_consistent_between_raw_and_softmax(self, victim_bundle):
         images, _ = victim_bundle.dataset.split("test")
@@ -186,13 +214,13 @@ class TestLayerOutputs:
         assert len(singles) == len(batches)
         for single, batch in zip(singles, batches):
             assert single.shape[1:] == batch.shape[1:]
-            assert np.allclose(single[0], batch[0], rtol=0, atol=1e-12)
+            assert single[0].tobytes() == batch[0].tobytes()
 
     def test_batch_bytes_equal_concatenated_chunk_forwards(self, victim_bundle):
         net = victim_bundle.network
         images = victim_bundle.dataset.images[:300]
-        chunks = [forward_pass(net.spec.layers, net.weights, images[s : s + 256],
-                               capture_conv=True)[2] for s in (0, 256)]
+        chunks = [forward_pass(net.spec.layers, net.weights, images[s : s + _CHUNK_ROWS],
+                               capture_conv=True)[2] for s in range(0, 300, _CHUNK_ROWS)]
         batches = layer_outputs_batch(net, images)
         assert len(batches) == 2
         for got, parts in zip(batches, zip(*chunks)):
@@ -200,22 +228,14 @@ class TestLayerOutputs:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_peak_is_outputs_plus_one_chunk_forward(self, victim_bundle):
-        # 600 images run as chunks of 256, 256 and 88; no chunk's captures
-        # may still be alive while the next chunk is forwarded.
+        # 600 images run as nine chunks of 64 and one of 24; no chunk's
+        # captures may still be alive while the next chunk is forwarded.
         net = victim_bundle.network
         images = victim_bundle.dataset.images[:600]
-
-        def traced(fn):
-            tracemalloc.start()
-            try:
-                result = fn()
-                return tracemalloc.get_traced_memory()[1], result
-            finally:
-                tracemalloc.stop()
-
-        one_chunk, _ = traced(lambda: forward_pass(net.spec.layers, net.weights, images[:256],
-                                                   capture_conv=True))
-        peak, outputs = traced(lambda: layer_outputs_batch(net, images))
+        one_chunk, _ = traced_peak(lambda: forward_pass(net.spec.layers, net.weights,
+                                                        images[:_CHUNK_ROWS],
+                                                        capture_conv=True))
+        peak, outputs = traced_peak(lambda: layer_outputs_batch(net, images))
         assert len(outputs) == 2
         assert peak - sum(o.nbytes for o in outputs) <= 1.1 * one_chunk
 
