@@ -6,7 +6,8 @@ files. The kernels take batches (leading axis N) and are private: the
 library reaches them only through autograd.
 
 No kernel's output for an image depends on the rest of its batch. The conv
-forward is im2col with one GEMM per image (see _conv_forward), and the dense
+forward is im2col with one GEMM per image over tap-major columns, which copy
+rows of Wo and pad 32 images at a time (see _conv_forward), and the dense
 layer and its input gradient are one product per row (see _per_row), because
 OpenBLAS rounds a 2-D product by its row count. Max pooling takes its values
 with an in-place np.maximum and, when a tape is kept, records the argmax
@@ -49,7 +50,9 @@ class Tensor:
 # Batched kernels. x has shape (N, H, W, C); gradients mirror the inputs.
 # ---------------------------------------------------------------------------
 
-_IM2COL_IMAGES = 32  # per column block: 1.6 MB for the desk conv1, 2.2 MB for conv2
+# Images per column block (1.6 MB for the desk conv1, 2.2 MB for conv2) and,
+# in a padded conv, per padded block.
+_IM2COL_IMAGES = 32
 
 
 def _conv_out_dims(h, w, kh, kw, stride, padding):
@@ -68,6 +71,12 @@ def _conv_forward(x, weights, biases, stride, padding):
     and each image is one GEMM, so its bytes do not depend on the rest of the
     batch. A GEMM per image stays below OpenBLAS's threading threshold, which
     one flat GEMM per block crosses.
+
+    The columns are tap-major, (images, kH, kW, C_in, Ho, Wo): each tap of
+    each channel is Ho runs of Wo copied from the channel-first view of the
+    block, which is padded, when it is, as it is copied. Each image's GEMM
+    reads its columns transposed, (Ho*Wo, kH*kW*C_in) with leading dimension
+    Ho*Wo, and the bias is one add over the contiguous output.
     """
     n, h, w, cin = x.shape
     k, kh, kw, ck = weights.shape
@@ -76,19 +85,25 @@ def _conv_forward(x, weights, biases, stride, padding):
             f"input has {cin} channels but kernels expect {ck} input channels"
         )
     ho, wo = _conv_out_dims(h, w, kh, kw, stride, padding)
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else x
-    # (N, Ho, Wo, kH, kW, C_in) windows, in the row order of wmat.
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    windows = windows.transpose(0, 1, 2, 4, 5, 3)
     wmat = weights.transpose(1, 2, 3, 0).reshape(-1, k)
-    cols = np.empty((min(n, _IM2COL_IMAGES), ho, wo, kh, kw, cin))
+    images = min(n, _IM2COL_IMAGES)
+    cols = np.empty((images, kh, kw, cin, ho, wo))
+    if padding:
+        padded = np.zeros((images, cin, h + 2 * padding, w + 2 * padding))
     out = np.empty((n, ho * wo, k))
     for start in range(0, n, _IM2COL_IMAGES):
         block = cols[: n - start]  # the last block may be short
         stop = start + len(block)
-        block[...] = windows[start:stop]
-        np.matmul(block.reshape(len(block), ho * wo, -1), wmat, out=out[start:stop])
-    out += biases
+        src = x[start:stop].transpose(0, 3, 1, 2)
+        if padding:
+            padded[: len(block), :, padding:-padding, padding:-padding] = src
+            src = padded[: len(block)]
+        # (images, C_in, Ho, Wo, kH, kW) windows, copied in the order of block.
+        windows = sliding_window_view(src, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+        block[...] = windows.transpose(0, 4, 5, 1, 2, 3)
+        np.matmul(block.reshape(len(block), -1, ho * wo).transpose(0, 2, 1), wmat,
+                  out=out[start:stop])
+    out.reshape(n, ho * wo * k)[...] += np.tile(biases, ho * wo)
     return out.reshape(n, ho, wo, k)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from cascade_guard.autograd import (
     ConvLayer,
@@ -162,6 +163,7 @@ class TestConvForward:
     @settings(max_examples=80, deadline=None)
     @example(n=1, h=1, w=3, cin=1, k=1, kernel=2, stride=1, padding=1, seed=0)
     @example(n=70, h=5, w=4, cin=3, k=2, kernel=3, stride=1, padding=1, seed=1)
+    @example(n=2, h=2, w=2, cin=2, k=1, kernel=2, stride=1, padding=0, seed=0)  # Ho*Wo = 1
     @given(n=st.integers(1, 70), h=st.integers(1, 9), w=st.integers(1, 9),
            cin=st.integers(1, 4), k=st.integers(1, 4), kernel=st.integers(1, 3),
            stride=st.integers(1, 3), padding=st.integers(0, 2),
@@ -194,6 +196,58 @@ class TestConvForward:
             tracemalloc.stop()
         column_block = 32 * 11 * 11 * 3 * 3 * 8 * 8  # 2.2 MB: 32 images, not the whole chunk
         assert peak < out.nbytes + column_block + 256 * 1024
+
+    def test_peak_memory_at_the_desk_conv1_input(self):
+        rng = np.random.default_rng(0)
+        out, peak = traced_conv(rng.normal(size=(256, 28, 28, 1)),
+                                rng.normal(size=(8, 3, 3, 1)), padding=0)
+        column_block = 32 * 26 * 26 * 3 * 3 * 1 * 8  # 1.6 MB
+        assert peak < out.nbytes + column_block + 256 * 1024
+
+    def test_padded_peak_memory_adds_one_padded_block_not_a_padded_batch(self):
+        rng = np.random.default_rng(0)
+        out, peak = traced_conv(rng.normal(size=(256, 13, 13, 8)),
+                                rng.normal(size=(16, 3, 3, 8)), padding=1)
+        column_block = 32 * 13 * 13 * 3 * 3 * 8 * 8  # 3.1 MB
+        padded_block = 32 * 15 * 15 * 8 * 8  # 0.46 MB; the padded batch is 3.7 MB
+        assert peak < out.nbytes + column_block + padded_block + 256 * 1024
+
+    def test_empty_batch_gives_empty_output(self):
+        out = _conv_forward(np.zeros((0, 5, 5, 2)), np.ones((3, 3, 3, 2)), np.zeros(3), 1, 1)
+        assert out.shape == (0, 5, 5, 3)
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65])
+    @pytest.mark.parametrize("shape, kernels", [((28, 28, 1), 8), ((13, 13, 8), 16)])
+    def test_desk_bytes_equal_row_major_im2col(self, n, shape, kernels):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, *shape))
+        weights = rng.normal(size=(kernels, 3, 3, shape[2]))
+        biases = rng.normal(size=kernels)
+        got = _conv_forward(x, weights, biases, 1, 0)
+        assert got.tobytes() == conv_row_major_im2col(x, weights, biases).tobytes()
+
+
+def traced_conv(x, weights, padding):
+    """(output, peak traced bytes) of one _conv_forward with stride 1."""
+    biases = np.zeros(len(weights))
+    tracemalloc.start()
+    try:
+        out = _conv_forward(x, weights, biases, 1, padding)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def conv_row_major_im2col(x, weights, biases):
+    """Reference conv at stride 1 without padding: one C-contiguous
+    (Ho*Wo, kH*kW*C_in) column matrix per image, one GEMM each, then the bias."""
+    k, kh, kw, _ = weights.shape
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    ho, wo = windows.shape[1:3]
+    cols = np.ascontiguousarray(windows).reshape(len(x), ho * wo, -1)
+    out = np.matmul(cols, weights.transpose(1, 2, 3, 0).reshape(-1, k)) + biases
+    return out.reshape(len(x), ho, wo, k)
 
 
 def pool_taps(x, window, stride):
