@@ -319,14 +319,21 @@ def evolutionary_attack(predict_probs, input_dims, target: int,
     )
 
 
-def evolutionary_attack_batch(network: Network, targets, cfg: AttackConfig
+def evolutionary_attack_batch(network: Network, targets, cfg: AttackConfig, run=None
                               ) -> list[AdversarialRecord]:
-    """One evolutionary attack per target label with per-attack derived seeds."""
+    """One evolutionary attack per target label with per-attack derived seeds.
+
+    Target i searches from the seed SeedSequence((cfg.seed, i)), so no
+    attack depends on another. run(worker, units) -> list, when given, runs
+    the one-target units (e.g. on threads); by default they run in turn.
+    """
     predict_probs = make_predict_fn(network)
     dims = network.spec.input_dims
-    records = []
-    for i, target in enumerate(targets):
+
+    def attack(i):
         child_seed = int(np.random.SeedSequence((cfg.seed, i)).generate_state(1)[0])
         sub = dataclasses.replace(cfg, seed=child_seed)
-        records.append(evolutionary_attack(predict_probs, dims, int(target), sub))
-    return records
+        return evolutionary_attack(predict_probs, dims, int(targets[i]), sub)
+
+    units = range(len(targets))
+    return [attack(i) for i in units] if run is None else run(attack, units)

@@ -5,6 +5,7 @@ import io
 import json
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,101 @@ class TestReproducibility:
                         "--out", outs[-1]]) == 0
         assert_same_files(outs[0], outs[1])
         assert_same_files(outs[0], outs[2])
+
+    def test_evolutionary_thread_count_does_not_change_outputs(self, pipeline, tmp_path):
+        outs = []
+        for threads in (1, 3):
+            outs.append(tmp_path / f"t{threads}")
+            assert run(["attack", "--net", pipeline / "net.json", "--data", pipeline / "bank",
+                        "--kind", "evolutionary", "--n", 7, "--seed", 5, "--generations", 30,
+                        "--threads", threads, "--out", outs[-1]]) == 0
+        assert_same_files(outs[0], outs[1])
+
+    def test_gradient_box_thread_count_does_not_change_outputs(self, pipeline, tmp_path):
+        # 70 images are two full units and a 6-image tail.
+        outs = []
+        for threads in (1, 2, 4):
+            outs.append(tmp_path / f"t{threads}")
+            assert run(["attack", "--net", pipeline / "net.json", "--data", pipeline / "bank",
+                        "--split", "test", "--kind", "gradient-box", "--n", 70, "--seed", 5,
+                        "--threads", threads, "--out", outs[-1]]) == 0
+        assert_same_files(outs[0], outs[1])
+        assert_same_files(outs[0], outs[2])
+
+    @pytest.mark.parametrize("usable, affinity, expected", [
+        (1, True, 1), (2, True, 2), (64, True, 4), (3, False, 3)])
+    def test_default_threads_are_the_usable_cpus_at_most_four(self, monkeypatch, usable,
+                                                              affinity, expected):
+        if affinity:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(usable)),
+                                raising=False)
+        else:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: usable)
+        args = _build_parser().parse_args(["attack", "--net", "n", "--data", "d", "--out", "o"])
+        assert args.threads == expected
+
+    @pytest.mark.parametrize("libc", ["glibc", "no-mallopt", "no-libc"])
+    def test_one_malloc_arena_set_once_per_pool(self, pipeline, tmp_path, monkeypatch, libc):
+        events = []
+
+        class Glibc:
+            def __init__(self):
+                self.mallopt = lambda param, value: events.append(("mallopt", param, value))
+
+        def cdll(name):
+            if libc == "no-libc":
+                raise OSError(f"{name}: cannot open shared object file")
+            return Glibc() if libc == "glibc" else object()
+
+        class Pool(cli.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                events.append("pool")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        common = ["attack", "--net", pipeline / "net.json", "--data", pipeline / "bank",
+                  "--seed", 5, "--iterations", 2, "--generations", 2]
+        # One thread, or one unit on two, is a plain loop: no pool, no arena cap.
+        for threads, n in ((1, 40), (2, 20)):
+            assert run([*common, "--n", n, "--threads", threads,
+                        "--out", tmp_path / f"loop{threads}"]) == 0
+        assert events == []
+        assert run([*common, "--n", 40, "--threads", 2, "--out", tmp_path / "box"]) == 0
+        assert run([*common, "--kind", "evolutionary", "--n", 3, "--threads", 2,
+                    "--out", tmp_path / "ea"]) == 0
+        monkeypatch.undo()
+        arena = [("mallopt", -8, 1)] if libc == "glibc" else []
+        assert events == (arena + ["pool"]) * 2
+        assert_same_files(tmp_path / "loop1", tmp_path / "box")
+
+    def test_default_threads_keep_at_most_128_images_in_flight(self, pipeline, tmp_path,
+                                                               monkeypatch):
+        # Reference: one thread on 128-image chunks, the default before the
+        # attacks ran on threads. On 64 usable CPUs the default threads still
+        # run at most four 32-image units at once; each of the three other
+        # units may hold a column block of the desk conv2 (32 images x 72
+        # taps x 121 positions of doubles) where the one chunk held one.
+        slack = 3 * 32 * 72 * 121 * 8
+        common = ["attack", "--net", pipeline / "net.json", "--data", pipeline / "bank",
+                  "--split", "train", "--n", 256, "--seed", 5, "--iterations", 2]
+
+        def peak(*flags):
+            tracemalloc.start()
+            try:
+                assert run([*common, *flags]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "_ATTACK_CHUNK", 128)
+        serial = peak("--threads", 1, "--out", tmp_path / "serial")
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+        threaded = peak("--out", tmp_path / "threaded")
+        assert threaded <= serial + slack
+        assert_same_files(tmp_path / "serial", tmp_path / "threaded")
 
 
 class TestTargetPolicy:
