@@ -129,6 +129,19 @@ def _box_norms(x, x0):
     return np.abs(r).sum(axis=1), np.abs(r).max(axis=1)
 
 
+def _sources_and_targets(images, targets):
+    """(x0, y) of a gradient attack: N x H x W x C sources in [0, 1], one target each."""
+    x0 = np.asarray(images, dtype=np.float64)
+    if x0.ndim != 4:
+        raise ValidationError(f"images must be N x H x W x C, got {x0.shape}")
+    if x0.size and (x0.min() < 0.0 or x0.max() > 1.0):
+        raise ValidationError("source images must lie in [0, 1]")
+    y = np.asarray(targets, dtype=np.int64)
+    if y.shape != (len(x0),):
+        raise ValidationError("need one target label per image")
+    return x0, y
+
+
 def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
                               cfg: AttackConfig, source_ids=None,
                               original_labels=None) -> list[AdversarialRecord]:
@@ -138,15 +151,8 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
     that reaches the confidence goal and returns that iterate, so a success
     is never discarded for a lower-objective failure.
     """
-    x0 = np.asarray(images, dtype=np.float64)
-    if x0.ndim != 4:
-        raise ValidationError(f"images must be N x H x W x C, got {x0.shape}")
-    if x0.size and (x0.min() < 0.0 or x0.max() > 1.0):
-        raise ValidationError("source images must lie in [0, 1]")
-    y = np.asarray(targets, dtype=np.int64)
+    x0, y = _sources_and_targets(images, targets)
     n = len(x0)
-    if y.shape != (n,):
-        raise ValidationError("need one target label per image")
     layers, weights = network.spec.layers, network.weights
 
     x = x0.copy()
@@ -220,11 +226,8 @@ def gradient_sign_attack_batch(network: Network, images, targets,
                                cfg: AttackConfig, source_ids=None,
                                original_labels=None) -> list[AdversarialRecord]:
     """Iterated x <- clip(x - eps * sign(grad_x CE(f(x), y))), clipped to [0,1]."""
-    x0 = np.asarray(images, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.int64)
+    x0, y = _sources_and_targets(images, targets)
     n = len(x0)
-    if y.shape != (n,):
-        raise ValidationError("need one target label per image")
     layers, weights = network.spec.layers, network.weights
     x = x0.copy()
     steps = max(1, cfg.max_iterations)

@@ -8,6 +8,7 @@ in parallel against the same read-only weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .tensor import (
     _dense_forward,
     _maxpool_backward,
     _maxpool_forward,
+    _pool_out_dims,
     _relu_backward,
     _relu_forward,
     _softmax,
@@ -31,7 +33,9 @@ __all__ = [
     "MaxPoolLayer",
     "DenseLayer",
     "SoftmaxLayer",
+    "LAYER_KINDS",
     "infer_shapes",
+    "captured_layers",
     "ForwardTape",
     "Gradients",
     "forward_pass",
@@ -42,6 +46,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConvLayer:
+    kind: ClassVar[str] = "conv"
     filters: int
     kernel: int
     stride: int = 1
@@ -50,26 +55,30 @@ class ConvLayer:
 
 @dataclass(frozen=True)
 class ReluLayer:
-    pass
+    kind: ClassVar[str] = "relu"
 
 
 @dataclass(frozen=True)
 class MaxPoolLayer:
+    kind: ClassVar[str] = "maxpool"
     window: int
     stride: int
 
 
 @dataclass(frozen=True)
 class DenseLayer:
+    kind: ClassVar[str] = "dense"
     units: int
 
 
 @dataclass(frozen=True)
 class SoftmaxLayer:
-    pass
+    kind: ClassVar[str] = "softmax"
 
 
-LayerSpec = ConvLayer | ReluLayer | MaxPoolLayer | DenseLayer | SoftmaxLayer
+# Each layer class by the kind name its artifacts carry.
+LAYER_KINDS = {cls.kind: cls for cls in
+               (ConvLayer, ReluLayer, MaxPoolLayer, DenseLayer, SoftmaxLayer)}
 
 
 def infer_shapes(input_dims, layers):
@@ -82,33 +91,19 @@ def infer_shapes(input_dims, layers):
     if len(shape) != 3 or min(shape) < 1:
         raise ValidationError(f"input dims must be positive (h, w, c), got {input_dims}")
     shapes = []
-    closed = False
     for pos, layer in enumerate(layers):
-        if closed:
+        if pos and isinstance(layers[pos - 1], SoftmaxLayer):
             raise ValidationError(f"layer {pos} follows the softmax head")
+        if isinstance(layer, (ConvLayer, MaxPoolLayer)) and len(shape) != 3:
+            raise ValidationError(f"{layer.kind} layer {pos} needs a spatial input, got {shape}")
         if isinstance(layer, ConvLayer):
-            if len(shape) != 3:
-                raise ValidationError(f"conv layer {pos} needs a spatial input, got {shape}")
             if layer.filters < 1 or layer.kernel < 1 or layer.stride < 1 or layer.padding < 0:
                 raise ValidationError(
                     f"conv layer {pos} has invalid filters/kernel/stride/padding")
-            ho, wo = _conv_out_dims(shape[0], shape[1], layer.kernel, layer.kernel,
-                                    layer.stride, layer.padding)
-            shape = (ho, wo, layer.filters)
-        elif isinstance(layer, ReluLayer):
-            pass
+            shape = (*_conv_out_dims(shape[0], shape[1], layer.kernel, layer.kernel,
+                                     layer.stride, layer.padding), layer.filters)
         elif isinstance(layer, MaxPoolLayer):
-            if len(shape) != 3:
-                raise ValidationError(f"maxpool layer {pos} needs a spatial input, got {shape}")
-            if layer.window < 1 or layer.stride < 1:
-                raise ValidationError(f"maxpool layer {pos} has invalid window/stride")
-            if shape[0] < layer.window or shape[1] < layer.window:
-                raise ValidationError(
-                    f"maxpool window {layer.window} exceeds input {shape[0]}x{shape[1]}"
-                )
-            shape = ((shape[0] - layer.window) // layer.stride + 1,
-                     (shape[1] - layer.window) // layer.stride + 1,
-                     shape[2])
+            shape = (*_pool_out_dims(shape[0], shape[1], layer.window, layer.stride), shape[2])
         elif isinstance(layer, DenseLayer):
             if layer.units < 1:
                 raise ValidationError(f"dense layer {pos} has invalid units")
@@ -116,21 +111,31 @@ def infer_shapes(input_dims, layers):
         elif isinstance(layer, SoftmaxLayer):
             if len(shape) != 1:
                 raise ValidationError("softmax head needs a flat input")
-            closed = True
-        else:
+        elif not isinstance(layer, ReluLayer):
             raise ValidationError(f"unknown layer descriptor {layer!r}")
         shapes.append(shape)
     return shapes
 
 
+def captured_layers(layers):
+    """Index of the layer whose output is each conv layer's captured activation:
+    the ReLU right after the conv, else the conv itself. In depth order."""
+    return tuple(i + 1 if i + 1 < len(layers) and isinstance(layers[i + 1], ReluLayer) else i
+                 for i, layer in enumerate(layers) if isinstance(layer, ConvLayer))
+
+
 @dataclass
 class ForwardTape:
-    """Activations recorded by one forward evaluation, consumed by backward."""
+    """Activations recorded by one forward evaluation, consumed by backward.
+
+    saved has one entry per layer, what its backward reads: the input of a
+    conv, relu or dense layer, the input shape and argmax offsets of a
+    maxpool, None for the softmax head.
+    """
 
     layers: tuple
     weights: tuple
-    records: list
-    batch_shape: tuple
+    saved: list
     logits: np.ndarray
 
 
@@ -153,66 +158,46 @@ def forward_pass(layers, weights, x, keep_tape=False, capture_conv=False):
     biases) pair for conv and dense layers, None otherwise.
 
     Returns (logits, tape, captured) where logits are the pre-softmax scores,
-    tape is None unless keep_tape, and captured lists the post-ReLU output of
-    every conv layer (the conv output itself when no ReLU follows) when
-    capture_conv is set.
+    tape is None unless keep_tape, and captured lists the activation
+    captured_layers names for every conv layer (its ReLU's output, else its
+    own) when capture_conv is set.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
         raise ValidationError(f"batch must be N x H x W x C, got shape {x.shape}")
     a = x
-    records = [] if keep_tape else None
+    saved = [] if keep_tape else None
     captured = [] if capture_conv else None
-    pending_conv = False
-    for layer, entry in zip(layers, weights):
+    taps = captured_layers(layers) if capture_conv else ()
+    for idx, (layer, entry) in enumerate(zip(layers, weights)):
+        keep = a
         if isinstance(layer, ConvLayer):
-            if capture_conv and pending_conv:
-                captured.append(a)
-            w, b = entry
-            if keep_tape:
-                records.append(("conv", a, w, layer))
-            a = _conv_forward(a, w, b, layer.stride, layer.padding)
-            pending_conv = True
+            a = _conv_forward(a, entry[0], entry[1], layer.stride, layer.padding)
         elif isinstance(layer, ReluLayer):
-            if keep_tape:
-                records.append(("relu", a))
             a = _relu_forward(a)
-            if capture_conv and pending_conv:
-                captured.append(a)
-            pending_conv = False
         elif isinstance(layer, MaxPoolLayer):
-            if capture_conv and pending_conv:
-                captured.append(a)
-            pending_conv = False
-            out, arg = _maxpool_forward(a, layer.window, layer.stride, keep_arg=keep_tape)
-            if keep_tape:
-                records.append(("maxpool", a.shape, arg, layer))
-            a = out
+            a, arg = _maxpool_forward(a, layer.window, layer.stride, keep_arg=keep_tape)
+            keep = (keep.shape, arg)
         elif isinstance(layer, DenseLayer):
-            if capture_conv and pending_conv:
-                captured.append(a)
-            pending_conv = False
             w, b = entry
             flat = a.reshape(a.shape[0], -1)
             if flat.shape[1] != w.shape[1]:
                 raise ValidationError(
                     f"dense weights expect {w.shape[1]} inputs, got {flat.shape[1]}"
                 )
-            if keep_tape:
-                records.append(("dense", flat, a.shape, w))
             a = _dense_forward(flat, w, b)
         elif isinstance(layer, SoftmaxLayer):
-            if keep_tape:
-                records.append(("softmax",))
+            keep = None
         else:
             raise ValidationError(f"unknown layer descriptor {layer!r}")
-    if capture_conv and pending_conv:
-        captured.append(a)
-    logits = a
+        if keep_tape:
+            saved.append(keep)
+        if idx in taps:
+            captured.append(a)
     tape = None
     if keep_tape:
-        tape = ForwardTape(tuple(layers), tuple(weights), records, x.shape, logits)
-    return logits, tape, captured
+        tape = ForwardTape(tuple(layers), tuple(weights), saved, a)
+    return a, tape, captured
 
 
 _BACKWARD_WRT = ("input", "params", "both")
@@ -230,14 +215,14 @@ def backward_pass(tape: ForwardTape, grad_logits, wrt="both") -> Gradients:
     """
     if wrt not in _BACKWARD_WRT:
         raise ValidationError(f"backward wrt must be one of {_BACKWARD_WRT}, got {wrt!r}")
-    if tape is None or not isinstance(tape, ForwardTape) or not tape.records:
+    if tape is None or not isinstance(tape, ForwardTape) or not tape.saved:
         raise ValidationError("backward needs the tape of a completed forward pass")
     g = np.asarray(grad_logits, dtype=np.float64)
     if g.shape != tape.logits.shape:
         raise ValidationError(
             f"loss gradient shape {g.shape} does not match logits {tape.logits.shape}"
         )
-    if len(tape.records) != len(tape.layers):
+    if len(tape.saved) != len(tape.layers):
         raise ValidationError("tape is incomplete; rerun the forward pass")
     input_grad = wrt != "params"
     param_grad = wrt != "input"
@@ -246,27 +231,23 @@ def backward_pass(tape: ForwardTape, grad_logits, wrt="both") -> Gradients:
     if not input_grad:
         first = next((i for i, e in enumerate(tape.weights) if e is not None), 0)
     for idx in range(len(tape.layers) - 1, first - 1, -1):
-        rec = tape.records[idx]
-        kind = rec[0]
-        if kind == "softmax":
-            continue  # gradients are seeded at the pre-softmax logits
-        if kind == "relu":
-            g = _relu_backward(rec[1], g)
-        elif kind == "conv":
-            _, a_in, w, layer = rec
-            g, gw, gb = _conv_backward(a_in, w, layer.stride, layer.padding, g,
-                                       input_grad or idx > first, param_grad)
+        layer, a_in = tape.layers[idx], tape.saved[idx]
+        # A softmax head passes g on: gradients are seeded at the pre-softmax logits.
+        if isinstance(layer, ReluLayer):
+            g = _relu_backward(a_in, g)
+        elif isinstance(layer, ConvLayer):
+            g, gw, gb = _conv_backward(a_in, tape.weights[idx][0], layer.stride,
+                                       layer.padding, g, input_grad or idx > first,
+                                       param_grad)
             params[idx] = (gw, gb)
-        elif kind == "maxpool":
-            _, in_shape, arg, layer = rec
+        elif isinstance(layer, MaxPoolLayer):
+            in_shape, arg = a_in
             g = _maxpool_backward(in_shape, layer.window, layer.stride, arg, g)
-        elif kind == "dense":
-            _, flat, in_shape, w = rec
-            g, gw, gb = _dense_backward(flat, w, g, param_grad)
+        elif isinstance(layer, DenseLayer):
+            g, gw, gb = _dense_backward(a_in.reshape(len(a_in), -1), tape.weights[idx][0],
+                                        g, param_grad)
             params[idx] = (gw, gb)
-            g = g.reshape(in_shape)
-        else:  # pragma: no cover - records are produced above
-            raise ValidationError(f"unknown tape record {kind!r}")
+            g = g.reshape(a_in.shape)
     return Gradients(input=g if input_grad else None,
                      params=params if param_grad else None)
 

@@ -32,10 +32,10 @@ from .attacks import (
 from .autograd import DenseLayer
 from .cascade import (
     CascadeConfig,
+    _batch_scores,
     _detector_scores_and_argmax,
     accuracy_at_threshold,
     best_threshold_accuracy,
-    cascade_predict_batch,
     detector_score_batch,
     roc_auc,
     train_cascade,
@@ -262,12 +262,16 @@ def _trim_heap():
     malloc_trim(0)
 
 
-# glibc's mallopt parameter for the most arenas malloc may create.
+# glibc's mallopt parameters for the most arenas malloc may create, and for
+# the size from which it serves a buffer by mmap; 128 KiB is glibc's default.
 _M_ARENA_MAX = -8
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 128 * 1024
 
 
 def _one_malloc_arena():
-    """Serve every thread's buffers from glibc's one main heap; a no-op off glibc.
+    """Serve every thread's buffers from glibc's one main heap, and every
+    buffer from 128 KiB up by mmap; a no-op off glibc.
 
     By default glibc gives each new thread an arena of its own, which keeps
     the pages of the buffers freed in it. With two attack threads that raised
@@ -275,6 +279,13 @@ def _one_malloc_arena():
     about 8%, and a malloc_trim after the pool did not bring it back. A
     thread takes its arena at its first allocation, so the cap is set before
     the pool starts.
+
+    glibc also raises its mmap threshold to the size of each mmapped buffer
+    it frees, so later buffers up to that size come from the shared heap.
+    Which holes two threads then leave in it depends on how their steps
+    interleave: the attack benchmark's peak memory moved by up to 7 MB from
+    run to run on the same inputs. A fixed threshold returns every large
+    buffer's pages when it is freed, and the peak moved by about 1 MB.
     """
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
@@ -282,6 +293,7 @@ def _one_malloc_arena():
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt(_M_ARENA_MAX, 1)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
 
 
 def _cmd_fit_detector(args):
@@ -407,11 +419,13 @@ def _cmd_recover(args):
     labeled = [i for i, r in enumerate(records) if r.original_label is not None]
     if not labeled:
         raise ValidationError("no records carry an original label")
-    flagged, _, _ = cascade_predict_batch(model, net, images[labeled])
-    chosen = [records[i] for i, f in zip(labeled, flagged) if f]
-    if not chosen:
+    # One forward pass gives the flags and the victim's pre-filter labels.
+    exit_stage, _, pre_labels = _batch_scores(model, net, images[labeled])
+    flagged = np.nonzero(exit_stage < 0)[0]
+    if not flagged.size:
         raise ValidationError("detector flagged no records to recover")
-    report = recovery_eval(net, chosen, args.k)
+    report = recovery_eval(net, [records[labeled[i]] for i in flagged],
+                           pre_labels[flagged], args.k)
     _write_csv(args.out_csv,
                ("attack_kind", "k", "n", "pre_acc", "post_acc"),
                [(report.kind, report.k, report.n,

@@ -7,6 +7,7 @@ produce identical bytes and every float round-trips bit-exactly.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import hashlib
 import json
 import struct
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autograd import LAYER_KINDS
 from .errors import FormatError, ValidationError
 from .tensor import Tensor
 
@@ -376,7 +378,7 @@ def _load_json(path) -> dict:
     return payload
 
 
-_ABSENT = object()
+_ABSENT = dataclasses.MISSING  # also the default dataclasses.fields gives a required field
 
 
 def _require(payload: dict, key: str, path, kind=object, default=_ABSENT):
@@ -443,42 +445,13 @@ def load_tensor(path) -> Tensor:
 # Network artifact.
 # ---------------------------------------------------------------------------
 
-def _layer_to_json(layer):
-    from .autograd import ConvLayer, DenseLayer, MaxPoolLayer, ReluLayer, SoftmaxLayer
-
-    if isinstance(layer, ConvLayer):
-        return {"kind": "conv", "filters": layer.filters, "kernel": layer.kernel,
-                "stride": layer.stride, "padding": layer.padding}
-    if isinstance(layer, ReluLayer):
-        return {"kind": "relu"}
-    if isinstance(layer, MaxPoolLayer):
-        return {"kind": "maxpool", "window": layer.window, "stride": layer.stride}
-    if isinstance(layer, DenseLayer):
-        return {"kind": "dense", "units": layer.units}
-    if isinstance(layer, SoftmaxLayer):
-        return {"kind": "softmax"}
-    raise ValidationError(f"unknown layer {layer!r}")
-
-
 def layer_from_json(entry: dict, path="<spec>"):
-    from .autograd import ConvLayer, DenseLayer, MaxPoolLayer, ReluLayer, SoftmaxLayer
-
-    kind = _require(entry, "kind", path)
-
-    def num(key, default=_ABSENT):
-        return _require(entry, key, path, int, default)
-
-    if kind == "conv":
-        return ConvLayer(num("filters"), num("kernel"), num("stride", 1), num("padding", 0))
-    if kind == "relu":
-        return ReluLayer()
-    if kind == "maxpool":
-        return MaxPoolLayer(num("window"), num("stride"))
-    if kind == "dense":
-        return DenseLayer(num("units"))
-    if kind == "softmax":
-        return SoftmaxLayer()
-    raise FormatError(f"unknown layer kind {kind!r} in {path}")
+    kind = _require(entry, "kind", path, str)
+    if kind not in LAYER_KINDS:
+        raise FormatError(f"unknown layer kind {kind!r} in {path}")
+    cls = LAYER_KINDS[kind]
+    return cls(**{f.name: _require(entry, f.name, path, int, f.default)
+                  for f in dataclasses.fields(cls)})
 
 
 def spec_from_json(payload: dict, path="<spec>"):
@@ -496,20 +469,18 @@ def spec_to_json(spec) -> dict:
     return {
         "input_dims": list(spec.input_dims),
         "classes": spec.classes,
-        "layers": [_layer_to_json(l) for l in spec.layers],
+        "layers": [{"kind": l.kind, **dataclasses.asdict(l)} for l in spec.layers],
     }
 
 
 def save_network(path, network):
-    from .autograd import ConvLayer
-
     entries = []
     for idx, (layer, entry) in enumerate(zip(network.spec.layers, network.weights)):
         if entry is None:
             continue
         w, b = entry
         entries.append({
-            "layer": idx, "kind": "conv" if isinstance(layer, ConvLayer) else "dense",
+            "layer": idx, "kind": layer.kind,
             "shape": list(w.shape),
             "weights": _f64_to_b64(w),
             "biases": _f64_to_b64(b),
@@ -537,7 +508,7 @@ def load_network(path):
                               f"the spec's {len(spec.layers)} layers")
         if weights[idx] is not None:
             raise FormatError(f"artifact {path} has two weight entries for layer {idx}")
-        kind = _layer_to_json(spec.layers[idx])["kind"]
+        kind = spec.layers[idx].kind
         found = _require(entry, "kind", path)
         if found != kind:
             raise FormatError(f"artifact {path} has a weight entry of kind {found!r} "

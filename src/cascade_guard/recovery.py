@@ -53,17 +53,23 @@ class RecoveryReport:
     post_accuracy: float
 
 
-def recovery_eval(network, records, k: int) -> RecoveryReport:
+def recovery_eval(network, records, pre_labels, k: int) -> RecoveryReport:
     """Top-1 accuracy against original labels before and after filtering.
 
-    Only records that carry an original label participate.
+    pre_labels holds the victim's argmax on each record's unfiltered image,
+    so only the filtered images are forwarded here. Only records that carry
+    an original label participate.
     """
-    labeled = [r for r in records if r.original_label is not None]
-    if not labeled:
+    if len(pre_labels) != len(records):
+        raise ValidationError(f"got {len(pre_labels)} pre-filter labels for "
+                              f"{len(records)} records")
+    keep = [i for i, r in enumerate(records) if r.original_label is not None]
+    if not keep:
         raise ValidationError("no records carry an original label")
+    labeled = [records[i] for i in keep]
     labels = np.array([r.original_label for r in labeled], dtype=np.int64)
+    pred_raw = np.asarray(pre_labels, dtype=np.int64)[keep]
     raw = np.stack([r.image.array for r in labeled])
-    _, _, pred_raw = predict_batch(network, raw)
     _, _, pred_filt = predict_batch(network, average_filter(raw, k))
     kinds = sorted({r.kind for r in labeled})
     return RecoveryReport(

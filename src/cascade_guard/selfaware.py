@@ -113,11 +113,10 @@ class ErrorTable:
         return cls(per_class=per_class, counts=counts,
                    global_rate=float((pred != labels).mean()))
 
-    def p_err(self, predicted_class: int) -> float:
-        c = int(predicted_class)
-        if self.counts[c] < _MIN_COUNT:
-            return self.global_rate
-        return float(self.per_class[c])
+    def p_err(self, predicted):
+        """Error rate of a predicted class, or an array of them for an array."""
+        c = np.asarray(predicted, dtype=np.int64)
+        return np.where(self.counts[c] < _MIN_COUNT, self.global_rate, self.per_class[c])[()]
 
 
 def random_guess_error(classes: int) -> float:
@@ -175,7 +174,7 @@ def selfaware_sweep(scores, predicted, is_adversarial, labels,
     if not (0 < e_q < np.inf and ((0 < e_a_values) & (e_a_values < np.inf)).all()):
         raise ValidationError("costs must be positive and finite")
     p_omega = calibration.p_normal(scores)
-    p_err = np.array([error_table.p_err(c) for c in pred])
+    p_err = error_table.p_err(pred)
     correct = pred == labels
     expected_predict = p_omega * p_err + (1.0 - p_omega) * e_q
 

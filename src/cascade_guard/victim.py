@@ -23,6 +23,7 @@ from .autograd import (
     ReluLayer,
     SoftmaxLayer,
     backward_pass,
+    captured_layers,
     forward_pass,
     infer_shapes,
     softmax_batch,
@@ -54,7 +55,7 @@ class NetworkSpec:
     """Ordered layer descriptors plus input dims and class count.
 
     Construction checks that adjacent layers are shape-compatible and that
-    there is exactly one softmax head, at the end, fed by `classes` scores.
+    the one softmax head is the last layer, fed by `classes` scores.
     """
 
     input_dims: tuple
@@ -69,10 +70,9 @@ class NetworkSpec:
             raise ValidationError(f"class count must be positive, got {self.classes}")
         if not self.layers:
             raise ValidationError("network needs at least one layer")
-        heads = sum(isinstance(l, SoftmaxLayer) for l in self.layers)
-        if heads != 1 or not isinstance(self.layers[-1], SoftmaxLayer):
+        if not isinstance(self.layers[-1], SoftmaxLayer):
             raise ValidationError("network needs exactly one softmax head, at the end")
-        shapes = infer_shapes(self.input_dims, self.layers)
+        shapes = infer_shapes(self.input_dims, self.layers)  # no layer follows a softmax
         if shapes[-1] != (self.classes,):
             raise ValidationError(
                 f"softmax head receives {shapes[-1]}, expected ({self.classes},) scores"
@@ -80,6 +80,24 @@ class NetworkSpec:
 
     def shapes(self):
         return infer_shapes(self.input_dims, self.layers)
+
+    def param_shapes(self) -> tuple:
+        """(weights, biases) shapes per layer, None for a layer without weights.
+
+        Conv weights are (K, kH, kW, C_in); dense weights have one row per
+        output unit and one column per flattened input.
+        """
+        params = []
+        for layer, prev in zip(self.layers, (self.input_dims, *self.shapes())):
+            if isinstance(layer, ConvLayer):
+                w = (layer.filters, layer.kernel, layer.kernel, prev[2])
+            elif isinstance(layer, DenseLayer):
+                w = (layer.units, int(np.prod(prev)))
+            else:
+                params.append(None)
+                continue
+            params.append((w, w[:1]))
+        return tuple(params)
 
     @property
     def conv_indices(self) -> tuple:
@@ -128,31 +146,26 @@ class Network:
             raise ValidationError(
                 f"got {len(weights)} weight entries for {len(spec.layers)} layers"
             )
-        shape_in = (spec.input_dims,) + tuple(spec.shapes())
         normalized = []
-        for idx, (layer, entry, prev) in enumerate(zip(spec.layers, weights, shape_in)):
-            if isinstance(layer, ConvLayer):
-                kind = "conv"
-                expect = (layer.filters, layer.kernel, layer.kernel, prev[2])
-            elif isinstance(layer, DenseLayer):
-                kind = "dense"
-                expect = (layer.units, int(np.prod(prev)))
-            else:
+        for idx, (layer, entry, expect) in enumerate(zip(spec.layers, weights,
+                                                         spec.param_shapes())):
+            if expect is None:
                 if entry is not None:
                     raise ValidationError(f"layer {idx} ({layer!r}) takes no weights")
                 normalized.append(None)
                 continue
             if entry is None:
-                raise ValidationError(f"{kind} layer {idx} has no (weights, biases) entry")
+                raise ValidationError(
+                    f"{layer.kind} layer {idx} has no (weights, biases) entry")
             w = np.array(entry[0], dtype=np.float64)
             b = np.array(entry[1], dtype=np.float64)
-            if w.shape != expect or b.shape != expect[:1]:
+            if (w.shape, b.shape) != expect:
                 raise ValidationError(
-                    f"{kind} layer {idx} weights {w.shape}, biases {b.shape} "
-                    f"!= {expect}, {expect[:1]}"
+                    f"{layer.kind} layer {idx} weights {w.shape}, biases {b.shape} "
+                    f"!= {expect[0]}, {expect[1]}"
                 )
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValidationError(f"{kind} layer {idx} weights are non-finite")
+                raise ValidationError(f"{layer.kind} layer {idx} weights are non-finite")
             w.flags.writeable = False
             b.flags.writeable = False
             normalized.append((w, b))
@@ -172,21 +185,14 @@ class TrainConfig:
 def _init_weights(spec: NetworkSpec, rng: np.random.Generator):
     """He-normal conv kernels, Glorot-normal dense rows, zero biases."""
     weights = []
-    shape_in = (spec.input_dims,) + tuple(spec.shapes())
-    for idx, layer in enumerate(spec.layers):
-        prev = shape_in[idx]
-        if isinstance(layer, ConvLayer):
-            fan_in = layer.kernel * layer.kernel * prev[2]
-            std = np.sqrt(2.0 / fan_in)
-            w = rng.normal(0.0, std, (layer.filters, layer.kernel, layer.kernel, prev[2]))
-            weights.append((w, np.zeros(layer.filters)))
-        elif isinstance(layer, DenseLayer):
-            in_dim = int(np.prod(prev))
-            std = np.sqrt(2.0 / (in_dim + layer.units))
-            w = rng.normal(0.0, std, (layer.units, in_dim))
-            weights.append((w, np.zeros(layer.units)))
-        else:
+    for layer, shapes in zip(spec.layers, spec.param_shapes()):
+        if shapes is None:
             weights.append(None)
+            continue
+        w, b = shapes
+        fan_in = int(np.prod(w[1:]))
+        fans = fan_in if isinstance(layer, ConvLayer) else fan_in + w[0]
+        weights.append((rng.normal(0.0, np.sqrt(2.0 / fans), w), np.zeros(b)))
     return weights
 
 
@@ -295,7 +301,7 @@ def _chunked_forward(network: Network, images, depth=None, capture_conv=False):
     shapes = (spec.input_dims,) + tuple(spec.shapes())
     out = np.empty((len(batch),) + shapes[len(layers)])
     convs = [np.empty((len(batch),) + shapes[i + 1])
-             for i in spec.conv_indices] if capture_conv else []
+             for i in captured_layers(spec.layers)] if capture_conv else []
     for start in range(0, len(batch), _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
         out[rows], _, captured = forward_pass(layers, weights, batch[rows],

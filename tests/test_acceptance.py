@@ -399,8 +399,10 @@ def test_criterion_08_census_direction(victim_bundle, seed_runs):
 
 def test_criterion_09_recovery(victim_bundle, corpus):
     records = corpus.successful[:400]
-    filtered = recovery_eval(victim_bundle.network, records, 3)
-    control = recovery_eval(victim_bundle.network, records, 1)
+    net = victim_bundle.network
+    _, _, pre = predict_batch(net, np.stack([r.image.array for r in records]))
+    filtered = recovery_eval(net, records, pre, 3)
+    control = recovery_eval(net, records, pre, 1)
     ok = filtered.post_accuracy >= 0.5 and control.post_accuracy <= 0.05
     report(9, "average-filter recovery", ok,
            f"k=3 restores {filtered.post_accuracy:.1%} of {filtered.n} "

@@ -196,6 +196,20 @@ class TestGradientSign:
         assert rec.image.array.min() >= 0.0 and rec.image.array.max() <= 1.0
 
 
+class TestSourceChecks:
+    @pytest.mark.parametrize("attack", [gradient_box_attack_batch, gradient_sign_attack_batch],
+                             ids=["box", "sign"])
+    @pytest.mark.parametrize("images,targets,match", [
+        (np.full((1, 1, 4, 1), 1.5), [0], "lie in"),
+        (np.full((1, 4, 1), 0.5), [0], "N x H x W x C"),
+        (np.full((2, 1, 4, 1), 0.5), [0], "one target"),
+    ], ids=["above-one", "three-dims", "one-target-for-two"])
+    def test_bad_sources_rejected(self, attack, images, targets, match):
+        net = linear_victim([1.5, -2.0, 0.0, 0.25], 0.0)
+        with pytest.raises(ValidationError, match=match):
+            attack(net, images, targets, AttackConfig(max_iterations=1))
+
+
 class TestInputOnlyBackward:
     @pytest.mark.parametrize("attack,cfg", [
         (gradient_box_attack_batch, AttackConfig(max_iterations=3, confidence_goal=0.999)),

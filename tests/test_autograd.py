@@ -156,8 +156,7 @@ class TestBackward:
     def test_backward_requires_completed_tape(self):
         with pytest.raises(ValidationError, match="tape"):
             backward_pass(None, np.zeros((1, 3)))
-        bogus = ForwardTape(layers=(), weights=(), records=[],
-                            batch_shape=(1,), logits=np.zeros((1, 3)))
+        bogus = ForwardTape(layers=(), weights=(), saved=[], logits=np.zeros((1, 3)))
         with pytest.raises(ValidationError, match="tape"):
             backward_pass(bogus, np.zeros((1, 3)))
 

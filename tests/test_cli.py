@@ -1,6 +1,7 @@
 import argparse
 import base64
 import contextlib
+import copy
 import io
 import json
 import shutil
@@ -14,8 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cascade_guard import cli, dataio
+from cascade_guard.autograd import forward_pass
 from cascade_guard.cli import _build_parser, _optional_flags, main
-from cascade_guard.victim import predict_batch
+from cascade_guard.victim import layer_outputs_batch, predict_batch
 
 
 def run(args):
@@ -274,6 +276,100 @@ class TestSpectral:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestRecover:
+    def test_flagged_records_are_forwarded_once(self, tmp_path, monkeypatch):
+        import cascade_guard.victim as victim_module
+
+        net, det, advs = tmp_path / "net.json", tmp_path / "det.json", tmp_path / "advs"
+        assert run(["synth-data", "--seed", 1, "--n-per-class", 20,
+                    "--out", tmp_path / "data"]) == 0
+        assert run(["train-victim", "--data", tmp_path / "data", "--seed", 4,
+                    "--out", net]) == 0
+        assert run(["attack", "--net", net, "--data", tmp_path / "data", "--split", "train",
+                    "--n", 40, "--seed", 7, "--out", advs]) == 0
+        assert run(["fit-detector", "--net", net, "--normals", tmp_path / "data",
+                    "--adversarials", advs, "--successful-only", "false", "--seed", 2,
+                    "--out", det]) == 0
+        rows = []
+        original = victim_module.forward_pass
+
+        def counting(layers, weights, x, *args, **kwargs):
+            rows.append(len(x))
+            return original(layers, weights, x, *args, **kwargs)
+
+        monkeypatch.setattr(victim_module, "forward_pass", counting)
+        assert run(["recover", "--detector", det, "--net", net, "--adversarials", advs,
+                    "--k", 3, "--out-csv", tmp_path / "recover.csv"]) == 0
+        monkeypatch.undo()
+        n_flagged = int((tmp_path / "recover.csv").read_text().splitlines()[1].split(",")[2])
+        # The detector's pass over all 40 records, then the flagged ones filtered.
+        assert rows == [40, n_flagged]
+
+
+# Every layer kind; a conv with stride 2 and padding 1, and a conv that a
+# maxpool follows directly, so its own output is the captured activation.
+SPEC_OF_EVERY_KIND = {
+    "input_dims": [28, 28, 1],
+    "classes": 10,
+    "layers": [
+        {"kind": "conv", "filters": 4, "kernel": 3, "stride": 2, "padding": 1},
+        {"kind": "relu"},
+        {"kind": "conv", "filters": 6, "kernel": 3, "stride": 1, "padding": 0},
+        {"kind": "maxpool", "window": 2, "stride": 2},
+        {"kind": "dense", "units": 10},
+        {"kind": "softmax"},
+    ],
+}
+
+
+class TestTrainVictimSpec:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("spec")
+        (root / "spec.json").write_text(json.dumps(SPEC_OF_EVERY_KIND))
+        assert run(["synth-data", "--seed", 1, "--n-per-class", 3, "--out", root / "data"]) == 0
+        assert run(["train-victim", "--data", root / "data", "--spec", root / "spec.json",
+                    "--epochs", 1, "--out", root / "net.json"]) == 0
+        return root
+
+    def test_spec_json_round_trips(self):
+        spec = dataio.spec_from_json(SPEC_OF_EVERY_KIND)
+        assert dataio.spec_to_json(spec) == SPEC_OF_EVERY_KIND
+
+    def test_saved_loaded_and_saved_network_is_byte_identical(self, trained, tmp_path):
+        net = dataio.load_network(trained / "net.json")
+        assert dataio.spec_to_json(net.spec) == SPEC_OF_EVERY_KIND
+        dataio.save_network(tmp_path / "again.json", net)
+        assert (tmp_path / "again.json").read_bytes() == (trained / "net.json").read_bytes()
+
+    def test_conv_before_maxpool_captures_its_own_output(self, trained):
+        net = dataio.load_network(trained / "net.json")
+        images = dataio.load_dataset(trained / "data").images[:5]
+        first, second = layer_outputs_batch(net, images)
+        relu_out, _, _ = forward_pass(net.spec.layers[:2], net.weights[:2], images)
+        conv_out, _, _ = forward_pass(net.spec.layers[:3], net.weights[:3], images)
+        assert first.tobytes() == relu_out.tobytes()
+        assert second.tobytes() == conv_out.tobytes()
+        assert (second < 0).any()  # not rectified
+
+    @pytest.mark.parametrize("key,value", [
+        ("kind", ["conv"]), ("kind", "deconv"), ("filters", None), ("kernel", 3.0),
+    ], ids=["list-kind", "unknown-kind", "missing-filters", "float-kernel"])
+    def test_malformed_layer_exits_one(self, trained, tmp_path, capsys, key, value):
+        spec = copy.deepcopy(SPEC_OF_EVERY_KIND)
+        if value is None:
+            del spec["layers"][0][key]
+        else:
+            spec["layers"][0][key] = value
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        code = run(["train-victim", "--data", trained / "data", "--spec", tmp_path / "spec.json",
+                    "--epochs", 1, "--out", tmp_path / "net.json"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("ERROR 1:") and err.count("\n") == 1, err
+        assert not (tmp_path / "net.json").exists()
+
+
 class TestReproducibility:
     def test_synth_data_byte_identical(self, tmp_path):
         a = tmp_path / "a"
@@ -378,7 +474,7 @@ class TestReproducibility:
         assert run([*common, "--kind", "evolutionary", "--n", 3, "--threads", 2,
                     "--out", tmp_path / "ea"]) == 0
         monkeypatch.undo()
-        arena = [("mallopt", -8, 1)] if libc == "glibc" else []
+        arena = [("mallopt", -8, 1), ("mallopt", -3, 128 * 1024)] if libc == "glibc" else []
         assert events == (arena + ["pool"]) * 2
         assert_same_files(tmp_path / "loop1", tmp_path / "box")
 

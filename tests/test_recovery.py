@@ -3,6 +3,12 @@ import pytest
 
 from cascade_guard.errors import ValidationError
 from cascade_guard.recovery import average_filter, recovery_eval
+from cascade_guard.victim import predict_batch
+
+
+def pre_labels(network, records):
+    """The victim's argmax on each record's unfiltered image."""
+    return predict_batch(network, np.stack([r.image.array for r in records]))[2]
 
 
 def replicate_box_oracle(arr, k):
@@ -94,20 +100,20 @@ class TestAverageFilter:
 class TestRecoveryEval:
     def test_k1_equals_pre_filter_accuracy_and_is_zero_on_successes(
             self, victim_bundle, corpus):
-        report = recovery_eval(victim_bundle.network, corpus.successful[:200], 1)
+        net, records = victim_bundle.network, corpus.successful[:200]
+        report = recovery_eval(net, records, pre_labels(net, records), 1)
         assert report.post_accuracy == report.pre_accuracy
         assert report.pre_accuracy <= 0.05  # successful attacks changed the label
 
     def test_k3_restores_majority_of_attacks(self, victim_bundle, corpus):
-        report = recovery_eval(victim_bundle.network, corpus.successful[:300], 3)
+        net, records = victim_bundle.network, corpus.successful[:300]
+        report = recovery_eval(net, records, pre_labels(net, records), 3)
         assert report.post_accuracy >= 0.5
         assert report.n == 300
 
     def test_filtering_clean_images_degrades_little(self, victim_bundle, corpus):
         # regression baseline frozen at first release: clean accuracy after a
         # 3x3 blur stays within 2 points of the unfiltered accuracy
-        from cascade_guard.victim import predict_batch
-
         images = corpus.normal_bank[:300]
         labels = corpus.normal_labels[:300]
         filtered = average_filter(images, 3)
@@ -118,5 +124,11 @@ class TestRecoveryEval:
         assert blur_acc >= raw_acc - 0.02
 
     def test_requires_labeled_records(self, victim_bundle, ea_records):
+        net, records = victim_bundle.network, ea_records[:5]
         with pytest.raises(ValidationError, match="original label"):
-            recovery_eval(victim_bundle.network, ea_records[:5], 3)
+            recovery_eval(net, records, pre_labels(net, records), 3)
+
+    def test_requires_one_pre_filter_label_per_record(self, victim_bundle, corpus):
+        net, records = victim_bundle.network, corpus.successful[:3]
+        with pytest.raises(ValidationError, match="pre-filter labels"):
+            recovery_eval(net, records, pre_labels(net, records)[:2], 3)

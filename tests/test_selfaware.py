@@ -145,6 +145,16 @@ class TestErrorTable:
                            global_rate=0.5)
         assert [table.p_err(c) for c in range(4)] == [0.5, 0.5, 0.2, 0.3]
 
+    def test_array_of_classes_looked_up_at_once(self):
+        counts = np.array([0, _MIN_COUNT - 1, _MIN_COUNT, _MIN_COUNT + 5])
+        table = ErrorTable(per_class=np.array([0.0, 0.1, 0.2, 0.3]), counts=counts,
+                           global_rate=0.5)
+        pred = np.array([3, 0, 2, 2, 1])
+        got = table.p_err(pred)
+        assert got.shape == pred.shape
+        assert got.tolist() == [table.p_err(c) for c in pred.tolist()] == \
+            [0.3, 0.5, 0.2, 0.2, 0.5]
+
     def test_random_guess_error(self):
         assert random_guess_error(10) == 0.9
         assert random_guess_error(2) == 0.5
