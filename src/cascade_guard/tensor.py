@@ -7,7 +7,7 @@ library reaches them only through autograd.
 
 No kernel's output for an image depends on the rest of its batch. The conv
 forward is im2col with one GEMM per image over tap-major columns, which copy
-rows of Wo and pad 32 images at a time (see _conv_forward), and the dense
+rows of Wo and pad 32 images at a time (see _column_blocks), and the dense
 layer and its input gradient are one product per row (see _per_row), because
 OpenBLAS rounds a 2-D product by its row count. Max pooling takes its values
 with an in-place np.maximum and, when a tape is kept, records the argmax
@@ -15,7 +15,9 @@ with a masked copy; a compare-and-select scan gives the same bytes on input
 without NaN or -0.0 (see _maxpool_forward).
 The conv and dense backward kernels compute only what backward_pass asks of
 them: the input gradient, the weight and bias gradients, or both. The weight
-gradients sum over the batch and are one product each.
+gradients sum over the batch: the dense one is one product, the conv one is
+one GEMM per image over the forward's column blocks, summed in image order
+(see _conv_backward). The conv input gradient is one product per kernel tap.
 """
 from __future__ import annotations
 
@@ -66,17 +68,39 @@ def _conv_out_dims(h, w, kh, kw, stride, padding):
     return ho, wo
 
 
-def _conv_forward(x, weights, biases, stride, padding):
-    """im2col conv: _IM2COL_IMAGES images at a time share one column buffer,
-    and each image is one GEMM, so its bytes do not depend on the rest of the
-    batch. A GEMM per image stays below OpenBLAS's threading threshold, which
-    one flat GEMM per block crosses.
+def _column_blocks(x, kh, kw, stride, padding, ho, wo):
+    """Yield (start, block) for each run of _IM2COL_IMAGES images from start:
+    block holds their tap-major columns, (images, kH, kW, C_in, Ho, Wo), in
+    one buffer that every block reuses (the last block may be short).
 
-    The columns are tap-major, (images, kH, kW, C_in, Ho, Wo): each tap of
-    each channel is Ho runs of Wo copied from the channel-first view of the
-    block, which is padded, when it is, as it is copied. Each image's GEMM
-    reads its columns transposed, (Ho*Wo, kH*kW*C_in) with leading dimension
-    Ho*Wo, and the bias is one add over the contiguous output.
+    Each tap of each channel is Ho runs of Wo copied from the channel-first
+    view of the images, which are padded, when they are, one block at a time
+    into one reused padded buffer.
+    """
+    n, h, w, cin = x.shape
+    images = min(n, _IM2COL_IMAGES)
+    cols = np.empty((images, kh, kw, cin, ho, wo))
+    if padding:
+        padded = np.zeros((images, cin, h + 2 * padding, w + 2 * padding))
+    for start in range(0, n, _IM2COL_IMAGES):
+        block = cols[: n - start]
+        src = x[start : start + len(block)].transpose(0, 3, 1, 2)
+        if padding:
+            padded[: len(block), :, padding:-padding, padding:-padding] = src
+            src = padded[: len(block)]
+        # (images, C_in, Ho, Wo, kH, kW) windows, copied in the order of block.
+        windows = sliding_window_view(src, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+        block[...] = windows.transpose(0, 4, 5, 1, 2, 3)
+        yield start, block
+
+
+def _conv_forward(x, weights, biases, stride, padding):
+    """im2col conv over the column blocks of _column_blocks: each image is
+    one GEMM, so its bytes do not depend on the rest of the batch. A GEMM per
+    image stays below OpenBLAS's threading threshold, which one flat GEMM per
+    block crosses. Each image's GEMM reads its columns transposed,
+    (Ho*Wo, kH*kW*C_in) with leading dimension Ho*Wo, and the bias is one add
+    over the contiguous output.
     """
     n, h, w, cin = x.shape
     k, kh, kw, ck = weights.shape
@@ -86,54 +110,49 @@ def _conv_forward(x, weights, biases, stride, padding):
         )
     ho, wo = _conv_out_dims(h, w, kh, kw, stride, padding)
     wmat = weights.transpose(1, 2, 3, 0).reshape(-1, k)
-    images = min(n, _IM2COL_IMAGES)
-    cols = np.empty((images, kh, kw, cin, ho, wo))
-    if padding:
-        padded = np.zeros((images, cin, h + 2 * padding, w + 2 * padding))
     out = np.empty((n, ho * wo, k))
-    for start in range(0, n, _IM2COL_IMAGES):
-        block = cols[: n - start]  # the last block may be short
-        stop = start + len(block)
-        src = x[start:stop].transpose(0, 3, 1, 2)
-        if padding:
-            padded[: len(block), :, padding:-padding, padding:-padding] = src
-            src = padded[: len(block)]
-        # (images, C_in, Ho, Wo, kH, kW) windows, copied in the order of block.
-        windows = sliding_window_view(src, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-        block[...] = windows.transpose(0, 4, 5, 1, 2, 3)
+    for start, block in _column_blocks(x, kh, kw, stride, padding, ho, wo):
         np.matmul(block.reshape(len(block), -1, ho * wo).transpose(0, 2, 1), wmat,
-                  out=out[start:stop])
+                  out=out[start : start + len(block)])
     out.reshape(n, ho * wo * k)[...] += np.tile(biases, ho * wo)
     return out.reshape(n, ho, wo, k)
 
 
 def _conv_backward(x, weights, stride, padding, gy, input_grad=True, param_grad=True):
     """(gx, gweights, gbiases); gx is None without input_grad, the other two
-    None without param_grad."""
+    None without param_grad.
+
+    The input gradient is one product per kernel tap, added into the padded
+    input's window of that tap. The weight gradient rebuilds the forward's
+    column blocks (_column_blocks) and is one GEMM per image, its
+    (kH*kW*C_in, Ho*Wo) columns times its (Ho*Wo, K) output gradient; the
+    products are summed over the images in order, block after block. Like the
+    forward's, each GEMM stays below OpenBLAS's threading threshold. The bias
+    gradient is one sum of gy over images and positions.
+    """
     n, h, w, cin = x.shape
     k, kh, kw, _ = weights.shape
     ho, wo = gy.shape[1], gy.shape[2]
-    if param_grad:
-        xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else x
-        gw = np.zeros((kh, kw, cin, k))
+    gx = gw = gb = None
     if input_grad:
         wmat = weights.transpose(1, 2, 3, 0)
         gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, cin))
-    s = stride
-    for i in range(kh):
-        for j in range(kw):
-            rows = slice(i, i + (ho - 1) * s + 1, s)
-            cols = slice(j, j + (wo - 1) * s + 1, s)
-            if param_grad:
-                gw[i, j] = np.tensordot(xp[:, rows, cols, :], gy, axes=([0, 1, 2], [0, 1, 2]))
-            if input_grad:
+        s = stride
+        for i in range(kh):
+            for j in range(kw):
+                rows = slice(i, i + (ho - 1) * s + 1, s)
+                cols = slice(j, j + (wo - 1) * s + 1, s)
                 gxp[:, rows, cols, :] += gy @ wmat[i, j].T
-    gx = None
-    if input_grad:
         gx = gxp[:, padding : padding + h, padding : padding + w, :] if padding else gxp
-    if not param_grad:
-        return gx, None, None
-    return gx, gw.transpose(3, 0, 1, 2), gy.sum(axis=(0, 1, 2))
+    if param_grad:
+        gy_img = gy.reshape(n, ho * wo, k)
+        gw = np.zeros((kh * kw * cin, k))
+        for start, block in _column_blocks(x, kh, kw, stride, padding, ho, wo):
+            b = len(block)
+            gw += np.matmul(block.reshape(b, -1, ho * wo), gy_img[start : start + b]).sum(axis=0)
+        gw = gw.reshape(kh, kw, cin, k).transpose(3, 0, 1, 2)
+        gb = np.einsum("nhwk->k", gy)
+    return gx, gw, gb
 
 
 def _pool_out_dims(h, w, window, stride):

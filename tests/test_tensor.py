@@ -19,6 +19,7 @@ from cascade_guard.autograd import (
 from cascade_guard.errors import ValidationError
 from cascade_guard.tensor import (
     Tensor,
+    _conv_backward,
     _conv_forward,
     _maxpool_backward,
     _maxpool_forward,
@@ -248,6 +249,71 @@ def conv_row_major_im2col(x, weights, biases):
     cols = np.ascontiguousarray(windows).reshape(len(x), ho * wo, -1)
     out = np.matmul(cols, weights.transpose(1, 2, 3, 0).reshape(-1, k)) + biases
     return out.reshape(len(x), ho, wo, k)
+
+
+def conv_param_grads_tap_loop(x, weights, stride, padding, gy):
+    """Reference weight and bias gradients: one tensordot over the batch and
+    the positions per kernel tap, then a sum of gy over images and positions."""
+    k, kh, kw, cin = weights.shape
+    ho, wo = gy.shape[1:3]
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    gw = np.zeros((kh, kw, cin, k))
+    s = stride
+    for i in range(kh):
+        for j in range(kw):
+            xs = xp[:, i : i + (ho - 1) * s + 1 : s, j : j + (wo - 1) * s + 1 : s, :]
+            gw[i, j] = np.tensordot(xs, gy, axes=([0, 1, 2], [0, 1, 2]))
+    return gw.transpose(3, 0, 1, 2), gy.sum(axis=(0, 1, 2))
+
+
+class TestConvBackward:
+    @settings(max_examples=80, deadline=None)
+    @example(n=65, h=28, w=28, cin=1, k=8, kernel=3, stride=1, padding=0, seed=0)
+    @example(n=33, h=13, w=13, cin=3, k=4, kernel=3, stride=1, padding=1, seed=1)
+    @given(n=st.sampled_from([1, 31, 32, 33, 65]), h=st.integers(1, 9), w=st.integers(1, 9),
+           cin=st.integers(1, 3), k=st.integers(1, 4), kernel=st.integers(1, 3),
+           stride=st.integers(1, 3), padding=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_param_grads_close_to_tap_loop(self, n, h, w, cin, k, kernel, stride, padding,
+                                           seed):
+        assume(h + 2 * padding >= kernel and w + 2 * padding >= kernel)
+        rng = np.random.default_rng(seed)
+        x = with_signed_zeros(rng, rng.normal(size=(n, h, w, cin)))
+        weights = rng.normal(size=(k, kernel, kernel, cin))
+        ho = (h + 2 * padding - kernel) // stride + 1
+        wo = (w + 2 * padding - kernel) // stride + 1
+        gy = with_signed_zeros(rng, rng.normal(size=(n, ho, wo, k)))
+        want_gw, want_gb = conv_param_grads_tap_loop(x, weights, stride, padding, gy)
+        gx_none, gw, gb = _conv_backward(x, weights, stride, padding, gy, input_grad=False)
+        assert gw.shape == weights.shape and gb.shape == (k,)
+        # Each entry sums n*Ho*Wo products; the tolerance scales with their count.
+        atol = 1e-15 * n * ho * wo
+        np.testing.assert_allclose(gw, want_gw, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(gb, want_gb, rtol=1e-12, atol=atol)
+        gx, gw_none, gb_none = _conv_backward(x, weights, stride, padding, gy, param_grad=False)
+        assert gx.shape == x.shape
+        assert gx_none is None and gw_none is None and gb_none is None
+
+    @pytest.mark.parametrize("n", [32, 65])
+    @pytest.mark.parametrize("shape, kernels", [((28, 28, 1), 8), ((13, 13, 8), 16)])
+    def test_param_only_peak_memory_is_one_column_block_plus_its_products(self, n, shape,
+                                                                          kernels):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(n, *shape))
+        weights = rng.normal(size=(kernels, 3, 3, shape[2]))
+        ho, wo = shape[0] - 2, shape[1] - 2
+        gy = rng.normal(size=(n, ho, wo, kernels))
+        tracemalloc.start()
+        try:
+            _conv_backward(x, weights, 1, 0, gy, input_grad=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        taps = 3 * 3 * shape[2]
+        column_block = 32 * taps * ho * wo * 8  # 1.6 MB (conv1), 2.2 MB (conv2)
+        products = 32 * taps * kernels * 8  # one (taps, K) product per image
+        # A column matrix of the whole batch of 65 would add a second block.
+        assert peak < column_block + products + 256 * 1024
 
 
 def pool_taps(x, window, stride):
