@@ -129,7 +129,7 @@ def _box_norms(x, x0):
     return np.abs(r).sum(axis=1), np.abs(r).max(axis=1)
 
 
-def _sources_and_targets(images, targets):
+def _sources_and_targets(images, targets, classes: int):
     """(x0, y) of a gradient attack: N x H x W x C sources in [0, 1], one target each."""
     x0 = np.asarray(images, dtype=np.float64)
     if x0.ndim != 4:
@@ -139,6 +139,8 @@ def _sources_and_targets(images, targets):
     y = np.asarray(targets, dtype=np.int64)
     if y.shape != (len(x0),):
         raise ValidationError("need one target label per image")
+    if y.size and (y.min() < 0 or y.max() >= classes):
+        raise ValidationError(f"target labels must lie in 0..{classes - 1}")
     return x0, y
 
 
@@ -151,7 +153,7 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
     that reaches the confidence goal and returns that iterate, so a success
     is never discarded for a lower-objective failure.
     """
-    x0, y = _sources_and_targets(images, targets)
+    x0, y = _sources_and_targets(images, targets, network.spec.classes)
     n = len(x0)
     layers, weights = network.spec.layers, network.weights
 
@@ -226,7 +228,7 @@ def gradient_sign_attack_batch(network: Network, images, targets,
                                cfg: AttackConfig, source_ids=None,
                                original_labels=None) -> list[AdversarialRecord]:
     """Iterated x <- clip(x - eps * sign(grad_x CE(f(x), y))), clipped to [0,1]."""
-    x0, y = _sources_and_targets(images, targets)
+    x0, y = _sources_and_targets(images, targets, network.spec.classes)
     n = len(x0)
     layers, weights = network.spec.layers, network.weights
     x = x0.copy()
@@ -283,6 +285,8 @@ def evolutionary_attack(predict_probs, input_dims, target: int,
     probs = np.asarray(predict_probs(pop), dtype=np.float64)
     if probs.ndim != 2 or len(probs) != cfg.population:
         raise ValidationError("predict closure must return one probability row per image")
+    if not 0 <= target < probs.shape[1]:
+        raise ValidationError(f"target labels must lie in 0..{probs.shape[1] - 1}")
     fitness = probs[:, target]
     order = np.argsort(-fitness, kind="stable")
     best = pop[order[0]].copy()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .featstats import _fit_pca_bank_in_place, stat_matrix
+from .featstats import stat_matrix
 from .tensor import _per_row
 from .victim import _chunked_forward
 
@@ -54,8 +54,11 @@ class LinearSvm:
             raise ValidationError("feature dimension must be positive")
         if self.feature_means.shape != (d,) or self.feature_stds.shape != (d,):
             raise ValidationError("standardization arrays must match the weight length")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias)):
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias)
+                and np.isfinite(self.feature_means).all()):
             raise ValidationError("svm parameters must be finite")
+        if not (np.isfinite(self.feature_stds).all() and (self.feature_stds > 0).all()):
+            raise ValidationError("svm feature stds must be finite and positive")
 
     @property
     def dim(self) -> int:
@@ -159,6 +162,10 @@ class CascadeStage:
     fpr: float | None = None
     tpr: float | None = None
 
+    def __post_init__(self):
+        if not np.isfinite(self.tau):
+            raise ValidationError("stage threshold must be finite")
+
 
 @dataclass
 class CascadeModel:
@@ -170,6 +177,8 @@ class CascadeModel:
     def __post_init__(self):
         if not self.stages:
             raise ValidationError("cascade needs at least one stage")
+        if not 0.0 < self.target_tpr <= 1.0:
+            raise ValidationError("target TPR must lie in (0, 1]")
         if len(self.stages) > len(self.banks):
             raise ValidationError("more stages than fitted banks")
         for name, parts in (("stages", self.stages), ("banks", self.banks)):
@@ -190,32 +199,30 @@ class CascadeConfig:
             raise ValidationError("svm C must be positive and finite")
 
 
-def train_cascade(pool_layers, adv_layers, banks=None, config=CascadeConfig()) -> CascadeModel:
+def train_cascade(pool_layers, adv_layers, banks, config=CascadeConfig()) -> CascadeModel:
     """Stage-by-stage training with pool elimination.
 
     pool_layers and adv_layers are the per-conv-layer activation arrays of the
     normal pool and of the training adversarials, as layer_outputs_batch
-    returns them. Stage k appends layer-k statistics of the pool normals still
-    alive, and of the adversarials, to the features of the earlier stages. It
-    then draws a balanced subset of the alive normals, trains the SVM against
-    all training adversarials, calibrates the threshold at the target TPR on
-    the training adversarials and drops the pool normals that score below it.
-    Stops when the conv layers, or the given banks, run out, or when the pool
-    empties. Stage rates are the stage's own rates on the alive pool and the
-    training adversarials. The detector keeps a bank for every conv layer it
-    covers, reached by a stage or not.
-
-    Without banks, stage k fits the bank of layer k on the pool's own layer-k
-    array, as fit_pca_bank would, and consumes that array: it is overwritten
-    with its centered samples. Layers the emptied pool never reaches still
-    get their banks. The detector is the one fit_pca_bank's banks give.
+    returns them; banks are the fitted banks of conv layers 1, 2, ... Stage k
+    appends layer-k statistics of the pool normals still alive, and of the
+    adversarials, to the features of the earlier stages; the pool's are
+    computed for the whole layer array and their alive rows kept, as indexing
+    the activations would copy them. It then draws a balanced subset of the
+    alive normals, trains the SVM against all training adversarials,
+    calibrates the threshold at the target TPR on the training adversarials
+    and drops the pool normals that score below it. Stops when the conv
+    layers or the banks run out, or when the pool empties. Stage rates are
+    the stage's own rates on the alive pool and the training adversarials.
+    The detector keeps a bank for every conv layer it covers, reached by a
+    stage or not.
     """
     pool_layers, adv_layers = list(pool_layers), list(adv_layers)
     if len(pool_layers) != len(adv_layers) or any(
             a.ndim != 4 or p.shape[1:] != a.shape[1:] for p, a in zip(pool_layers, adv_layers)):
         raise ValidationError("pool and adversarial activations must be N x h x w x k "
                               "arrays of the same conv layers")
-    n_layers = len(pool_layers) if banks is None else min(len(banks), len(pool_layers))
+    n_layers = min(len(banks), len(pool_layers))
     if n_layers < 1:
         raise ValidationError("need at least one conv layer with a fitted bank")
     n_p = len(adv_layers[0])
@@ -229,19 +236,12 @@ def train_cascade(pool_layers, adv_layers, banks=None, config=CascadeConfig()) -
     alive = np.arange(n_pool)
     pool_feats = np.empty((n_pool, 0))
     adv_feats = np.empty((n_p, 0))
-    fitted = []
     stages = []
-    for m in range(n_layers):
+    for m, bank in enumerate(banks[:n_layers]):
         if alive.size == 0:
             break
-        if banks is None:
-            bank, rows = _fit_pca_bank_in_place(pool_layers[m], alive, m + 1)
-            fitted.append(bank)
-        else:
-            bank = banks[m]
-            # Every row is alive at stage 1; indexing would copy the whole layer.
-            rows = stat_matrix(pool_layers[m] if m == 0 else pool_layers[m][alive], bank)
-        pool_feats = np.concatenate([pool_feats, rows], axis=1)
+        pool_feats = np.concatenate([pool_feats, stat_matrix(pool_layers[m], bank)[alive]],
+                                    axis=1)
         adv_feats = np.concatenate([adv_feats, stat_matrix(adv_layers[m], bank)], axis=1)
         draw = rng.choice(alive, size=min(n_p, alive.size), replace=False)
         x = np.concatenate([pool_feats[np.searchsorted(alive, draw)], adv_feats])
@@ -255,9 +255,6 @@ def train_cascade(pool_layers, adv_layers, banks=None, config=CascadeConfig()) -
                                    tpr=float((adv_scores >= tau).mean())))
         alive = alive[kept]
         pool_feats = pool_feats[kept]
-    if banks is None:
-        banks = fitted + [_fit_pca_bank_in_place(pool_layers[m], alive, m + 1)[0]
-                          for m in range(len(fitted), n_layers)]
 
     return CascadeModel(
         stages=tuple(stages),

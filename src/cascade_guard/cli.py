@@ -41,7 +41,7 @@ from .cascade import (
     train_cascade,
 )
 from .errors import ValidationError
-from .featstats import spectral_report
+from .featstats import fit_pca_bank, spectral_report
 from .recovery import recovery_eval
 from .selfaware import (
     ErrorTable,
@@ -305,7 +305,11 @@ def _cmd_fit_detector(args):
     fingerprint = dataio.dataset_fingerprint(normals)
     # Inputs are dropped once forwarded, the large pool first, and the heap
     # is trimmed before each large step, so no step runs beside dead arrays
-    # or freed pages. train_cascade fits each bank in place on the activations.
+    # or freed pages. The banks are fitted on the pool's activations after
+    # both forwards: the fit leaves the activations as they are and holds a
+    # few 16,384-row blocks beside them, but the buffers its threaded BLAS
+    # products keep (about 2 MB) would otherwise sit under the second
+    # forward's peak.
     del normals
     _trim_heap()
     pool_layers = layer_outputs_batch(net, pool)
@@ -314,7 +318,9 @@ def _cmd_fit_detector(args):
     adv_layers = layer_outputs_batch(net, adv_images)
     del records, adv_images
     _trim_heap()
-    model = train_cascade(pool_layers, adv_layers, config=config)
+    banks = [fit_pca_bank(layer, m + 1) for m, layer in enumerate(pool_layers)]
+    _trim_heap()
+    model = train_cascade(pool_layers, adv_layers, banks, config)
     model.metadata["normals_fingerprint"] = fingerprint
     dataio.save_detector(args.out, model)
     rates = ", ".join(f"stage{s.layer_index}: fpr={s.fpr:.3f} tpr={s.tpr:.3f}"

@@ -8,12 +8,10 @@ channel extrema and percentiles. All extractors are order statistics or
 absolute means, so nothing here is differentiable end to end and the module
 never touches gradient machinery.
 
-No bank fit of a layer with K >= 2 channels holds the projection of all its
-samples: the projection stds are taken 16,384 sample rows at a time. Every
-bank is fitted by _fit_pca_bank_in_place, which centers its input in place.
-train_cascade, given no banks, hands it the pool's layer array, so beyond
-the layer the fit holds one block's and one chunk's temporaries;
-fit_pca_bank hands it a copy and leaves its own input as it is.
+fit_pca_bank is the one bank fit. It leaves its input as it is and holds no
+array of the input's size: the covariance and the projection stds are sums
+over blocks of 16,384 centered sample rows. stat_matrix fills its rows 64
+images at a time.
 """
 from __future__ import annotations
 
@@ -34,7 +32,7 @@ __all__ = [
 
 PERCENTILES = (25.0, 50.0, 75.0)
 _STD_FLOOR = 1e-8  # projection stds are floored here so normalization never divides by 0
-_STD_BLOCK_ROWS = 16384  # sample rows per block of a bank fit's projection stds
+_STD_BLOCK_ROWS = 16384  # sample rows per block of a bank fit's covariance and stds
 
 
 @dataclass(frozen=True)
@@ -59,10 +57,12 @@ class PcaBank:
                 f"bank arrays disagree: mean {self.mean.shape}, "
                 f"W {self.components.shape}, s {self.stds.shape}"
             )
+        if not all(np.isfinite(a).all() for a in (self.mean, self.components, self.stds)):
+            raise ValidationError("bank arrays must be finite")
         gram = self.components.T @ self.components
         if np.abs(gram - np.eye(k)).max() > 1e-8:
             raise ValidationError("projection matrix is not orthonormal")
-        if self.epsilon <= 0 or (self.stds < self.epsilon).any():
+        if not self.epsilon > 0 or (self.stds < self.epsilon).any():
             raise ValidationError("stds must be floored at a positive epsilon")
 
     @property
@@ -80,97 +80,68 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
-def _std_in_place(x: np.ndarray) -> np.ndarray:
-    # x.std(axis=0) by np.std's own steps, run on x itself: the same bits, and
-    # no temporary of x's size. x is overwritten.
-    n = len(x)
-    mean = x.sum(axis=0, keepdims=True)
-    mean /= n
-    x -= mean
-    np.square(x, out=x)
-    var = x.sum(axis=0)
-    var /= n
-    return np.sqrt(var, out=var)
-
-
-def _projection_std(centered: np.ndarray, components: np.ndarray) -> np.ndarray:
-    # _std_in_place(centered @ components), bit for bit, from one block of
-    # projection rows at a time. Row 0 of the block buffer carries the running
-    # column sums into the next block, so each column is still summed row
-    # after row, as numpy's axis-0 reduction does for K >= 2. Each block after
-    # the first also recomputes the row before it into row 0, because numpy
-    # sends a one-row product to gemv, whose sums differ from gemm's in the
-    # last bits. K = 1 keeps the whole array: numpy sums that case pairwise.
-    m, k = centered.shape
-    if k == 1:
-        return _std_in_place(centered @ components)
-    buf = np.empty((min(m, _STD_BLOCK_ROWS) + 1, k))
-
-    def column_sums(shift):
-        total = None
-        for start in range(0, m, _STD_BLOCK_ROWS):
-            lo = 0 if total is None else 1
-            stop = min(start + _STD_BLOCK_ROWS, m)
-            rows = buf[: lo + stop - start]
-            np.matmul(centered[start - lo : stop], components, out=rows)
-            if shift is not None:
-                block = rows[lo:]
-                block -= shift
-                np.square(block, out=block)
-            if lo:
-                rows[0] = total
-            total = rows.sum(axis=0)
-        return total
-
-    mean = column_sums(None)
-    mean /= m
-    var = column_sums(mean)
-    var /= m
-    return np.sqrt(var, out=var)
-
-
 def fit_pca_bank(layer_outputs, layer_index: int) -> PcaBank:
     """Fit mean, projection and stds from normal-image layer outputs.
 
     layer_outputs is an (N, H, W, K) array, as layer_outputs_batch returns per
     conv layer; every pixel of every image is one sample. Requires at least K
     samples. Stds are floored at 1e-8, which the bank records as its epsilon.
-    The input is left as it is: the fit centers a copy of it in place, so
-    beyond the input it holds that copy and one block of the projection.
+    The input is left as it is. The covariance and the projection moments are
+    summed over blocks of 16,384 centered samples, so beyond the input the fit
+    holds a few blocks, no array of the input's size; a fit of one block gives
+    the bytes of the whole-array formulas.
     """
-    batch = np.array(layer_outputs, dtype=np.float64, order="C")
-    return _fit_pca_bank_in_place(batch, np.arange(0), layer_index)[0]
+    batch = np.asarray(layer_outputs, dtype=np.float64)
+    if batch.ndim != 4:
+        raise ValidationError(f"layer outputs must be N x H x W x K, got shape {batch.shape}")
+    k = batch.shape[3]
+    samples = batch.reshape(-1, k)
+    n = len(samples)
+    if n < k:
+        raise ValidationError(f"need at least {k} pixel samples, got {n}")
+    mean = samples.mean(axis=0)
+
+    def centered_blocks():
+        for start in range(0, n, _STD_BLOCK_ROWS):
+            yield samples[start : start + _STD_BLOCK_ROWS] - mean
+
+    eigvals, eigvecs = np.linalg.eigh(sum(b.T @ b for b in centered_blocks()) / n)
+    components = _fix_signs(eigvecs[:, np.argsort(-eigvals, kind="stable")])
+    # var = E[z^2] - E[z]^2 per projection z; E[z] is at rounding level, as
+    # the samples are centered.
+    sums, squares = np.zeros(k), np.zeros(k)
+    for block in centered_blocks():
+        z = block @ components
+        sums += z.sum(axis=0)
+        squares += np.square(z, out=z).sum(axis=0)
+    mean_z = sums / n
+    var = np.maximum(squares / n - mean_z * mean_z, 0.0)
+    return PcaBank(layer_index=int(layer_index), mean=mean, components=components,
+                   stds=np.maximum(np.sqrt(var), _STD_FLOOR))
 
 
-def _chunks(layer_batch: np.ndarray, alive: np.ndarray):
-    # (rows, pixels) for 64 images of layer_batch[alive] at a time: rows
-    # slices the (len(alive), ...) result, pixels is (n, H * W, K). Slices,
-    # not copies, while every image is alive.
+def _chunks(layer_batch: np.ndarray):
+    # (rows, pixels) for 64 images of layer_batch at a time: pixels is the
+    # (n, H * W, K) view of the rows slice.
     from .victim import _CHUNK_ROWS
 
     n, h, w, k = layer_batch.shape
-    for start in range(0, len(alive), _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, len(alive)))
-        part = layer_batch[rows] if len(alive) == n else layer_batch[alive[rows]]
-        yield rows, part.reshape(-1, h * w, k)
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, n))
+        yield rows, layer_batch[rows].reshape(-1, h * w, k)
 
 
 def _pca_rows(pixels: np.ndarray, bank: PcaBank) -> np.ndarray:
     # (N, P, K) pixels -> (N, K) mean absolute std-normalized projections.
     # Centering against a tiled row runs each subtraction over a whole image.
+    # The mean over P stays in the (N, P, K) layout: numpy sums that axis
+    # sequentially for K > 1 but pairwise for K = 1, so another layout would
+    # change bits.
     n, npix, k = pixels.shape
     if k != bank.k:
         raise ValidationError(f"layer output has {k} channels but bank expects {bank.k}")
     centered = pixels.reshape(n, npix * k) - np.tile(bank.mean, npix)
-    return _projected_rows(centered.reshape(n, npix, k), bank)
-
-
-def _projected_rows(centered: np.ndarray, bank: PcaBank) -> np.ndarray:
-    # (N, P, K) centered pixels -> (N, K). The mean over P stays in the
-    # (N, P, K) layout: numpy sums that axis sequentially for K > 1 but
-    # pairwise for K = 1, so another layout would change bits.
-    n, npix, k = centered.shape
-    z = (centered @ bank.components).reshape(n, npix * k)
+    z = (centered.reshape(n, npix, k) @ bank.components).reshape(n, npix * k)
     z /= np.tile(bank.stds, npix)
     np.abs(z, out=z)
     return z.reshape(n, npix, k).mean(axis=1)
@@ -210,42 +181,10 @@ def stat_matrix(layer_batch: np.ndarray, bank: PcaBank) -> np.ndarray:
     """
     k = layer_batch.shape[3]
     out = np.empty((len(layer_batch), 6 * k))
-    for rows, pixels in _chunks(layer_batch, np.arange(len(layer_batch))):
+    for rows, pixels in _chunks(layer_batch):
         out[rows, :k] = _pca_rows(pixels, bank)
         out[rows, k:] = _order_rows(pixels)
     return out
-
-
-def _fit_pca_bank_in_place(layer_outputs, alive, layer_index: int):
-    """(bank, rows): the bank of layer_outputs and stat_matrix's rows of layer_outputs[alive].
-
-    Consumes layer_outputs: a C-contiguous float64 array is overwritten with
-    its centered samples. The order statistics are taken from the raw rows
-    first, the PCA statistic from the centered ones, so the rows equal
-    stat_matrix's bit for bit. Beyond its input the fit holds one block of
-    the projection and one chunk's statistic temporaries, no array of the
-    input's size. alive holds sorted row indices.
-    """
-    batch = np.asarray(layer_outputs, dtype=np.float64)
-    if batch.ndim != 4:
-        raise ValidationError(f"layer outputs must be N x H x W x K, got shape {batch.shape}")
-    n, k = int(np.prod(batch.shape[:3])), batch.shape[3]
-    if n < k:
-        raise ValidationError(f"need at least {k} pixel samples, got {n}")
-    out = np.empty((len(alive), 6 * k))
-    for rows, pixels in _chunks(batch, alive):
-        out[rows, k:] = _order_rows(pixels)
-    samples = batch.reshape(-1, k)
-    mean = samples.mean(axis=0)
-    samples -= mean
-    eigvals, eigvecs = np.linalg.eigh(samples.T @ samples / len(samples))
-    components = _fix_signs(eigvecs[:, np.argsort(-eigvals, kind="stable")])
-    stds = np.maximum(_projection_std(samples, components), _STD_FLOOR)
-    bank = PcaBank(layer_index=int(layer_index), mean=mean, components=components,
-                   stds=stds)
-    for rows, centered in _chunks(samples.reshape(batch.shape), alive):
-        out[rows, :k] = _projected_rows(centered, bank)
-    return bank, out
 
 
 def feature_matrix(network, images, banks, upto_layer=None) -> np.ndarray:

@@ -6,6 +6,7 @@ from cascade_guard.attacks import (
     AttackConfig,
     choose_targets,
     evolutionary_attack,
+    evolutionary_attack_batch,
     gradient_box_attack_batch,
     gradient_sign_attack_batch,
 )
@@ -208,6 +209,22 @@ class TestSourceChecks:
         net = linear_victim([1.5, -2.0, 0.0, 0.25], 0.0)
         with pytest.raises(ValidationError, match=match):
             attack(net, images, targets, AttackConfig(max_iterations=1))
+
+
+    @pytest.mark.parametrize("attack", [
+        lambda net, targets, cfg: gradient_box_attack_batch(
+            net, np.full((1, 1, 4, 1), 0.5), targets, cfg),
+        lambda net, targets, cfg: gradient_sign_attack_batch(
+            net, np.full((1, 1, 4, 1), 0.5), targets, cfg),
+        lambda net, targets, cfg: evolutionary_attack_batch(
+            net, targets, AttackConfig(kind="evolutionary", generations=0, population=2)),
+    ], ids=["box", "sign", "evolutionary"])
+    @pytest.mark.parametrize("target", [-1, 2], ids=["negative", "class-count"])
+    def test_target_outside_the_classes_rejected(self, attack, target):
+        # A two-class victim: -1 would index the last class, 2 no class.
+        net = linear_victim([1.5, -2.0, 0.0, 0.25], 0.0)
+        with pytest.raises(ValidationError, match="target labels must lie in 0..1"):
+            attack(net, [target], AttackConfig(max_iterations=1))
 
 
 class TestInputOnlyBackward:

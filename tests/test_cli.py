@@ -31,6 +31,13 @@ def assert_same_files(one, two):
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
+def first_f64_set(text, value):
+    """A base64 float64 payload with its first entry replaced by value."""
+    values = np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+    values[0] = value
+    return base64.b64encode(values.tobytes()).decode("ascii")
+
+
 def read_eval_summary(path):
     lines = Path(path).read_text().strip().splitlines()
     summary = lines[-1]
@@ -186,16 +193,18 @@ class TestFitDetector:
 
         monkeypatch.setattr(cli_module.ctypes, "CDLL", cdll)
         logged("layer_outputs_batch")
+        logged("fit_pca_bank")
         logged("train_cascade")
         assert run(["fit-detector", "--net", pipeline / "net.json",
                     "--normals", pipeline / "bank", "--split", "train",
                     "--adversarials", pipeline / "advs_train",
                     "--seed", 2, "--out", tmp_path / "det.json"]) == 0
         monkeypatch.undo()
-        # Once before training, as before each of the two forwards.
+        # Once before each of the two forwards, the bank fits (one per conv
+        # layer, after both forwards) and the training.
         trim = [("malloc_trim", 0)] if libc == "glibc" else []
         assert events == (trim + ["layer_outputs_batch"] + trim + ["layer_outputs_batch"]
-                          + trim + ["train_cascade"])
+                          + trim + ["fit_pca_bank"] * 2 + trim + ["train_cascade"])
         assert (tmp_path / "det.json").read_bytes() == (pipeline / "det.json").read_bytes()
 
 
@@ -601,15 +610,24 @@ class TestExitCodes:
         ("stages", None, lambda v: 5),
         ("pca_banks", "e", lambda v: 5),
         ("stages", "w", lambda v: base64.b64encode(bytes(7)).decode("ascii")),
-    ], ids=["padding-e", "padding-w", "stage-not-object", "e-not-string", "7-byte-w"])
+        ("pca_banks", "e", lambda v: first_f64_set(v, np.nan)),
+        ("pca_banks", "s", lambda v: first_f64_set(v, np.inf)),
+        ("stages", "feature_stds", lambda v: first_f64_set(v, np.nan)),
+        ("stages", "feature_stds", lambda v: first_f64_set(v, 0.0)),
+        ("stages", "tau", lambda v: np.nan),
+        (None, "target_tpr", lambda v: 1.5),
+    ], ids=["padding-e", "padding-w", "stage-not-object", "e-not-string", "7-byte-w",
+            "nan-e", "inf-s", "nan-feature-std", "zero-feature-std", "nan-tau",
+            "target-tpr-above-1"])
     def test_corrupt_detector_is_validation_error(self, pipeline, tmp_path, capsys,
                                                   kind, field, corrupt):
         payload = json.loads((pipeline / "det.json").read_text())
-        entries = payload[kind]
-        if field is None:
-            entries[0] = corrupt(entries[0])
+        if kind is None:
+            payload[field] = corrupt(payload[field])
+        elif field is None:
+            payload[kind][0] = corrupt(payload[kind][0])
         else:
-            entries[0][field] = corrupt(entries[0][field])
+            payload[kind][0][field] = corrupt(payload[kind][0][field])
         bad = tmp_path / "det.json"
         bad.write_text(json.dumps(payload))
         code = run(["evaluate", "--detector", bad, "--net", pipeline / "net.json",
