@@ -175,7 +175,8 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
         losses, grad = softmax_cross_entropy(logits, y[idx])
         probs = softmax_batch(logits)
         conf = probs[np.arange(len(idx)), y[idx]]
-        l1 = np.abs(xa - x0[idx]).reshape(len(idx), -1).sum(axis=1)
+        r = xa - x0[idx]
+        l1 = np.abs(r).reshape(len(idx), -1).sum(axis=1)
         obj = cfg.c * l1 + losses
         iters_used[idx] = it
 
@@ -197,11 +198,11 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
         if not step_rows.any():
             break
         gx = backward_pass(tape, grad, wrt="input").input
-        gx += cfg.c * np.sign(xa - x0[idx])
+        gx += cfg.c * np.sign(r)
         # Fixed-length steps along the objective's subgradient direction:
         # each iteration moves every pixel at most step_size.
         scale = np.abs(gx).reshape(len(gx), -1).max(axis=1)
-        gx = gx / np.maximum(scale, 1e-12)[:, None, None, None]
+        gx /= np.maximum(scale, 1e-12)[:, None, None, None]
         stepped = np.clip(xa - cfg.step_size * gx, 0.0, 1.0)
         x[idx[step_rows]] = stepped[step_rows]
         it += 1

@@ -217,7 +217,8 @@ def backward_pass(tape: ForwardTape, grad_logits, wrt="both") -> Gradients:
         raise ValidationError(f"backward wrt must be one of {_BACKWARD_WRT}, got {wrt!r}")
     if tape is None or not isinstance(tape, ForwardTape) or not tape.saved:
         raise ValidationError("backward needs the tape of a completed forward pass")
-    g = np.asarray(grad_logits, dtype=np.float64)
+    # A copy: layers such as the ReLU write their gradient in place.
+    g = np.array(grad_logits, dtype=np.float64)
     if g.shape != tape.logits.shape:
         raise ValidationError(
             f"loss gradient shape {g.shape} does not match logits {tape.logits.shape}"

@@ -114,6 +114,7 @@ def fit_pca_bank(layer_outputs, layer_index: int) -> PcaBank:
         z = block @ components
         sums += z.sum(axis=0)
         squares += np.square(z, out=z).sum(axis=0)
+        del block, z  # freed before the generator builds the next block
     mean_z = sums / n
     var = np.maximum(squares / n - mean_z * mean_z, 0.0)
     return PcaBank(layer_index=int(layer_index), mean=mean, components=components,

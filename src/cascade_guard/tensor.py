@@ -10,9 +10,10 @@ forward is im2col with one GEMM per image over tap-major columns, which copy
 rows of Wo and pad 32 images at a time (see _column_blocks), and the dense
 layer and its input gradient are one product per row (see _per_row), because
 OpenBLAS rounds a 2-D product by its row count. Max pooling takes its values
-with an in-place np.maximum and, when a tape is kept, records the argmax
-with a masked copy; a compare-and-select scan gives the same bytes on input
-without NaN or -0.0 (see _maxpool_forward).
+with an in-place np.maximum; a compare-and-select scan gives the same bytes
+on input without NaN or -0.0. When a tape is kept, each window tap is read
+once into a reused buffer and the argmax is a running np.maximum of offsets
+(see _maxpool_forward). The ReLU backward masks its gradient buffer in place.
 The conv and dense backward kernels compute only what backward_pass asks of
 them: the input gradient, the weight and bias gradients, or both. The weight
 gradients sum over the batch: the dense one is one product, the conv one is
@@ -180,30 +181,40 @@ def _maxpool_forward(x, window, stride, keep_arg=True):
     scan skips, and in the sign of a zero maximum over a window holding both
     -0.0 and +0.0. Neither reaches a pool that follows a ReLU or a conv of
     finite values.
+
+    With keep_arg, each tap after the first is read once into one reused
+    contiguous buffer, and arg is a running np.maximum of the offsets whose
+    tap strictly exceeds the maximum so far. Offsets rise tap by tap, so the
+    largest such offset is the first that holds the window maximum: a tie
+    keeps the earlier offset.
     """
     window = int(window)
     stride = int(stride)
     ho, wo = _pool_out_dims(x.shape[1], x.shape[2], window, stride)
-    best = arg = None
+    best = arg = tap = None
     for idx, (rows, cols) in enumerate(_pool_taps(ho, wo, window, stride)):
         xs = x[:, rows, cols, :]
         if best is None:
             best = xs.copy()
             if keep_arg:
                 arg = np.zeros(best.shape, dtype=np.int16)
+                tap = np.empty_like(best)
             continue
         if keep_arg:
-            np.copyto(arg, idx, where=np.greater(xs, best))  # strict: first offset wins ties
+            np.copyto(tap, xs)
+            xs = tap
+            np.maximum(arg, np.greater(tap, best) * np.int16(idx), out=arg)
         np.maximum(best, xs, out=best)
     return best, arg
 
 
 def _maxpool_backward(x_shape, window, stride, arg, gy):
     gx = np.zeros(x_shape)
+    routed = np.empty(gy.shape)
     taps = _pool_taps(gy.shape[1], gy.shape[2], window, stride)
     for idx, (rows, cols) in enumerate(taps):
         # gy * False is -0.0 where gy < 0; gx is never -0.0, so the sum keeps its bits.
-        gx[:, rows, cols, :] += gy * (arg == idx)
+        gx[:, rows, cols, :] += np.multiply(gy, arg == idx, out=routed)
     return gx
 
 
@@ -212,8 +223,9 @@ def _relu_forward(x):
 
 
 def _relu_backward(x, gy):
-    # Subgradient 0 at exactly 0.
-    return gy * (x > 0.0)
+    """gy masked in place, subgradient 0 at exactly 0: gy must be a buffer
+    the backward walk owns."""
+    return np.multiply(gy, x > 0.0, out=gy)
 
 
 def _per_row(rows, matrix):

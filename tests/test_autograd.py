@@ -167,6 +167,35 @@ class TestBackward:
         with pytest.raises(ValidationError, match="shape"):
             backward_pass(tape, np.zeros((1, 5)))
 
+    @pytest.mark.parametrize("spec", [
+        (ConvLayer(filters=2, kernel=3, padding=1), ReluLayer(), MaxPoolLayer(2, 2),
+         DenseLayer(units=3), ReluLayer(), SoftmaxLayer()),
+        (ReluLayer(),),
+    ], ids=["relu-under-softmax", "one-layer-relu"])
+    def test_caller_gradient_left_alone_and_calls_repeat(self, spec):
+        # The ReLU backward masks its gradient buffer in place; the loss
+        # gradient the caller passes is never that buffer. The one-layer ReLU
+        # stack is how the kernel replay times each ReLU, calling backward
+        # again and again with one gradient.
+        rng = np.random.default_rng(12)
+        if len(spec) == 1:
+            weights = [None]
+        else:
+            weights = _init_weights(NetworkSpec((4, 4, 2), 3, spec), rng)
+        x = rng.normal(size=(3, 4, 4, 2))
+        logits, tape, _ = forward_pass(spec, weights, x, keep_tape=True)
+        gl = rng.standard_normal(logits.shape)
+        before = gl.tobytes()
+        first = backward_pass(tape, gl)
+        assert gl.tobytes() == before
+        second = backward_pass(tape, gl)
+        assert gl.tobytes() == before
+        assert first.input.tobytes() == second.input.tobytes()
+        for a, b in zip(first.params, second.params):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert all(p.tobytes() == q.tobytes() for p, q in zip(a, b))
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):

@@ -120,6 +120,16 @@ class TestFitPcaBank:
         outputs = np.random.default_rng(5).normal(size=(1024, 12, 12, 4))
         assert traced_peak(fit_pca_bank, outputs, 1) < 0.5 * outputs.nbytes
 
+    def test_peak_memory_two_block_arrays(self):
+        # The stds pass frees each block and its projection before the next
+        # block is built, so at most two 16,384-row arrays of 4 channels
+        # (0.5 MB each) are live at once: in the covariance pass the previous
+        # block and the next, in the stds pass a block and its projection.
+        # Holding a third array (the previous block beside the next) fails.
+        outputs = np.random.default_rng(5).normal(size=(1024, 12, 12, 4))
+        block = featstats._STD_BLOCK_ROWS * outputs.shape[3] * outputs.itemsize
+        assert traced_peak(fit_pca_bank, outputs, 1) <= 2 * block + 256 * 1024
+
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
     @pytest.mark.parametrize("m", ["below", "block-1", "block", "block+1", "blocks+rest"])
     def test_blockwise_stds_bytes_equal_whole_projection_std(self, k, m):
