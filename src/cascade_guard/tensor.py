@@ -209,11 +209,22 @@ def _maxpool_forward(x, window, stride, keep_arg=True):
 
 
 def _maxpool_backward(x_shape, window, stride, arg, gy):
+    """gx: each tap's gy * (arg == idx) summed from 0.0 in scan order.
+
+    gy * False is -0.0 where gy < 0, and 0.0 + -0.0 is 0.0, so gx is never
+    -0.0. Windows that do not overlap write their taps straight into gx and
+    add 0.0 once at the end, which gives the same bytes as 0.0 + each tap;
+    overlapping ones add each tap into gx through one reused buffer.
+    """
     gx = np.zeros(x_shape)
-    routed = np.empty(gy.shape)
     taps = _pool_taps(gy.shape[1], gy.shape[2], window, stride)
+    if stride >= window:
+        for idx, (rows, cols) in enumerate(taps):
+            np.multiply(gy, arg == idx, out=gx[:, rows, cols, :])
+        gx += 0.0
+        return gx
+    routed = np.empty(gy.shape)
     for idx, (rows, cols) in enumerate(taps):
-        # gy * False is -0.0 where gy < 0; gx is never -0.0, so the sum keeps its bits.
         gx[:, rows, cols, :] += np.multiply(gy, arg == idx, out=routed)
     return gx
 
