@@ -198,6 +198,7 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
         if not step_rows.any():
             break
         gx = backward_pass(tape, grad, wrt="input").input
+        del tape  # freed before the next forward builds its own
         gx += cfg.c * np.sign(r)
         # Fixed-length steps along the objective's subgradient direction:
         # each iteration moves every pixel at most step_size.
