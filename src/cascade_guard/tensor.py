@@ -186,12 +186,14 @@ def _maxpool_forward(x, window, stride, keep_arg=True):
     contiguous buffer, and arg is a running np.maximum of the offsets whose
     tap strictly exceeds the maximum so far. Offsets rise tap by tap, so the
     largest such offset is the first that holds the window maximum: a tie
-    keeps the earlier offset.
+    keeps the earlier offset. The offsets a tap gains go to a second reused
+    buffer, not to a fresh int16 array per tap, which at the desk's pool1
+    sits below the attack pool's mmap threshold and stays on the heap.
     """
     window = int(window)
     stride = int(stride)
     ho, wo = _pool_out_dims(x.shape[1], x.shape[2], window, stride)
-    best = arg = tap = None
+    best = arg = tap = gain = None
     for idx, (rows, cols) in enumerate(_pool_taps(ho, wo, window, stride)):
         xs = x[:, rows, cols, :]
         if best is None:
@@ -199,11 +201,14 @@ def _maxpool_forward(x, window, stride, keep_arg=True):
             if keep_arg:
                 arg = np.zeros(best.shape, dtype=np.int16)
                 tap = np.empty_like(best)
+                gain = np.empty(best.shape, dtype=np.int16)
             continue
         if keep_arg:
             np.copyto(tap, xs)
             xs = tap
-            np.maximum(arg, np.greater(tap, best) * np.int16(idx), out=arg)
+            # idx where the tap strictly exceeds best, else 0
+            np.multiply(np.greater(tap, best, out=gain), np.int16(idx), out=gain)
+            np.maximum(arg, gain, out=arg)
         np.maximum(best, xs, out=best)
     return best, arg
 
