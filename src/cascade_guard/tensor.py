@@ -186,14 +186,12 @@ def _maxpool_forward(x, window, stride, keep_arg=True):
     contiguous buffer, and arg is a running np.maximum of the offsets whose
     tap strictly exceeds the maximum so far. Offsets rise tap by tap, so the
     largest such offset is the first that holds the window maximum: a tie
-    keeps the earlier offset. The offsets a tap gains go to a second reused
-    buffer, not to a fresh int16 array per tap, which at the desk's pool1
-    sits below the attack pool's mmap threshold and stays on the heap.
+    keeps the earlier offset.
     """
     window = int(window)
     stride = int(stride)
     ho, wo = _pool_out_dims(x.shape[1], x.shape[2], window, stride)
-    best = arg = tap = gain = None
+    best = arg = tap = None
     for idx, (rows, cols) in enumerate(_pool_taps(ho, wo, window, stride)):
         xs = x[:, rows, cols, :]
         if best is None:
@@ -201,35 +199,22 @@ def _maxpool_forward(x, window, stride, keep_arg=True):
             if keep_arg:
                 arg = np.zeros(best.shape, dtype=np.int16)
                 tap = np.empty_like(best)
-                gain = np.empty(best.shape, dtype=np.int16)
             continue
         if keep_arg:
             np.copyto(tap, xs)
             xs = tap
-            # idx where the tap strictly exceeds best, else 0
-            np.multiply(np.greater(tap, best, out=gain), np.int16(idx), out=gain)
-            np.maximum(arg, gain, out=arg)
+            # strict: a tie keeps the earlier offset
+            np.maximum(arg, np.greater(tap, best) * np.int16(idx), out=arg)
         np.maximum(best, xs, out=best)
     return best, arg
 
 
 def _maxpool_backward(x_shape, window, stride, arg, gy):
-    """gx: each tap's gy * (arg == idx) summed from 0.0 in scan order.
-
-    gy * False is -0.0 where gy < 0, and 0.0 + -0.0 is 0.0, so gx is never
-    -0.0. Windows that do not overlap write their taps straight into gx and
-    add 0.0 once at the end, which gives the same bytes as 0.0 + each tap;
-    overlapping ones add each tap into gx through one reused buffer.
-    """
     gx = np.zeros(x_shape)
-    taps = _pool_taps(gy.shape[1], gy.shape[2], window, stride)
-    if stride >= window:
-        for idx, (rows, cols) in enumerate(taps):
-            np.multiply(gy, arg == idx, out=gx[:, rows, cols, :])
-        gx += 0.0
-        return gx
     routed = np.empty(gy.shape)
+    taps = _pool_taps(gy.shape[1], gy.shape[2], window, stride)
     for idx, (rows, cols) in enumerate(taps):
+        # gy * False is -0.0 where gy < 0; gx is never -0.0, so the sum keeps its bits.
         gx[:, rows, cols, :] += np.multiply(gy, arg == idx, out=routed)
     return gx
 
