@@ -229,13 +229,13 @@ def gradient_box_attack_batch(network: Network, images: np.ndarray, targets,
 def gradient_sign_attack_batch(network: Network, images, targets,
                                cfg: AttackConfig, source_ids=None,
                                original_labels=None) -> list[AdversarialRecord]:
-    """Iterated x <- clip(x - eps * sign(grad_x CE(f(x), y))), clipped to [0,1]."""
+    """Iterated x <- clip(x - eps * sign(grad_x CE(f(x), y))), clipped to [0,1],
+    for exactly max_iterations steps; zero steps score the sources."""
     x0, y = _sources_and_targets(images, targets, network.spec.classes)
     n = len(x0)
     layers, weights = network.spec.layers, network.weights
     x = x0.copy()
-    steps = max(1, cfg.max_iterations)
-    for _ in range(steps):
+    for _ in range(cfg.max_iterations):
         logits, tape, _ = forward_pass(layers, weights, x, keep_tape=True)
         _, grad = softmax_cross_entropy(logits, y)
         gx = backward_pass(tape, grad, wrt="input").input
@@ -255,7 +255,7 @@ def gradient_sign_attack_batch(network: Network, images, targets,
             achieved_confidence=float(conf[i]),
             l1=float(l1[i]),
             linf=float(linf[i]),
-            iterations=steps,
+            iterations=cfg.max_iterations,
             success=ok,
         ))
     return records

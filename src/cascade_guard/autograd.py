@@ -128,9 +128,12 @@ def captured_layers(layers):
 class ForwardTape:
     """Activations recorded by one forward evaluation, consumed by backward.
 
-    saved has one entry per layer, what its backward reads: the input of a
-    conv, relu or dense layer, the input shape and argmax offsets of a
-    maxpool, None for the softmax head.
+    layers, weights and saved follow the executed order (forward_pass), in
+    which a ReLU may run after the max pool that follows it. saved has one
+    entry per layer, what its backward reads: the input shape and column
+    blocks of a conv, the mask of positive inputs of a relu, the input of a
+    dense layer, the input shape and argmax offsets of a maxpool, None for
+    the softmax head.
     """
 
     layers: tuple
@@ -161,6 +164,13 @@ def forward_pass(layers, weights, x, keep_tape=False, capture_conv=False):
     tape is None unless keep_tape, and captured lists the activation
     captured_layers names for every conv layer (its ReLU's output, else its
     own) when capture_conv is set.
+
+    A ReLU that a max pool follows runs after that pool, unless its output is
+    captured: max pooling commutes with the monotone ReLU, so the ReLU and
+    its backward work on the pooled array. The tape records the executed
+    order. Against the stack run layer by layer, the logits and the weight
+    and bias gradients keep their bytes, and the input gradient its values:
+    a zero entry of it may read +0.0 where the stack's order gives -0.0.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
@@ -169,11 +179,22 @@ def forward_pass(layers, weights, x, keep_tape=False, capture_conv=False):
     saved = [] if keep_tape else None
     captured = [] if capture_conv else None
     taps = captured_layers(layers) if capture_conv else ()
-    for idx, (layer, entry) in enumerate(zip(layers, weights)):
+    stack = list(zip(layers, weights))
+    order = list(range(len(stack)))
+    for pos in range(len(order) - 1):
+        here, after = order[pos], order[pos + 1]
+        if (isinstance(stack[here][0], ReluLayer) and isinstance(stack[after][0], MaxPoolLayer)
+                and here not in taps):
+            order[pos], order[pos + 1] = after, here
+    for idx in order:
+        layer, entry = stack[idx]
         keep = a
         if isinstance(layer, ConvLayer):
-            a = _conv_forward(a, entry[0], entry[1], layer.stride, layer.padding)
+            blocks = [] if keep_tape else None
+            keep = (a.shape, blocks)
+            a = _conv_forward(a, entry[0], entry[1], layer.stride, layer.padding, blocks)
         elif isinstance(layer, ReluLayer):
+            keep = a > 0.0 if keep_tape else None
             a = _relu_forward(a)
         elif isinstance(layer, MaxPoolLayer):
             a, arg = _maxpool_forward(a, layer.window, layer.stride, keep_arg=keep_tape)
@@ -196,7 +217,9 @@ def forward_pass(layers, weights, x, keep_tape=False, capture_conv=False):
             captured.append(a)
     tape = None
     if keep_tape:
-        tape = ForwardTape(tuple(layers), tuple(weights), saved, a)
+        executed = [stack[i] for i in order]
+        tape = ForwardTape(tuple(l for l, _ in executed), tuple(w for _, w in executed),
+                           saved, a)
     return a, tape, captured
 
 
@@ -237,7 +260,8 @@ def backward_pass(tape: ForwardTape, grad_logits, wrt="both") -> Gradients:
         if isinstance(layer, ReluLayer):
             g = _relu_backward(a_in, g)
         elif isinstance(layer, ConvLayer):
-            g, gw, gb = _conv_backward(a_in, tape.weights[idx][0], layer.stride,
+            in_shape, blocks = a_in
+            g, gw, gb = _conv_backward(in_shape, blocks, tape.weights[idx][0], layer.stride,
                                        layer.padding, g, input_grad or idx > first,
                                        param_grad)
             params[idx] = (gw, gb)

@@ -7,18 +7,22 @@ library reaches them only through autograd.
 
 No kernel's output for an image depends on the rest of its batch. The conv
 forward is im2col with one GEMM per image over tap-major columns, which copy
-rows of Wo and pad 32 images at a time (see _column_blocks), and the dense
-layer and its input gradient are one product per row (see _per_row), because
-OpenBLAS rounds a 2-D product by its row count. Max pooling takes its values
-with an in-place np.maximum; a compare-and-select scan gives the same bytes
-on input without NaN or -0.0. When a tape is kept, each window tap is read
-once into a reused buffer and the argmax is a running np.maximum of offsets
-(see _maxpool_forward). The ReLU backward masks its gradient buffer in place.
-The conv and dense backward kernels compute only what backward_pass asks of
-them: the input gradient, the weight and bias gradients, or both. The weight
-gradients sum over the batch: the dense one is one product, the conv one is
-one GEMM per image over the forward's column blocks, summed in image order
-(see _conv_backward). The conv input gradient is one product per kernel tap.
+rows of Wo and pad 32 images at a time (see _column_blocks). A taped forward
+keeps each 32-image column block for the weight gradient; an untaped one
+reuses one block buffer. The dense layer and its input gradient are one
+product per row (see _per_row), because OpenBLAS rounds a 2-D product by its
+row count. Max pooling takes its values with an in-place np.maximum; a
+compare-and-select scan gives the same bytes on input without NaN or -0.0.
+When a tape is kept, each window tap is read once into a reused buffer and
+the argmax is a running np.maximum of offsets (see _maxpool_forward); the
+backward writes a tap that no earlier tap reached straight into the input
+gradient (see _maxpool_backward). The ReLU backward masks its gradient buffer
+in place with the mask its forward kept. The conv and dense backward kernels
+compute only what backward_pass asks of them: the input gradient, the weight
+and bias gradients, or both. The weight gradients sum over the batch: the
+dense one is one product, the conv one is one GEMM per image over the column
+blocks its forward kept, summed in image order (see _conv_backward). The conv
+input gradient is one product per kernel tap.
 """
 from __future__ import annotations
 
@@ -54,7 +58,8 @@ class Tensor:
 # ---------------------------------------------------------------------------
 
 # Images per column block (1.6 MB for the desk conv1, 2.2 MB for conv2) and,
-# in a padded conv, per padded block.
+# in a padded conv, per padded block. A taped conv keeps one such block per
+# 32 images until its backward has formed the weight gradient.
 _IM2COL_IMAGES = 32
 
 
@@ -69,10 +74,11 @@ def _conv_out_dims(h, w, kh, kw, stride, padding):
     return ho, wo
 
 
-def _column_blocks(x, kh, kw, stride, padding, ho, wo):
+def _column_blocks(x, kh, kw, stride, padding, ho, wo, reuse=True):
     """Yield (start, block) for each run of _IM2COL_IMAGES images from start:
     block holds their tap-major columns, (images, kH, kW, C_in, Ho, Wo), in
-    one buffer that every block reuses (the last block may be short).
+    one buffer that every block reuses, or without reuse in a buffer of its
+    own (the last block may be short).
 
     Each tap of each channel is Ho runs of Wo copied from the channel-first
     view of the images, which are padded, when they are, one block at a time
@@ -80,11 +86,12 @@ def _column_blocks(x, kh, kw, stride, padding, ho, wo):
     """
     n, h, w, cin = x.shape
     images = min(n, _IM2COL_IMAGES)
-    cols = np.empty((images, kh, kw, cin, ho, wo))
+    cols = np.empty((images, kh, kw, cin, ho, wo)) if reuse else None
     if padding:
         padded = np.zeros((images, cin, h + 2 * padding, w + 2 * padding))
     for start in range(0, n, _IM2COL_IMAGES):
-        block = cols[: n - start]
+        size = min(n - start, _IM2COL_IMAGES)
+        block = cols[:size] if reuse else np.empty((size, kh, kw, cin, ho, wo))
         src = x[start : start + len(block)].transpose(0, 3, 1, 2)
         if padding:
             padded[: len(block), :, padding:-padding, padding:-padding] = src
@@ -95,13 +102,16 @@ def _column_blocks(x, kh, kw, stride, padding, ho, wo):
         yield start, block
 
 
-def _conv_forward(x, weights, biases, stride, padding):
+def _conv_forward(x, weights, biases, stride, padding, blocks=None):
     """im2col conv over the column blocks of _column_blocks: each image is
     one GEMM, so its bytes do not depend on the rest of the batch. A GEMM per
     image stays below OpenBLAS's threading threshold, which one flat GEMM per
     block crosses. Each image's GEMM reads its columns transposed,
     (Ho*Wo, kH*kW*C_in) with leading dimension Ho*Wo, and the bias is one add
     over the contiguous output.
+
+    Given a list, blocks receives each column block in a buffer of its own,
+    for _conv_backward's weight gradient; otherwise one buffer is reused.
     """
     n, h, w, cin = x.shape
     k, kh, kw, ck = weights.shape
@@ -112,26 +122,31 @@ def _conv_forward(x, weights, biases, stride, padding):
     ho, wo = _conv_out_dims(h, w, kh, kw, stride, padding)
     wmat = weights.transpose(1, 2, 3, 0).reshape(-1, k)
     out = np.empty((n, ho * wo, k))
-    for start, block in _column_blocks(x, kh, kw, stride, padding, ho, wo):
+    keep = blocks is not None
+    for start, block in _column_blocks(x, kh, kw, stride, padding, ho, wo, reuse=not keep):
         np.matmul(block.reshape(len(block), -1, ho * wo).transpose(0, 2, 1), wmat,
                   out=out[start : start + len(block)])
+        if keep:
+            blocks.append(block)
     out.reshape(n, ho * wo * k)[...] += np.tile(biases, ho * wo)
     return out.reshape(n, ho, wo, k)
 
 
-def _conv_backward(x, weights, stride, padding, gy, input_grad=True, param_grad=True):
-    """(gx, gweights, gbiases); gx is None without input_grad, the other two
-    None without param_grad.
+def _conv_backward(x_shape, blocks, weights, stride, padding, gy, input_grad=True,
+                   param_grad=True):
+    """(gx, gweights, gbiases) of a conv whose input had shape x_shape and
+    whose forward kept its column blocks in blocks (_conv_forward); gx is
+    None without input_grad, the other two None without param_grad.
 
     The input gradient is one product per kernel tap, added into the padded
-    input's window of that tap. The weight gradient rebuilds the forward's
-    column blocks (_column_blocks) and is one GEMM per image, its
-    (kH*kW*C_in, Ho*Wo) columns times its (Ho*Wo, K) output gradient; the
-    products are summed over the images in order, block after block. Like the
-    forward's, each GEMM stays below OpenBLAS's threading threshold. The bias
-    gradient is one sum of gy over images and positions.
+    input's window of that tap. The weight gradient is one GEMM per image
+    over the kept blocks, its (kH*kW*C_in, Ho*Wo) columns times its
+    (Ho*Wo, K) output gradient; the products are summed over the images in
+    order, block after block. Like the forward's, each GEMM stays below
+    OpenBLAS's threading threshold. The bias gradient is one sum of gy over
+    images and positions.
     """
-    n, h, w, cin = x.shape
+    n, h, w, cin = x_shape
     k, kh, kw, _ = weights.shape
     ho, wo = gy.shape[1], gy.shape[2]
     gx = gw = gb = None
@@ -148,7 +163,7 @@ def _conv_backward(x, weights, stride, padding, gy, input_grad=True, param_grad=
     if param_grad:
         gy_img = gy.reshape(n, ho * wo, k)
         gw = np.zeros((kh * kw * cin, k))
-        for start, block in _column_blocks(x, kh, kw, stride, padding, ho, wo):
+        for start, block in zip(range(0, n, _IM2COL_IMAGES), blocks):
             b = len(block)
             gw += np.matmul(block.reshape(b, -1, ho * wo), gy_img[start : start + b]).sum(axis=0)
         gw = gw.reshape(kh, kw, cin, k).transpose(3, 0, 1, 2)
@@ -210,12 +225,26 @@ def _maxpool_forward(x, window, stride, keep_arg=True):
 
 
 def _maxpool_backward(x_shape, window, stride, arg, gy):
+    """gy routed to each window's argmax tap, in scan order.
+
+    A tap whose two offsets are below the stride is the first to reach its
+    positions of gx, so it is written straight in; a later tap, of windows
+    that overlap, is added through one reused buffer. Disjoint windows thus
+    need no buffer. gy * False is -0.0 where gy < 0, so a closing + 0.0 turns
+    every -0.0 into +0.0: the bytes of adding each tap into zeros.
+    """
     gx = np.zeros(x_shape)
-    routed = np.empty(gy.shape)
+    routed = None
     taps = _pool_taps(gy.shape[1], gy.shape[2], window, stride)
     for idx, (rows, cols) in enumerate(taps):
-        # gy * False is -0.0 where gy < 0; gx is never -0.0, so the sum keeps its bits.
-        gx[:, rows, cols, :] += np.multiply(gy, arg == idx, out=routed)
+        view = gx[:, rows, cols, :]
+        if rows.start < stride and cols.start < stride:
+            np.multiply(gy, arg == idx, out=view)
+        else:
+            if routed is None:
+                routed = np.empty(gy.shape)
+            view += np.multiply(gy, arg == idx, out=routed)
+    gx += 0.0
     return gx
 
 
@@ -223,10 +252,10 @@ def _relu_forward(x):
     return np.maximum(x, 0.0)
 
 
-def _relu_backward(x, gy):
-    """gy masked in place, subgradient 0 at exactly 0: gy must be a buffer
-    the backward walk owns."""
-    return np.multiply(gy, x > 0.0, out=gy)
+def _relu_backward(positive, gy):
+    """gy masked in place by positive, the forward's x > 0 (subgradient 0 at
+    exactly 0): gy must be a buffer the backward walk owns."""
+    return np.multiply(gy, positive, out=gy)
 
 
 def _per_row(rows, matrix):

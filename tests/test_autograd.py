@@ -17,7 +17,7 @@ from cascade_guard.autograd import (
     softmax_cross_entropy,
 )
 from cascade_guard.errors import ValidationError
-from cascade_guard.victim import NetworkSpec, _init_weights
+from cascade_guard.victim import NetworkSpec, _init_weights, default_victim_spec
 
 
 def finite_difference_input(layers, weights, x, y, h=1e-5):
@@ -95,6 +95,17 @@ class TestBackward:
         logits, tape, _ = forward_pass(layers, weights, x, keep_tape=True)
         grads = backward_pass(tape, np.ones_like(logits))
         assert grads.input[0, 0, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("layers", [
+        (ReluLayer(), DenseLayer(1), SoftmaxLayer()),
+        (ReluLayer(), MaxPoolLayer(window=1, stride=1), DenseLayer(1), SoftmaxLayer()),
+    ], ids=["relu", "relu-run-after-pool"])
+    def test_relu_subgradient_zero_at_zero(self, layers):
+        weights = [None] * (len(layers) - 2) + [(np.array([[2.0, 3.0]]), np.zeros(1)), None]
+        x = np.array([0.0, -0.0]).reshape(1, 1, 2, 1)
+        logits, tape, _ = forward_pass(layers, weights, x, keep_tape=True)
+        grads = backward_pass(tape, np.ones_like(logits))
+        assert not grads.input.any()
 
     def test_input_gradient_matches_finite_differences(self):
         spec, weights, rng = small_net(3)
@@ -195,6 +206,83 @@ class TestBackward:
             assert (a is None) == (b is None)
             if a is not None:
                 assert all(p.tobytes() == q.tobytes() for p, q in zip(a, b))
+
+
+def layer_by_layer(layers, weights, x, grad_logits):
+    """(logits, input gradient, per-layer parameter gradients) of the stack
+    run one layer at a time: a one-layer forward_pass cannot reorder. The
+    softmax head passes the gradient on, as backward_pass does."""
+    tapes, a = [], x
+    for layer, entry in zip(layers, weights):
+        tape = None
+        if not isinstance(layer, SoftmaxLayer):
+            a, tape, _ = forward_pass([layer], [entry], a, keep_tape=True)
+        tapes.append(tape)
+    g, params = grad_logits, []
+    for tape in reversed(tapes):
+        grads = None if tape is None else backward_pass(tape, g)
+        if grads is not None:
+            g = grads.input
+        params.append(None if grads is None else grads.params[0])
+    return a, g, params[::-1]
+
+
+REORDER_STACKS = {
+    "conv-pad1-pool3x3s1": (ConvLayer(3, 3, padding=1), ReluLayer(), MaxPoolLayer(3, 1),
+                            ConvLayer(4, 3), ReluLayer(), MaxPoolLayer(2, 2),
+                            DenseLayer(3), SoftmaxLayer()),
+    "relu-pool-first": (ReluLayer(), MaxPoolLayer(2, 2), ConvLayer(3, 3, padding=1),
+                        ReluLayer(), MaxPoolLayer(3, 1), DenseLayer(3), SoftmaxLayer()),
+}
+
+
+class TestExecutedOrder:
+    @settings(max_examples=30, deadline=None)
+    @given(stack=st.sampled_from(sorted(REORDER_STACKS)), n=st.sampled_from([1, 2, 33]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_reordered_walk_equals_layer_by_layer(self, stack, n, seed):
+        layers = REORDER_STACKS[stack]
+        rng = np.random.default_rng(seed)
+        weights = _init_weights(NetworkSpec((8, 8, 2), 3, layers), rng)
+        x = rng.normal(size=(n, 8, 8, 2))
+        logits, tape, _ = forward_pass(layers, weights, x, keep_tape=True)
+        gl = rng.normal(size=logits.shape)
+        grads = backward_pass(tape, gl)
+        want_logits, want_input, want_params = layer_by_layer(layers, weights, x, gl)
+        assert logits.tobytes() == want_logits.tobytes()
+        # Values only: a zero entry may read +0.0 where the stack's order gives -0.0.
+        assert np.array_equal(grads.input, want_input)
+        for got, want in zip(grads.params, want_params, strict=True):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+
+    def test_tape_records_each_relu_after_its_pool(self):
+        spec = default_victim_spec()
+        rng = np.random.default_rng(5)
+        weights = _init_weights(spec, rng)
+        _, tape, _ = forward_pass(spec.layers, weights, rng.random((2, 28, 28, 1)),
+                                  keep_tape=True)
+        assert [layer.kind for layer in tape.layers] == [
+            "conv", "maxpool", "relu", "conv", "maxpool", "relu", "dense", "softmax"]
+        executed = [weights[i] for i in (0, 2, 1, 3, 5, 4, 6, 7)]
+        assert all(got is want for got, want in zip(tape.weights, executed, strict=True))
+
+    def test_captured_relu_keeps_its_place(self):
+        # The detector reads each conv layer's full-resolution ReLU output.
+        spec = default_victim_spec()
+        rng = np.random.default_rng(6)
+        weights = _init_weights(spec, rng)
+        x = rng.random((3, 28, 28, 1))
+        logits, _, captured = forward_pass(spec.layers, weights, x, capture_conv=True)
+        want = []
+        a = x
+        for layer, entry in zip(spec.layers[:-1], weights[:-1]):
+            a, _, _ = forward_pass([layer], [entry], a)
+            want.append(a)
+        assert logits.tobytes() == want[-1].tobytes()
+        assert [c.tobytes() for c in captured] == [want[1].tobytes(), want[4].tobytes()]
 
 
 class TestSoftmaxCrossEntropy:

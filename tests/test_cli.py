@@ -537,6 +537,21 @@ class TestEdgeCases:
         payload = json.loads((out / "manifest.json").read_text())
         assert payload["records"] == []
 
+    def test_gradient_sign_zero_iterations_scores_the_sources(self, pipeline, tmp_path):
+        out = tmp_path / "sign0"
+        assert run(["attack", "--net", pipeline / "net.json", "--data", pipeline / "bank",
+                    "--split", "test", "--kind", "gradient-sign", "--n", 6, "--seed", 3,
+                    "--iterations", 0, "--out", out]) == 0
+        assert json.loads((out / "manifest.json").read_text())["attack"]["iterations"] == 0
+        records = dataio.load_adversarial_batch(out)
+        images, _ = dataio.load_dataset(pipeline / "bank").split("test")
+        assert len(records) == 6
+        for rec in records:
+            assert rec.image.array.tobytes() == images[rec.source_image_id].tobytes()
+            assert rec.iterations == 0 and rec.l1 == 0.0 and rec.linf == 0.0
+            # random-other targets never the victim's own label, so no source succeeds
+            assert not rec.success
+
     def test_config_file_supplies_flags_and_cli_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=4\nn-per-class=15\n")

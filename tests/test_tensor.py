@@ -266,6 +266,13 @@ def conv_param_grads_tap_loop(x, weights, stride, padding, gy):
     return gw.transpose(3, 0, 1, 2), gy.sum(axis=(0, 1, 2))
 
 
+def kept_column_blocks(x, weights, stride, padding):
+    """The column blocks a taped conv forward keeps for _conv_backward."""
+    blocks = []
+    _conv_forward(x, weights, np.zeros(len(weights)), stride, padding, blocks)
+    return blocks
+
+
 class TestConvBackward:
     @settings(max_examples=80, deadline=None)
     @example(n=65, h=28, w=28, cin=1, k=8, kernel=3, stride=1, padding=0, seed=0)
@@ -284,13 +291,16 @@ class TestConvBackward:
         wo = (w + 2 * padding - kernel) // stride + 1
         gy = with_signed_zeros(rng, rng.normal(size=(n, ho, wo, k)))
         want_gw, want_gb = conv_param_grads_tap_loop(x, weights, stride, padding, gy)
-        gx_none, gw, gb = _conv_backward(x, weights, stride, padding, gy, input_grad=False)
+        blocks = kept_column_blocks(x, weights, stride, padding)
+        gx_none, gw, gb = _conv_backward(x.shape, blocks, weights, stride, padding, gy,
+                                         input_grad=False)
         assert gw.shape == weights.shape and gb.shape == (k,)
         # Each entry sums n*Ho*Wo products; the tolerance scales with their count.
         atol = 1e-15 * n * ho * wo
         np.testing.assert_allclose(gw, want_gw, rtol=1e-12, atol=atol)
         np.testing.assert_allclose(gb, want_gb, rtol=1e-12, atol=atol)
-        gx, gw_none, gb_none = _conv_backward(x, weights, stride, padding, gy, param_grad=False)
+        gx, gw_none, gb_none = _conv_backward(x.shape, blocks, weights, stride, padding, gy,
+                                              param_grad=False)
         assert gx.shape == x.shape
         assert gx_none is None and gw_none is None and gb_none is None
 
@@ -303,9 +313,10 @@ class TestConvBackward:
         weights = rng.normal(size=(kernels, 3, 3, shape[2]))
         ho, wo = shape[0] - 2, shape[1] - 2
         gy = rng.normal(size=(n, ho, wo, kernels))
+        blocks = kept_column_blocks(x, weights, 1, 0)
         tracemalloc.start()
         try:
-            _conv_backward(x, weights, 1, 0, gy, input_grad=False)
+            _conv_backward(x.shape, blocks, weights, 1, 0, gy, input_grad=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -9,7 +9,9 @@ from cascade_guard.autograd import (
     MaxPoolLayer,
     ReluLayer,
     SoftmaxLayer,
+    backward_pass,
     forward_pass,
+    softmax_cross_entropy,
 )
 from cascade_guard.dataio import Dataset
 from cascade_guard.errors import TrainingError, ValidationError
@@ -18,6 +20,7 @@ from cascade_guard.victim import (
     Network,
     NetworkSpec,
     TrainConfig,
+    _init_weights,
     default_victim_spec,
     layer_outputs_batch,
     predict_batch,
@@ -133,6 +136,26 @@ class TestTrainVictim:
 
     def test_bundled_task_gate(self, victim_bundle):
         assert victim_bundle.network.metadata["test_accuracy"] >= 0.9
+
+    def test_one_desk_step_traced_peak(self):
+        # One train_victim step at the desk's shapes: 32 images through the
+        # desk spec, forward with a tape, backward for the parameters. The
+        # bound is this step's peak when the tape kept no column blocks and no
+        # ReLU ran after its pool, 5,876,016 bytes, plus 256 KiB: the kept
+        # blocks must be paid for by the smaller tape.
+        spec = default_victim_spec()
+        rng = np.random.default_rng(0)
+        weights = _init_weights(spec, rng)
+        x = rng.random((32, *spec.input_dims))
+        y = rng.integers(0, spec.classes, size=32)
+
+        def step():
+            logits, tape, _ = forward_pass(spec.layers, weights, x, keep_tape=True)
+            _, grad = softmax_cross_entropy(logits, y)
+            return backward_pass(tape, grad / len(x), wrt="params")
+
+        peak, _ = traced_peak(step)
+        assert peak <= 5_876_016 + 256 * 1024
 
 
 class TestPredict:
