@@ -27,6 +27,8 @@ __all__ = [
     "svm_objective",
     "calibrate_threshold",
     "train_cascade",
+    "ScoreRecord",
+    "score_batch",
     "cascade_predict_batch",
     "detector_score_batch",
     "RocCurve",
@@ -147,7 +149,9 @@ def calibrate_threshold(scores, labels, target_tpr: float) -> float:
         raise ValidationError("calibration set contains no adversarial examples")
     if not 0.0 < target_tpr <= 1.0:
         raise ValidationError("target TPR must lie in (0, 1]")
-    k = int(np.ceil(target_tpr * pos.size))
+    # The smallest count k with k / n >= target_tpr; ceil(target_tpr * n)
+    # overshoots by one where the float product lands just above an integer.
+    k = int(np.argmax(np.arange(1, pos.size + 1) / pos.size >= target_tpr)) + 1
     ordered = np.sort(pos)[::-1]
     return float(ordered[k - 1])
 
@@ -266,19 +270,37 @@ def train_cascade(pool_layers, adv_layers, banks, config=CascadeConfig()) -> Cas
     )
 
 
-def _batch_scores(model: CascadeModel, network, images):
-    # One forward pass; stage k appends layer-k statistics of its survivors
-    # only, so an image that exits costs no deeper statistics. The victim's
-    # argmax comes from the same pass.
+@dataclass(frozen=True)
+class ScoreRecord:
+    """One detector pass over a batch, one row per image: the exit stage (-1
+    for a survivor, flagged adversarial), each stage's SVM score (NaN past
+    the exit), the scalar score and the victim's argmax. Exiters at stage k
+    score s_k - tau_k (negative); survivors score their final-stage margin
+    plus a fixed offset, so every survivor ranks above every exiter and
+    thresholding the score at 0 reproduces the cascade decisions.
+    """
+
+    exit_stage: np.ndarray
+    stage_scores: np.ndarray
+    score: np.ndarray
+    victim_label: np.ndarray
+
+
+def score_batch(model: CascadeModel, network, images) -> ScoreRecord:
+    """The detector's one pass: one forward, in which stage k appends layer-k
+    statistics of its survivors only. A network without the conv layers and
+    channels that the stages' banks expect fails before that forward.
+    """
+    channels = network.spec.conv_channels()
+    wanted = tuple(bank.k for bank in model.banks[:len(model.stages)])
+    if channels[:len(wanted)] != wanted:
+        raise ValidationError(f"the detector's stages read conv layers of {list(wanted)} "
+                              f"channels but the network's have {list(channels)}")
     logits, per_layer = _chunked_forward(network, images, capture_conv=True)
-    if len(per_layer) < len(model.stages):
-        raise ValidationError(
-            f"network exposes {len(per_layer)} conv layers but the detector has "
-            f"{len(model.stages)} stages"
-        )
-    n = len(per_layer[0])
+    n = len(logits)
     exit_stage = np.full(n, -1, dtype=np.int64)
-    scores = np.full((n, len(model.stages)), np.nan)
+    stage_scores = np.full((n, len(model.stages)), np.nan)
+    score = np.empty(n)
     alive = np.arange(n)
     feats = np.empty((n, 0))
     for i, (stage, bank) in enumerate(zip(model.stages, model.banks)):
@@ -288,41 +310,25 @@ def _batch_scores(model: CascadeModel, network, images):
         rows = per_layer[i] if i == 0 else per_layer[i][alive]
         feats = np.concatenate([feats, stat_matrix(rows, bank)], axis=1)
         s = stage.svm.decision_scores(feats)
-        scores[alive, i] = s
+        stage_scores[alive, i] = s
+        score[alive] = s - stage.tau
         exited = s < stage.tau
         exit_stage[alive[exited]] = i + 1
         alive = alive[~exited]
         feats = feats[~exited]
-    return exit_stage, scores, np.argmax(logits, axis=1)
+    score[alive] += SURVIVOR_OFFSET
+    return ScoreRecord(exit_stage, stage_scores, score, np.argmax(logits, axis=1))
 
 
 def cascade_predict_batch(model: CascadeModel, network, images):
-    """(is_adversarial, exit_stage, stage_scores) arrays for a batch.
-
-    exit_stage is -1 for survivors; stage_scores holds NaN past the exit.
-    """
-    exit_stage, scores, _ = _batch_scores(model, network, images)
-    return exit_stage < 0, exit_stage, scores
+    """score_batch as (is_adversarial, exit_stage, stage_scores) arrays."""
+    record = score_batch(model, network, images)
+    return record.exit_stage < 0, record.exit_stage, record.stage_scores
 
 
 def detector_score_batch(model: CascadeModel, network, images) -> np.ndarray:
-    """Scalar adversarialness per image.
-
-    Exiters at stage k score s_k - tau_k (negative); survivors score their
-    final-stage margin plus a fixed offset, so every survivor ranks above
-    every exiter and thresholding at 0 reproduces the cascade decisions.
-    """
-    return _detector_scores_and_argmax(model, network, images)[0]
-
-
-def _detector_scores_and_argmax(model: CascadeModel, network, images):
-    """detector_score_batch's scores and the victim's argmax labels, from one forward pass."""
-    exit_stage, scores, labels = _batch_scores(model, network, images)
-    taus = np.array([stage.tau for stage in model.stages])
-    survived = exit_stage < 0
-    col = np.where(survived, len(model.stages) - 1, exit_stage - 1)
-    margin = scores[np.arange(len(exit_stage)), col] - taus[col]
-    return np.where(survived, margin + SURVIVOR_OFFSET, margin), labels
+    """score_batch's scalar adversarialness per image."""
+    return score_batch(model, network, images).score
 
 
 @dataclass

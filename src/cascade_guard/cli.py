@@ -32,12 +32,10 @@ from .attacks import (
 from .autograd import DenseLayer
 from .cascade import (
     CascadeConfig,
-    _batch_scores,
-    _detector_scores_and_argmax,
     accuracy_at_threshold,
     best_threshold_accuracy,
-    detector_score_batch,
     roc_auc,
+    score_batch,
     train_cascade,
 )
 from .errors import ValidationError
@@ -329,25 +327,15 @@ def _cmd_fit_detector(args):
     return 0
 
 
-def _scores_and_labels(model, net, normal_images, adv_images):
-    scores = np.concatenate([
-        detector_score_batch(model, net, normal_images),
-        detector_score_batch(model, net, adv_images),
-    ])
-    labels = np.concatenate([
-        np.zeros(len(normal_images), dtype=bool),
-        np.ones(len(adv_images), dtype=bool),
-    ])
-    return scores, labels
-
-
 def _cmd_evaluate(args):
     net = dataio.load_network(args.net)
     model = dataio.load_detector(args.detector)
     normals = dataio.load_dataset(args.normals)
     _, adv_images = _adversarial_images(args.adversarials, args.successful_only)
     images, _ = _split_images(normals, args.split)
-    scores, labels = _scores_and_labels(model, net, images, adv_images)
+    scores = np.concatenate([score_batch(model, net, images).score,
+                             score_batch(model, net, adv_images).score])
+    labels = np.arange(len(scores)) >= len(images)
     curve = roc_auc(scores, labels)
     acc_calibrated = accuracy_at_threshold(scores, labels, 0.0)
     _, acc_best = best_threshold_accuracy(scores, labels)
@@ -426,12 +414,12 @@ def _cmd_recover(args):
     if not labeled:
         raise ValidationError("no records carry an original label")
     # One forward pass gives the flags and the victim's pre-filter labels.
-    exit_stage, _, pre_labels = _batch_scores(model, net, images[labeled])
-    flagged = np.nonzero(exit_stage < 0)[0]
+    record = score_batch(model, net, images[labeled])
+    flagged = np.nonzero(record.exit_stage < 0)[0]
     if not flagged.size:
         raise ValidationError("detector flagged no records to recover")
     report = recovery_eval(net, [records[labeled[i]] for i in flagged],
-                           pre_labels[flagged], args.k)
+                           record.victim_label[flagged], args.k)
     _write_csv(args.out_csv,
                ("attack_kind", "k", "n", "pre_acc", "post_acc"),
                [(report.kind, report.k, report.n,
@@ -454,11 +442,11 @@ def _cmd_selfaware(args):
     is_adv = np.arange(len(batch)) >= len(images)
     true_labels = np.concatenate([labels, [
         -1 if r.original_label is None else r.original_label for r in records]])
-    scores, predicted = _detector_scores_and_argmax(model, net, batch)
-    calibration = calibrate_omega(scores, is_adv)
+    record = score_batch(model, net, batch)
+    calibration = calibrate_omega(record.score, is_adv)
     e_q = random_guess_error(net.spec.classes) if args.eq_random_guess else args.eq
-    points = selfaware_sweep(scores, predicted, is_adv, true_labels, calibration, table,
-                             e_q, args.ea_range)
+    points = selfaware_sweep(record.score, record.victim_label, is_adv, true_labels,
+                             calibration, table, e_q, args.ea_range)
     rows = [(_fmt(p.e_a), _fmt(p.abstain_fraction), _fmt(p.retained_accuracy),
              _fmt(p.expected_loss)) for p in points]
     _write_csv(args.out_csv,

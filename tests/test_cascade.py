@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 
@@ -16,13 +17,14 @@ from cascade_guard.cascade import (
     compose_rates,
     detector_score_batch,
     roc_auc,
+    score_batch,
     svm_objective,
     train_cascade,
     train_svm,
 )
 from cascade_guard.errors import ValidationError
 from cascade_guard.featstats import fit_pca_bank, stat_matrix
-from cascade_guard.victim import layer_outputs_batch
+from cascade_guard.victim import layer_outputs_batch, predict_batch
 
 
 def pair_counting_auc(scores, labels):
@@ -135,14 +137,21 @@ class TestCalibrateThreshold:
         tau = calibrate_threshold(scores, labels, 1.0)
         assert tau == 0.1
 
-    def test_ten_positives_sorted_count_oracle(self):
-        pos = np.arange(0.1, 1.05, 0.1)
+    # (100, 0.07) and (100, 0.14): target_tpr * n lands just above 7 and 14.
+    @pytest.mark.parametrize("n, target", [(10, 0.9), (100, 0.07), (100, 0.14),
+                                           (100, 0.97), (400, 0.97)])
+    def test_ten_positives_sorted_count_oracle(self, n, target):
+        pos = np.arange(1, n + 1) / n
         scores = np.concatenate([pos, [-1.0]])
-        labels = np.concatenate([np.ones(10), [0]])
-        tau = calibrate_threshold(scores, labels, 0.9)
-        assert tau == pytest.approx(0.2)
-        # oracle: count positives at or above tau per candidate threshold
-        assert (pos >= tau).sum() == 9
+        labels = np.concatenate([np.ones(n), [0]])
+        tau = calibrate_threshold(scores, labels, target)
+        # oracle: count positives at or above each candidate threshold; tau is
+        # the largest candidate whose count is at least target of them
+        counts = np.array([(pos >= t).sum() for t in pos])
+        assert tau == pos[counts / n >= target].max()
+        if n == 10:
+            assert tau == pytest.approx(0.2)
+            assert (pos >= tau).sum() == 9
 
     def test_default_target_tpr(self):
         assert CascadeConfig().target_tpr == 0.97
@@ -369,13 +378,20 @@ class TestDetectorScore:
         net, model, normals, advs = trained_cascade
         train_advs = np.stack([r.image.array for r in corpus.successful[:400]])
         images = np.concatenate([normals[:100], train_advs, advs[:100]])
+
+        def fields(record):
+            return [getattr(record, f.name) for f in dataclasses.fields(record)]
+
+        record = score_batch(model, net, images)
         scores = detector_score_batch(model, net, images)
         decisions = cascade_predict_batch(model, net, images)
         singles = [(detector_score_batch(model, net, images[i : i + 1]),
-                    *cascade_predict_batch(model, net, images[i : i + 1]))
+                    *cascade_predict_batch(model, net, images[i : i + 1]),
+                    *fields(score_batch(model, net, images[i : i + 1])))
                    for i in range(len(images))]
-        for got, parts in zip((scores, *decisions), zip(*singles)):
+        for got, parts in zip((scores, *decisions, *fields(record)), zip(*singles)):
             assert got.tobytes() == np.concatenate(parts).tobytes()
+        assert record.victim_label.tobytes() == predict_batch(net, images)[2].tobytes()
 
     def test_holdout_auc_clears_soft_target(self, trained_cascade):
         net, model, normals, advs = trained_cascade

@@ -208,6 +208,65 @@ class TestFitDetector:
         assert (tmp_path / "det.json").read_bytes() == (pipeline / "det.json").read_bytes()
 
 
+class TestEvaluate:
+    def test_each_image_is_forwarded_once(self, pipeline, tmp_path, monkeypatch):
+        import cascade_guard.victim as victim_module
+
+        args = ["evaluate", "--detector", pipeline / "det.json", "--net", pipeline / "net.json",
+                "--normals", pipeline / "bank", "--adversarials", pipeline / "advs_test"]
+        assert run([*args, "--out-csv", tmp_path / "plain.csv"]) == 0
+        rows = []
+        original = victim_module.forward_pass
+
+        def counting(layers, weights, x, *args, **kwargs):
+            rows.append(len(x))
+            return original(layers, weights, x, *args, **kwargs)
+
+        monkeypatch.setattr(victim_module, "forward_pass", counting)
+        assert run([*args, "--out-csv", tmp_path / "counted.csv"]) == 0
+        monkeypatch.undo()
+        n_test = len(dataio.load_dataset(pipeline / "bank").indices("test"))
+        n_advs = sum(r.success for r in dataio.load_adversarial_batch(pipeline / "advs_test"))
+        assert sum(rows) == n_test + n_advs
+        assert (tmp_path / "counted.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    # The desk network's conv layers have 8 and 16 channels.
+    @pytest.mark.parametrize("channels", [(3, 5), (8, 16, 4)],
+                             ids=["other-channels", "more-stages-than-conv-layers"])
+    def test_detector_that_does_not_fit_the_network_fails_before_forwarding(
+            self, pipeline, tmp_path, capsys, monkeypatch, channels):
+        import cascade_guard.victim as victim_module
+        from cascade_guard.cascade import CascadeConfig, train_cascade
+        from cascade_guard.featstats import fit_pca_bank
+
+        rng = np.random.default_rng(0)
+        pool = [rng.random((40, 4, 4, k)) for k in channels]
+        banks = [fit_pca_bank(layer, m + 1) for m, layer in enumerate(pool)]
+        # Adversarials drawn like the pool keep most of it alive at every stage.
+        model = train_cascade(pool, [layer[:20] for layer in pool], banks, CascadeConfig())
+        assert len(model.stages) == len(channels)
+        dataio.save_detector(tmp_path / "det.json", model)
+        rows = []
+        original = victim_module.forward_pass
+
+        def counting(layers, weights, x, *args, **kwargs):
+            rows.append(len(x))
+            return original(layers, weights, x, *args, **kwargs)
+
+        monkeypatch.setattr(victim_module, "forward_pass", counting)
+        code = run(["evaluate", "--detector", tmp_path / "det.json",
+                    "--net", pipeline / "net.json", "--normals", pipeline / "bank",
+                    "--adversarials", pipeline / "advs_test",
+                    "--out-csv", tmp_path / "eval.csv"])
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err == (f"ERROR 1: the detector's stages read conv layers of {list(channels)} "
+                       "channels but the network's have [8, 16]\n")
+        assert rows == []
+        assert not (tmp_path / "eval.csv").exists()
+
+
 class TestSelfaware:
     def test_each_image_is_forwarded_once(self, pipeline, tmp_path, monkeypatch):
         import cascade_guard.victim as victim_module

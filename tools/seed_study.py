@@ -8,10 +8,11 @@ This script repeats their protocol, as tests/conftest.py and
 tests/test_acceptance.py set it up, once per victim seed drawn here: the same
 data, attack corpus, EA batch, bank fit and cascade seeds 2-6, only the
 victim's training seed differs. It prints one line per draw with the per-
-cascade-seed AUCs and then the share of draws meeting each criterion's rule,
-so a pinned-seed flip after a rounding change can be read against its base
-rate. The program is imported from ./src of the checkout this script lives
-in. One draw takes 12-21 s on a 2-core host.
+cascade-seed AUCs and the shares of held-out box adversarials and of EA
+images that exit at stage 1 (as normal), and then the share of draws meeting
+each criterion's rule, so a pinned-seed flip after a rounding change can be
+read against its base rate. The program is imported from ./src of the
+checkout this script lives in. One draw takes 12-21 s on a 2-core host.
 """
 from __future__ import annotations
 
@@ -49,16 +50,16 @@ def victim_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _aucs(values) -> str:
+def _figures(values) -> str:
     return ", ".join(f"{a:.3f}" for a in values) or "-"
 
 
 def draw(victim_seed: int) -> dict:
-    """Criterion 6 and 7 AUCs, one per cascade seed, for a victim trained at victim_seed."""
+    """Criterion 6 and 7 AUCs, and the box and EA stage-1 exit shares, one per
+    cascade seed, for a victim trained at victim_seed."""
     from cascade_guard.attacks import (AttackConfig, choose_targets,
                                        evolutionary_attack_batch, gradient_box_attack_batch)
-    from cascade_guard.cascade import (CascadeConfig, detector_score_batch, roc_auc,
-                                       train_cascade)
+    from cascade_guard.cascade import CascadeConfig, roc_auc, score_batch, train_cascade
     from cascade_guard.dataio import synth_dataset
     from cascade_guard.featstats import fit_pca_bank
     from cascade_guard.victim import (TrainConfig, default_victim_spec, layer_outputs_batch,
@@ -86,7 +87,7 @@ def draw(victim_seed: int) -> dict:
 
     result = {"victim_seed": victim_seed, "accuracy": net.metadata["test_accuracy"],
               "successful": len(successful), "ea_successful": len(ea_imgs),
-              "auc": [], "ea_auc": []}
+              "auc": [], "ea_auc": [], "box_stage1": [], "ea_stage1": []}
     if len(successful) < 1300:  # the protocol's corpus floor
         return result
     for seed in CASCADE_SEEDS:
@@ -99,11 +100,14 @@ def draw(victim_seed: int) -> dict:
         model = train_cascade(layer_outputs_batch(net, pool),
                               layer_outputs_batch(net, train_advs), banks,
                               CascadeConfig(seed=seed))
-        normal_scores = detector_score_batch(model, net, holdout)
-        for key, advs in (("auc", hold_advs), ("ea_auc", ea_imgs)):
-            scores = np.concatenate([normal_scores, detector_score_batch(model, net, advs)])
+        normal_scores = score_batch(model, net, holdout).score
+        for key, share, advs in (("auc", "box_stage1", hold_advs),
+                                 ("ea_auc", "ea_stage1", ea_imgs)):
+            record = score_batch(model, net, advs)
+            scores = np.concatenate([normal_scores, record.score])
             is_adv = np.arange(len(scores)) >= len(holdout)
             result[key].append(roc_auc(scores, is_adv).auc)
+            result[share].append(float((record.exit_stage == 1).mean()))
     return result
 
 
@@ -124,8 +128,10 @@ def main(argv=None) -> int:
         meets7 += ok7
         print(f"victim seed {victim_seed}: test accuracy {r['accuracy']:.3f}, "
               f"{r['successful']} successful box attacks, {r['ea_successful']} EA; "
-              f"criterion 6 AUC {_aucs(r['auc'])} ({'meets' if ok6 else 'misses'}); "
-              f"criterion 7 AUC {_aucs(r['ea_auc'])} ({'meets' if ok7 else 'misses'}); "
+              f"criterion 6 AUC {_figures(r['auc'])} ({'meets' if ok6 else 'misses'}); "
+              f"criterion 7 AUC {_figures(r['ea_auc'])} ({'meets' if ok7 else 'misses'}); "
+              f"stage-1 exit share box {_figures(r['box_stage1'])}, "
+              f"EA {_figures(r['ea_stage1'])}; "
               f"{time.perf_counter() - t0:.0f}s", flush=True)
     print(f"criterion 6 rule (mean AUC >= 0.85) met on {meets6} of {len(seeds)} draws; "
           f"criterion 7 rule (every AUC >= 0.90) met on {meets7} of {len(seeds)} draws")
