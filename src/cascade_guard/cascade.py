@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ValidationError
 from .featstats import stat_matrix
 from .tensor import _per_row
-from .victim import _chunked_forward
+from .victim import _as_batch, _forward_chunks
 
 __all__ = [
     "LinearSvm",
@@ -188,6 +188,13 @@ class CascadeModel:
         for name, parts in (("stages", self.stages), ("banks", self.banks)):
             if [p.layer_index for p in parts] != list(range(1, len(parts) + 1)):
                 raise ValidationError(f"{name} must cover conv layers 1..K in order")
+        width = 0
+        for stage, bank in zip(self.stages, self.banks):
+            width += 6 * bank.k
+            if stage.svm.dim != width:
+                raise ValidationError(
+                    f"stage {stage.layer_index} SVM reads {stage.svm.dim} features but "
+                    f"the statistics of conv layers 1..{stage.layer_index} give {width}")
 
 
 @dataclass(frozen=True)
@@ -203,36 +210,39 @@ class CascadeConfig:
             raise ValidationError("svm C must be positive and finite")
 
 
-def train_cascade(pool_layers, adv_layers, banks, config=CascadeConfig()) -> CascadeModel:
+def train_cascade(pool_stats, adv_stats, banks, config=CascadeConfig()) -> CascadeModel:
     """Stage-by-stage training with pool elimination.
 
-    pool_layers and adv_layers are the per-conv-layer activation arrays of the
-    normal pool and of the training adversarials, as layer_outputs_batch
-    returns them; banks are the fitted banks of conv layers 1, 2, ... Stage k
-    appends layer-k statistics of the pool normals still alive, and of the
-    adversarials, to the features of the earlier stages; the pool's are
-    computed for the whole layer array and their alive rows kept, as indexing
-    the activations would copy them. It then draws a balanced subset of the
-    alive normals, trains the SVM against all training adversarials,
-    calibrates the threshold at the target TPR on the training adversarials
-    and drops the pool normals that score below it. Stops when the conv
-    layers or the banks run out, or when the pool empties. Stage rates are
-    the stage's own rates on the alive pool and the training adversarials.
-    The detector keeps a bank for every conv layer it covers, reached by a
-    stage or not.
+    pool_stats and adv_stats hold, per conv layer, the (N, 6K) statistic rows
+    (stat_matrix under that layer's bank) of the normal pool and of the
+    training adversarials; banks are the fitted banks of conv layers 1, 2, ...
+    Stage k appends the layer-k rows of the pool normals still alive, and of
+    the adversarials, to the features of the earlier stages. It then draws a
+    balanced subset of the alive normals, trains the SVM against all training
+    adversarials, calibrates the threshold at the target TPR on the training
+    adversarials and drops the pool normals that score below it. Stops when
+    the conv layers or the banks run out, or when the pool empties. Stage
+    rates are the stage's own rates on the alive pool and the training
+    adversarials. The detector keeps a bank for every conv layer it covers,
+    reached by a stage or not.
     """
-    pool_layers, adv_layers = list(pool_layers), list(adv_layers)
-    if len(pool_layers) != len(adv_layers) or any(
-            a.ndim != 4 or p.shape[1:] != a.shape[1:] for p, a in zip(pool_layers, adv_layers)):
-        raise ValidationError("pool and adversarial activations must be N x h x w x k "
-                              "arrays of the same conv layers")
-    n_layers = min(len(banks), len(pool_layers))
+    pool_stats, adv_stats = list(pool_stats), list(adv_stats)
+    if len(pool_stats) != len(adv_stats):
+        raise ValidationError(f"got statistic rows of {len(pool_stats)} conv layers for the "
+                              f"pool but of {len(adv_stats)} for the adversarials")
+    n_layers = min(len(banks), len(pool_stats))
     if n_layers < 1:
         raise ValidationError("need at least one conv layer with a fitted bank")
-    n_p = len(adv_layers[0])
+    for m, bank in enumerate(banks[:n_layers]):
+        for name, rows, n in (("pool", pool_stats[m], len(pool_stats[0])),
+                              ("adversarial", adv_stats[m], len(adv_stats[0]))):
+            if np.shape(rows) != (n, 6 * bank.k):
+                raise ValidationError(f"{name} statistic rows of conv layer {m + 1} must be "
+                                      f"({n}, {6 * bank.k}), got {np.shape(rows)}")
+    n_p = len(adv_stats[0])
     if n_p == 0:
         raise ValidationError("training adversarial set is empty")
-    n_pool = len(pool_layers[0])
+    n_pool = len(pool_stats[0])
     if n_pool < n_p:
         raise ValidationError(f"normal pool ({n_pool}) smaller than adversarial set ({n_p})")
 
@@ -244,9 +254,8 @@ def train_cascade(pool_layers, adv_layers, banks, config=CascadeConfig()) -> Cas
     for m, bank in enumerate(banks[:n_layers]):
         if alive.size == 0:
             break
-        pool_feats = np.concatenate([pool_feats, stat_matrix(pool_layers[m], bank)[alive]],
-                                    axis=1)
-        adv_feats = np.concatenate([adv_feats, stat_matrix(adv_layers[m], bank)], axis=1)
+        pool_feats = np.concatenate([pool_feats, pool_stats[m][alive]], axis=1)
+        adv_feats = np.concatenate([adv_feats, adv_stats[m]], axis=1)
         draw = rng.choice(alive, size=min(n_p, alive.size), replace=False)
         x = np.concatenate([pool_feats[np.searchsorted(alive, draw)], adv_feats])
         y = np.concatenate([-np.ones(len(draw)), np.ones(n_p)])
@@ -287,37 +296,47 @@ class ScoreRecord:
 
 
 def score_batch(model: CascadeModel, network, images) -> ScoreRecord:
-    """The detector's one pass: one forward, in which stage k appends layer-k
-    statistics of its survivors only. A network without the conv layers and
-    channels that the stages' banks expect fails before that forward.
+    """The detector's one pass. Each 64-image chunk runs the stage loop as it
+    is forwarded: stage k appends the layer-k statistics of the chunk's
+    survivors only, and the chunk's rows of the record are filled before the
+    next chunk is forwarded, so the pass holds one chunk's activations. A
+    network without the conv layers and channels that the stages' banks
+    expect fails before the first forward.
     """
     channels = network.spec.conv_channels()
     wanted = tuple(bank.k for bank in model.banks[:len(model.stages)])
     if channels[:len(wanted)] != wanted:
         raise ValidationError(f"the detector's stages read conv layers of {list(wanted)} "
                               f"channels but the network's have {list(channels)}")
-    logits, per_layer = _chunked_forward(network, images, capture_conv=True)
-    n = len(logits)
+    batch = _as_batch(network.spec, images)
+    n = len(batch)
     exit_stage = np.full(n, -1, dtype=np.int64)
     stage_scores = np.full((n, len(model.stages)), np.nan)
     score = np.empty(n)
-    alive = np.arange(n)
-    feats = np.empty((n, 0))
-    for i, (stage, bank) in enumerate(zip(model.stages, model.banks)):
-        if alive.size == 0:
-            break
-        # Every row is alive at stage 1; indexing would copy the whole layer.
-        rows = per_layer[i] if i == 0 else per_layer[i][alive]
-        feats = np.concatenate([feats, stat_matrix(rows, bank)], axis=1)
-        s = stage.svm.decision_scores(feats)
-        stage_scores[alive, i] = s
-        score[alive] = s - stage.tau
-        exited = s < stage.tau
-        exit_stage[alive[exited]] = i + 1
-        alive = alive[~exited]
-        feats = feats[~exited]
-    score[alive] += SURVIVOR_OFFSET
-    return ScoreRecord(exit_stage, stage_scores, score, np.argmax(logits, axis=1))
+    victim_label = np.empty(n, dtype=np.intp)
+    for rows, logits, per_layer in _forward_chunks(network, batch, capture_conv=True):
+        victim_label[rows] = np.argmax(logits, axis=1)
+        # Views of the chunk's rows of the record; alive indexes the chunk.
+        chunk_exit, chunk_scores, chunk_score = exit_stage[rows], stage_scores[rows], score[rows]
+        alive = np.arange(len(logits))
+        feats = np.empty((len(alive), 0))
+        for i, (stage, bank) in enumerate(zip(model.stages, model.banks)):
+            if alive.size == 0:
+                break
+            # Every row of the chunk is alive at stage 1; indexing would copy it.
+            layer = per_layer[i] if i == 0 else per_layer[i][alive]
+            feats = np.concatenate([feats, stat_matrix(layer, bank)], axis=1)
+            del layer
+            s = stage.svm.decision_scores(feats)
+            chunk_scores[alive, i] = s
+            chunk_score[alive] = s - stage.tau
+            exited = s < stage.tau
+            chunk_exit[alive[exited]] = i + 1
+            alive = alive[~exited]
+            feats = feats[~exited]
+        chunk_score[alive] += SURVIVOR_OFFSET
+        del logits, per_layer
+    return ScoreRecord(exit_stage, stage_scores, score, victim_label)
 
 
 def cascade_predict_batch(model: CascadeModel, network, images):

@@ -29,7 +29,7 @@ from .attacks import (
     gradient_box_attack_batch,
     gradient_sign_attack_batch,
 )
-from .autograd import DenseLayer
+from .autograd import DenseLayer, captured_layers
 from .cascade import (
     CascadeConfig,
     accuracy_at_threshold,
@@ -39,7 +39,7 @@ from .cascade import (
     train_cascade,
 )
 from .errors import ValidationError
-from .featstats import fit_pca_bank, spectral_report
+from .featstats import fit_pca_bank, spectral_report, stat_matrix
 from .recovery import recovery_eval
 from .selfaware import (
     ErrorTable,
@@ -49,10 +49,11 @@ from .selfaware import (
 )
 from .victim import (
     TrainConfig,
+    _as_batch,
     _census_table,
     _chunked_forward,
+    _forward_chunks,
     default_victim_spec,
-    layer_outputs_batch,
     predict_batch,
     prediction_census,
     train_victim,
@@ -299,26 +300,35 @@ def _cmd_fit_detector(args):
     net = dataio.load_network(args.net)
     normals = dataio.load_dataset(args.normals)
     records, adv_images = _adversarial_images(args.adversarials, args.successful_only)
+    adv_images = _as_batch(net.spec, adv_images)
     pool, _ = _split_images(normals, args.split)
     fingerprint = dataio.dataset_fingerprint(normals)
-    # Inputs are dropped once forwarded, the large pool first, and the heap
-    # is trimmed before each large step, so no step runs beside dead arrays
-    # or freed pages. The banks are fitted on the pool's activations after
-    # both forwards: the fit leaves the activations as they are and holds a
-    # few 16,384-row blocks beside them, but the buffers its threaded BLAS
-    # products keep (about 2 MB) would otherwise sit under the second
-    # forward's peak.
+    # No step holds the activations of more than one conv layer of the pool,
+    # or of more than one chunk of the adversarials. For each conv layer in
+    # depth order, the pool is forwarded up to that layer's activation, whose
+    # bank is fitted and whose statistic rows are taken before it is dropped.
+    # The adversarials then pass through the whole network once, each chunk
+    # giving its rows of every layer. Inputs are dropped once forwarded, and
+    # the heap is trimmed before each large step, so no step runs beside dead
+    # arrays or freed pages.
     del normals
-    _trim_heap()
-    pool_layers = layer_outputs_batch(net, pool)
+    banks, pool_stats = [], []
+    for m, tap in enumerate(captured_layers(net.spec.layers)):
+        _trim_heap()
+        layer = _chunked_forward(net, pool, depth=tap + 1)[0]
+        banks.append(fit_pca_bank(layer, m + 1))
+        pool_stats.append(stat_matrix(layer, banks[m]))
+        del layer
     del pool
     _trim_heap()
-    adv_layers = layer_outputs_batch(net, adv_images)
+    adv_stats = [np.empty((len(adv_images), 6 * bank.k)) for bank in banks]
+    for rows, _, captured in _forward_chunks(net, adv_images, capture_conv=True):
+        for m, bank in enumerate(banks):
+            adv_stats[m][rows] = stat_matrix(captured[m], bank)
+        del captured
     del records, adv_images
     _trim_heap()
-    banks = [fit_pca_bank(layer, m + 1) for m, layer in enumerate(pool_layers)]
-    _trim_heap()
-    model = train_cascade(pool_layers, adv_layers, banks, config)
+    model = train_cascade(pool_stats, adv_stats, banks, config)
     model.metadata["normals_fingerprint"] = fingerprint
     dataio.save_detector(args.out, model)
     rates = ", ".join(f"stage{s.layer_index}: fpr={s.fpr:.3f} tpr={s.tpr:.3f}"
@@ -371,15 +381,16 @@ def _cmd_census(args):
 
 
 def _flat_layer_features(net, images, layer):
-    """Rows of flattened activations: the first dense layer's input, or conv m."""
+    """Rows of flattened activations, the first dense layer's input or conv
+    layer m's captured activation, forwarded only up to that layer."""
+    spec = net.spec
     if layer == "penultimate":
-        spec = net.spec
-        head = next((i for i, l in enumerate(spec.layers) if isinstance(l, DenseLayer)), None)
-        if head is None:
+        depth = next((i for i, l in enumerate(spec.layers) if isinstance(l, DenseLayer)), None)
+        if depth is None:
             raise ValidationError("network has no dense layer to take features from")
-        return _chunked_forward(net, images, depth=head)[0].reshape(len(images), -1)
-    batch = layer_outputs_batch(net, images)[layer - 1]
-    return batch.reshape(len(batch), -1)
+    else:
+        depth = captured_layers(spec.layers)[layer - 1] + 1
+    return _chunked_forward(net, images, depth=depth)[0].reshape(len(images), -1)
 
 
 def _cmd_spectral(args):

@@ -4,11 +4,13 @@ Defines the network description and trained-network containers, plain
 SGD-with-momentum training, batch predictions, per-conv-layer feature maps
 and the above-threshold prediction census.
 
-Every inference (predictions, accuracy, feature maps, the detector's pass
-and spectral's penultimate features) runs through one forward pass over
-64-image chunks, _chunked_forward. The layer kernels form each image's
-bytes on their own, so an image gets the same logits and feature maps
-alone, in a chunk or in any batch.
+Every inference (predictions, accuracy, feature maps, the detector's fit
+and pass, and spectral's features) runs through one forward pass over
+64-image chunks, _forward_chunks. _chunked_forward gathers its chunks into
+whole-batch arrays; the detector's pass and the fit's adversarial
+statistics read each chunk as it comes and keep none of its activations.
+The layer kernels form each image's bytes on their own, so an image gets
+the same logits and feature maps alone, in a chunk or in any batch.
 """
 from __future__ import annotations
 
@@ -284,31 +286,47 @@ def layer_outputs_batch(network: Network, images):
     return _chunked_forward(network, images, capture_conv=True)[1]
 
 
+def _forward_chunks(network: Network, batch, depth=None, capture_conv=False):
+    """Yield (rows, out, captured) for each 64-image chunk of a batch that
+    _as_batch has checked: the slice of the batch's rows, the chunk's output
+    of the network's first `depth` layers (all by default) and, with
+    capture_conv, which needs the whole network, its captured activation of
+    every conv layer (None without).
+
+    The generator drops its references to a chunk's arrays before it
+    forwards the next chunk; a caller that drops its own at the end of each
+    step holds one chunk's forward pass at a time.
+    """
+    layers, weights = network.spec.layers[:depth], network.weights[:depth]
+    for start in range(0, len(batch), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        out, _, captured = forward_pass(layers, weights, batch[rows],
+                                        capture_conv=capture_conv)
+        yield rows, out, captured
+        del out, captured  # freed before the next chunk's forward, not during it
+
+
 def _chunked_forward(network: Network, images, depth=None, capture_conv=False):
     """(out, per-conv-layer activations) of the network's first `depth` layers
-    (all by default), forwarded 64 images at a time. The activations are []
-    without capture_conv, which needs the whole network.
+    (all by default) for the whole batch, from _forward_chunks. The
+    activations are [] without capture_conv, which needs the whole network.
 
     Every layer forms each image's bytes on their own, so chunking, or any
     other batch, changes no bit of a row. Each chunk's results are copied
-    into arrays allocated once for the whole batch and dropped before the
-    next chunk is forwarded, so the peak is the results plus one chunk's
-    forward pass.
+    into arrays allocated once for the whole batch, so the peak is the
+    results plus one chunk's forward pass.
     """
     spec = network.spec
     batch = _as_batch(spec, images)
-    layers, weights = spec.layers[:depth], network.weights[:depth]
     shapes = (spec.input_dims,) + tuple(spec.shapes())
-    out = np.empty((len(batch),) + shapes[len(layers)])
+    out = np.empty((len(batch),) + shapes[len(spec.layers[:depth])])
     convs = [np.empty((len(batch),) + shapes[i + 1])
              for i in captured_layers(spec.layers)] if capture_conv else []
-    for start in range(0, len(batch), _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        out[rows], _, captured = forward_pass(layers, weights, batch[rows],
-                                              capture_conv=capture_conv)
+    for rows, chunk_out, captured in _forward_chunks(network, batch, depth, capture_conv):
+        out[rows] = chunk_out
         for m, conv in enumerate(convs):
             conv[rows] = captured[m]
-        del captured  # freed before the next chunk's forward, not during it
+        del chunk_out, captured
     return out, convs
 
 

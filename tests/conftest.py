@@ -15,7 +15,7 @@ from cascade_guard.attacks import (
     gradient_box_attack_batch,
 )
 from cascade_guard.dataio import synth_dataset
-from cascade_guard.featstats import fit_pca_bank
+from cascade_guard.featstats import fit_pca_bank, stat_matrix
 from cascade_guard.victim import (
     TrainConfig,
     default_victim_spec,
@@ -100,3 +100,13 @@ def fitted_banks(victim_bundle, corpus):
     pool = corpus.normal_bank[:500]
     return [fit_pca_bank(batch, layer_index=m + 1)
             for m, batch in enumerate(layer_outputs_batch(net, pool))]
+
+
+@pytest.fixture(scope="session")
+def stat_rows():
+    """stat_rows(net, images, banks): each conv layer's statistic rows, as
+    train_cascade takes them."""
+    def rows(net, images, banks):
+        return [stat_matrix(layer, bank)
+                for layer, bank in zip(layer_outputs_batch(net, images), banks)]
+    return rows

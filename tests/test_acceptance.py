@@ -71,7 +71,7 @@ class SeedRun:
 
 
 @pytest.fixture(scope="module")
-def seed_runs(victim_bundle, corpus, fitted_banks, request):
+def seed_runs(victim_bundle, corpus, fitted_banks, stat_rows, request):
     # The PCA banks are fitted once on a canonical normal slice and shared by
     # all trials; per-trial randomness is the adversarial subset, the pool
     # draw and the cascade seed.
@@ -90,8 +90,8 @@ def seed_runs(victim_bundle, corpus, fitted_banks, request):
         hold_idx = norm_order[1500:2000]
         pool = corpus.normal_bank[pool_idx]
         model = train_cascade(
-            layer_outputs_batch(net, pool),
-            layer_outputs_batch(net, np.stack([r.image.array for r in train_advs])),
+            stat_rows(net, pool, fitted_banks),
+            stat_rows(net, np.stack([r.image.array for r in train_advs]), fitted_banks),
             fitted_banks, CascadeConfig(seed=seed),
         )
         holdout_normals = corpus.normal_bank[hold_idx]

@@ -11,13 +11,21 @@ from cascade_guard.autograd import (
     ReluLayer,
     SoftmaxLayer,
     backward_pass,
+    captured_layers,
     forward_pass,
     infer_shapes,
     softmax_batch,
     softmax_cross_entropy,
 )
 from cascade_guard.errors import ValidationError
-from cascade_guard.victim import NetworkSpec, _init_weights, default_victim_spec
+from cascade_guard.victim import (
+    Network,
+    NetworkSpec,
+    _chunked_forward,
+    _init_weights,
+    default_victim_spec,
+    layer_outputs_batch,
+)
 
 
 def finite_difference_input(layers, weights, x, y, h=1e-5):
@@ -283,6 +291,25 @@ class TestExecutedOrder:
             want.append(a)
         assert logits.tobytes() == want[-1].tobytes()
         assert [c.tobytes() for c in captured] == [want[1].tobytes(), want[4].tobytes()]
+
+    @pytest.mark.parametrize("stack", ["desk", "conv-pad1-pool3x3s1"])
+    def test_forward_to_each_captured_layer_equals_its_capture(self, victim_bundle, stack):
+        # A forward that stops at a conv layer's captured activation runs its
+        # earlier ReLUs after their pools, as no capture holds them there.
+        if stack == "desk":
+            net = victim_bundle.network
+            images = victim_bundle.dataset.images[:70]
+        else:
+            rng = np.random.default_rng(3)
+            spec = NetworkSpec((8, 8, 2), 3, REORDER_STACKS[stack])
+            net = Network(spec, _init_weights(spec, rng))
+            images = rng.normal(size=(70, 8, 8, 2))
+        captures = layer_outputs_batch(net, images)
+        taps = captured_layers(net.spec.layers)
+        assert len(captures) == len(taps) == 2
+        for capture, tap in zip(captures, taps):
+            got = _chunked_forward(net, images, depth=tap + 1)[0]
+            assert got.shape == capture.shape and got.tobytes() == capture.tobytes()
 
 
 class TestSoftmaxCrossEntropy:

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,11 +163,11 @@ class TestCalibrateThreshold:
 
 
 @pytest.fixture(scope="module")
-def trained_cascade(victim_bundle, corpus, fitted_banks):
+def trained_cascade(victim_bundle, corpus, fitted_banks, stat_rows):
     net = victim_bundle.network
     advs = np.stack([r.image.array for r in corpus.successful[:400]])
-    model = train_cascade(layer_outputs_batch(net, corpus.normal_bank[:600]),
-                          layer_outputs_batch(net, advs), fitted_banks, CascadeConfig(seed=5))
+    model = train_cascade(stat_rows(net, corpus.normal_bank[:600], fitted_banks),
+                          stat_rows(net, advs, fitted_banks), fitted_banks, CascadeConfig(seed=5))
     holdout_normals = corpus.normal_bank[600:1100]
     holdout_advs = np.stack([r.image.array for r in corpus.successful[400:700]])
     return net, model, holdout_normals, holdout_advs
@@ -180,7 +181,7 @@ class TestTrainCascade:
             range(1, len(model.stages) + 1))
 
     def test_stage_one_eliminates_sizable_share_with_high_precision(
-            self, victim_bundle, corpus, fitted_banks):
+            self, victim_bundle, corpus, fitted_banks, stat_rows):
         # Directional desk analogue: the first stage releases a sizable share
         # of the pool at high precision while nearly all adversarials continue.
         # The desk victim exits ~30% at stage one, well short of the 80%+ a
@@ -191,8 +192,9 @@ class TestTrainCascade:
         net = victim_bundle.network
         pool = corpus.normal_bank[:600]
         advs = np.stack([r.image.array for r in corpus.successful[:400]])
-        model = train_cascade(layer_outputs_batch(net, pool), layer_outputs_batch(net, advs),
-                              fitted_banks, CascadeConfig(seed=5))
+        model = train_cascade(stat_rows(net, pool, fitted_banks),
+                              stat_rows(net, advs, fitted_banks), fitted_banks,
+                              CascadeConfig(seed=5))
         stage = model.stages[0]
         fn = feature_matrix(net, pool, model.banks, upto_layer=1)
         fa = feature_matrix(net, advs, model.banks, upto_layer=1)
@@ -215,48 +217,66 @@ class TestTrainCascade:
         pool = [np.maximum(rng.normal(0.0, 1.0, size=(1024,) + s), 0.0) for s in shapes]
         advs = [np.maximum(rng.normal(0.3, 1.0, size=(64,) + s), 0.0) for s in shapes]
         banks = [fit_pca_bank(layer, m + 1) for m, layer in enumerate(pool)]
-        model = train_cascade(pool, advs, banks, CascadeConfig(seed=3))
+        model = train_cascade([stat_matrix(layer, bank) for layer, bank in zip(pool, banks)],
+                              [stat_matrix(layer, bank) for layer, bank in zip(advs, banks)],
+                              banks, CascadeConfig(seed=3))
         assert (len(model.stages), model.metadata["pool_survivors"]) == (1, 0)
         assert model.banks == tuple(banks)
 
+    @pytest.mark.parametrize("case", ["layer-counts-differ", "width-not-six-k", "rows-not-2d",
+                                      "no-adversarials"])
+    def test_malformed_statistic_rows_rejected(self, case):
+        rng = np.random.default_rng(1)
+        pool = [rng.random((40, 4, 4, k)) for k in (3, 5)]
+        banks = [fit_pca_bank(layer, m + 1) for m, layer in enumerate(pool)]
+        pool_stats = [stat_matrix(layer, bank) for layer, bank in zip(pool, banks)]
+        adv_stats = [rows[:20] for rows in pool_stats]
+        train_cascade(pool_stats, adv_stats, banks, CascadeConfig())  # well-formed
+        if case == "layer-counts-differ":
+            adv_stats, match = adv_stats[:1], "of 2 conv layers for the pool but of 1"
+        elif case == "width-not-six-k":
+            adv_stats[1], match = adv_stats[1][:, :-6], r"must be \(20, 30\), got \(20, 24\)"
+        elif case == "rows-not-2d":
+            pool_stats[0], match = pool_stats[0][:, :, None], r"must be \(40, 18\)"
+        else:
+            adv_stats, match = [rows[:0] for rows in adv_stats], "adversarial set is empty"
+        with pytest.raises(ValidationError, match=match):
+            train_cascade(pool_stats, adv_stats, banks, CascadeConfig())
+
     def test_pool_smaller_than_train_set_rejected(
-            self, victim_bundle, corpus, fitted_banks):
+            self, victim_bundle, corpus, fitted_banks, stat_rows):
         net = victim_bundle.network
         advs = np.stack([r.image.array for r in corpus.successful[:50]])
         with pytest.raises(ValidationError, match="pool"):
-            train_cascade(layer_outputs_batch(net, corpus.normal_bank[:10]),
-                          layer_outputs_batch(net, advs), fitted_banks, CascadeConfig())
+            train_cascade(stat_rows(net, corpus.normal_bank[:10], fitted_banks),
+                          stat_rows(net, advs, fitted_banks), fitted_banks, CascadeConfig())
 
     def test_deeper_statistics_only_for_pool_normals_still_alive(
-            self, victim_bundle, corpus, fitted_banks, monkeypatch):
+            self, victim_bundle, corpus, fitted_banks, stat_rows, monkeypatch):
         import cascade_guard.featstats as featstats_module
         from cascade_guard.featstats import feature_matrix
 
         net = victim_bundle.network
         pool = corpus.normal_bank[:600]
         advs = np.stack([r.image.array for r in corpus.successful[:400]])
-        pool_layers = layer_outputs_batch(net, pool)
-        adv_layers = layer_outputs_batch(net, advs)
+        pool_stats = stat_rows(net, pool, fitted_banks)
+        adv_stats = stat_rows(net, advs, fitted_banks)
         calls = []
         original = featstats_module.stat_matrix
 
         def recording(layer_batch, bank):
-            calls.append((bank.layer_index, layer_batch))
+            calls.append(bank.layer_index)
             return original(layer_batch, bank)
 
         for module in (cascade_module, featstats_module):
             monkeypatch.setattr(module, "stat_matrix", recording, raising=False)
-        model = train_cascade(pool_layers, adv_layers, fitted_banks, CascadeConfig(seed=5))
+        model = train_cascade(pool_stats, adv_stats, fitted_banks, CascadeConfig(seed=5))
         monkeypatch.undo()
         if len(model.stages) < 2:
             pytest.skip("single-stage model")
 
-        # Each layer's statistics are taken from the whole activation array,
-        # never from a copy of its alive rows.
-        expected = [(1, pool_layers[0]), (1, adv_layers[0]),
-                    (2, pool_layers[1]), (2, adv_layers[1])]
-        assert [layer for layer, _ in calls] == [layer for layer, _ in expected]
-        assert all(got is want for (_, got), (_, want) in zip(calls, expected))
+        # The statistics are the caller's rows: training takes none itself.
+        assert calls == []
 
         # Stage 2 keeps only the stage-1 survivors' rows: its pool rate is
         # their rate under the stage-2 detector.
@@ -392,6 +412,34 @@ class TestDetectorScore:
         for got, parts in zip((scores, *decisions, *fields(record)), zip(*singles)):
             assert got.tobytes() == np.concatenate(parts).tobytes()
         assert record.victim_label.tobytes() == predict_batch(net, images)[2].tobytes()
+        # Batches that end inside, at and just past the 64-image chunk edges.
+        for n in (1, 63, 64, 65, 130):
+            for got, parts in zip(fields(score_batch(model, net, images[:n])),
+                                  zip(*(one[4:] for one in singles[:n]))):
+                assert got.tobytes() == np.concatenate(parts).tobytes(), n
+
+    def test_peak_is_one_chunk_pass_plus_the_record(self, trained_cascade):
+        # Four chunks of the same 64 images: each runs the same stages, so the
+        # pass over all four may hold no more than one chunk's pass and the
+        # longer record.
+        net, model, normals, advs = trained_cascade
+        chunk = np.concatenate([normals[:32], advs[:32]])
+        images = np.concatenate([chunk] * 4)
+
+        def traced(batch):
+            score_batch(model, net, batch)  # warm-up outside the trace
+            tracemalloc.start()
+            try:
+                record = score_batch(model, net, batch)
+                return tracemalloc.get_traced_memory()[1], record
+            finally:
+                tracemalloc.stop()
+
+        one_peak, _ = traced(chunk)
+        four_peak, record = traced(images)
+        assert (record.exit_stage != 1).any() and (record.exit_stage == 1).any()
+        record_bytes = sum(getattr(record, f.name).nbytes for f in dataclasses.fields(record))
+        assert four_peak <= one_peak + record_bytes + 256 * 1024
 
     def test_holdout_auc_clears_soft_target(self, trained_cascade):
         net, model, normals, advs = trained_cascade

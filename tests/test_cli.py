@@ -38,6 +38,12 @@ def first_f64_set(text, value):
     return base64.b64encode(values.tobytes()).decode("ascii")
 
 
+def f64_cut(text, count):
+    """A base64 float64 payload without its last `count` entries."""
+    values = np.frombuffer(base64.b64decode(text), dtype="<f8")
+    return base64.b64encode(values[:-count].tobytes()).decode("ascii")
+
+
 def read_eval_summary(path):
     lines = Path(path).read_text().strip().splitlines()
     summary = lines[-1]
@@ -146,15 +152,25 @@ class TestPipeline:
         assert first[1] >= last[1]
 
 
+def fit_sizes(pipeline):
+    """(pool images, successful training adversarials) of the pipeline's fit."""
+    n_train = len(dataio.load_dataset(pipeline / "bank").indices("train"))
+    n_advs = sum(r.success for r in dataio.load_adversarial_batch(pipeline / "advs_train"))
+    return n_train, n_advs
+
+
 class TestFitDetector:
     def test_each_image_is_forwarded_once(self, pipeline, tmp_path, monkeypatch):
+        # Each pool image is forwarded once per conv layer, only up to that
+        # layer's captured ReLU (layers 0-1, then 0-4, of the desk network);
+        # each adversarial once, through the whole network.
         import cascade_guard.victim as victim_module
 
-        rows = []
+        rows = {}
         original = victim_module.forward_pass
 
         def counting(layers, weights, x, *args, **kwargs):
-            rows.append(len(x))
+            rows[len(layers)] = rows.get(len(layers), 0) + len(x)
             return original(layers, weights, x, *args, **kwargs)
 
         monkeypatch.setattr(victim_module, "forward_pass", counting)
@@ -163,9 +179,8 @@ class TestFitDetector:
                     "--adversarials", pipeline / "advs_train",
                     "--seed", 2, "--out", tmp_path / "det.json"]) == 0
         monkeypatch.undo()
-        n_train = len(dataio.load_dataset(pipeline / "bank").indices("train"))
-        n_advs = sum(r.success for r in dataio.load_adversarial_batch(pipeline / "advs_train"))
-        assert sum(rows) == n_train + n_advs
+        n_train, n_advs = fit_sizes(pipeline)
+        assert rows == {2: n_train, 5: n_train, 8: n_advs}
         assert (tmp_path / "det.json").read_bytes() == (pipeline / "det.json").read_bytes()
 
     @pytest.mark.parametrize("libc", ["glibc", "no-malloc-trim", "no-libc"])
@@ -183,28 +198,43 @@ class TestFitDetector:
                 raise OSError(f"{name}: cannot open shared object file")
             return Glibc() if libc == "glibc" else object()
 
-        def logged(name):
+        def logged(name, detail):
             original = getattr(cli_module, name)
 
             def call(*args, **kwargs):
-                events.append(name)
+                events.append((name, detail(*args, **kwargs)))
                 return original(*args, **kwargs)
             monkeypatch.setattr(cli_module, name, call)
 
         monkeypatch.setattr(cli_module.ctypes, "CDLL", cdll)
-        logged("layer_outputs_batch")
-        logged("fit_pca_bank")
-        logged("train_cascade")
+        logged("_chunked_forward", lambda net, images, depth=None: (len(images), depth))
+        logged("fit_pca_bank", lambda layer, index: (len(layer), index))
+        logged("stat_matrix", lambda layer, bank: (len(layer), bank.layer_index))
+        logged("_forward_chunks", lambda net, images, capture_conv: len(images))
+        logged("train_cascade", lambda pool_stats, adv_stats, banks, config: (
+            [len(rows) for rows in pool_stats], [len(rows) for rows in adv_stats]))
         assert run(["fit-detector", "--net", pipeline / "net.json",
                     "--normals", pipeline / "bank", "--split", "train",
                     "--adversarials", pipeline / "advs_train",
                     "--seed", 2, "--out", tmp_path / "det.json"]) == 0
         monkeypatch.undo()
-        # Once before each of the two forwards, the bank fits (one per conv
-        # layer, after both forwards) and the training.
+        # Once before each conv layer's pool forward (to the layer's captured
+        # ReLU: 2, then 5 layers deep), whose bank fit and statistic rows take
+        # the whole layer array; once before the adversarials' one chunked
+        # forward, whose statistics come a chunk at a time; and once before the
+        # training.
+        n_train, n_advs = fit_sizes(pipeline)
         trim = [("malloc_trim", 0)] if libc == "glibc" else []
-        assert events == (trim + ["layer_outputs_batch"] + trim + ["layer_outputs_batch"]
-                          + trim + ["fit_pca_bank"] * 2 + trim + ["train_cascade"])
+        chunks = [min(64, n_advs - start) for start in range(0, n_advs, 64)]
+        assert len(chunks) > 1
+        assert events == (
+            trim + [("_chunked_forward", (n_train, 2)), ("fit_pca_bank", (n_train, 1)),
+                    ("stat_matrix", (n_train, 1))]
+            + trim + [("_chunked_forward", (n_train, 5)), ("fit_pca_bank", (n_train, 2)),
+                      ("stat_matrix", (n_train, 2))]
+            + trim + [("_forward_chunks", n_advs)]
+            + [("stat_matrix", (rows, m)) for rows in chunks for m in (1, 2)]
+            + trim + [("train_cascade", ([n_train] * 2, [n_advs] * 2))])
         assert (tmp_path / "det.json").read_bytes() == (pipeline / "det.json").read_bytes()
 
 
@@ -237,13 +267,15 @@ class TestEvaluate:
             self, pipeline, tmp_path, capsys, monkeypatch, channels):
         import cascade_guard.victim as victim_module
         from cascade_guard.cascade import CascadeConfig, train_cascade
-        from cascade_guard.featstats import fit_pca_bank
+        from cascade_guard.featstats import fit_pca_bank, stat_matrix
 
         rng = np.random.default_rng(0)
         pool = [rng.random((40, 4, 4, k)) for k in channels]
         banks = [fit_pca_bank(layer, m + 1) for m, layer in enumerate(pool)]
+        pool_stats = [stat_matrix(layer, bank) for layer, bank in zip(pool, banks)]
         # Adversarials drawn like the pool keep most of it alive at every stage.
-        model = train_cascade(pool, [layer[:20] for layer in pool], banks, CascadeConfig())
+        model = train_cascade(pool_stats, [rows[:20] for rows in pool_stats], banks,
+                              CascadeConfig())
         assert len(model.stages) == len(channels)
         dataio.save_detector(tmp_path / "det.json", model)
         rows = []
@@ -263,6 +295,37 @@ class TestEvaluate:
         assert code == 1, err
         assert err == (f"ERROR 1: the detector's stages read conv layers of {list(channels)} "
                        "channels but the network's have [8, 16]\n")
+        assert rows == []
+        assert not (tmp_path / "eval.csv").exists()
+
+    def test_stage_width_that_does_not_fit_the_banks_fails_before_forwarding(
+            self, pipeline, tmp_path, capsys, monkeypatch):
+        import cascade_guard.victim as victim_module
+
+        payload = json.loads((pipeline / "det.json").read_text())
+        stage = payload["stages"][-1]
+        for field in ("w", "feature_means", "feature_stds"):
+            stage[field] = f64_cut(stage[field], 6)
+        (tmp_path / "det.json").write_text(json.dumps(payload))
+        rows = []
+        original = victim_module.forward_pass
+
+        def counting(layers, weights, x, *args, **kwargs):
+            rows.append(len(x))
+            return original(layers, weights, x, *args, **kwargs)
+
+        monkeypatch.setattr(victim_module, "forward_pass", counting)
+        code = run(["evaluate", "--detector", tmp_path / "det.json",
+                    "--net", pipeline / "net.json", "--normals", pipeline / "bank",
+                    "--adversarials", pipeline / "advs_test",
+                    "--out-csv", tmp_path / "eval.csv"])
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        k = len(payload["stages"])
+        width = 6 * sum(len(base64.b64decode(bank["e"])) // 8 for bank in payload["pca_banks"][:k])
+        assert code == 1, err
+        assert err == (f"ERROR 1: stage {k} SVM reads {width - 6} features but the statistics "
+                       f"of conv layers 1..{k} give {width}\n")
         assert rows == []
         assert not (tmp_path / "eval.csv").exists()
 

@@ -1,3 +1,4 @@
+import base64
 import json
 import struct
 import subprocess
@@ -245,16 +246,41 @@ class TestAdversarialBatch:
             dataio.load_adversarial_batch(batch)
 
 
+class TestDetectorArtifact:
+    def test_stage_width_that_does_not_fit_the_banks_rejected(self, tmp_path):
+        from cascade_guard.cascade import CascadeConfig, train_cascade
+        from cascade_guard.featstats import fit_pca_bank, stat_matrix
+
+        rng = np.random.default_rng(0)
+        pool = [rng.random((40, 4, 4, k)) for k in (3, 5)]
+        banks = [fit_pca_bank(layer, m + 1) for m, layer in enumerate(pool)]
+        pool_stats = [stat_matrix(layer, bank) for layer, bank in zip(pool, banks)]
+        model = train_cascade(pool_stats, [rows[:20] for rows in pool_stats], banks,
+                              CascadeConfig())
+        assert [s.svm.dim for s in model.stages] == [18, 48]
+        path = tmp_path / "det.json"
+        dataio.save_detector(path, model)
+        dataio.load_detector(path)
+        payload = json.loads(path.read_text())
+        for field in ("w", "feature_means", "feature_stds"):
+            values = np.frombuffer(base64.b64decode(payload["stages"][1][field]), dtype="<f8")
+            payload["stages"][1][field] = base64.b64encode(values[:-6].tobytes()).decode()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError,
+                           match=r"stage 2 SVM reads 42 features but the statistics of "
+                                 r"conv layers 1\.\.2 give 48"):
+            dataio.load_detector(path)
+
+
 class TestCrossProcess:
     def test_detector_decisions_reproduce_in_subprocess(
-            self, tmp_path, victim_bundle, corpus, fitted_banks):
+            self, tmp_path, victim_bundle, corpus, fitted_banks, stat_rows):
         from cascade_guard.cascade import CascadeConfig, cascade_predict_batch, train_cascade
-        from cascade_guard.victim import layer_outputs_batch
 
         net = victim_bundle.network
         advs = np.stack([r.image.array for r in corpus.successful[:150]])
-        model = train_cascade(layer_outputs_batch(net, corpus.normal_bank[:500]),
-                              layer_outputs_batch(net, advs), fitted_banks,
+        model = train_cascade(stat_rows(net, corpus.normal_bank[:500], fitted_banks),
+                              stat_rows(net, advs, fitted_banks), fitted_banks,
                               CascadeConfig(seed=0))
         dataio.save_detector(tmp_path / "det.json", model)
         dataio.save_network(tmp_path / "net.json", net)

@@ -161,14 +161,14 @@ class TestErrorTable:
 
 
 @pytest.fixture(scope="module")
-def sweep_setup(victim_bundle, corpus, fitted_banks):
+def sweep_setup(victim_bundle, corpus, fitted_banks, stat_rows):
     from cascade_guard.cascade import CascadeConfig, detector_score_batch, train_cascade
-    from cascade_guard.victim import layer_outputs_batch, predict_batch
+    from cascade_guard.victim import predict_batch
 
     net = victim_bundle.network
     advs = np.stack([r.image.array for r in corpus.successful[:400]])
-    model = train_cascade(layer_outputs_batch(net, corpus.normal_bank[:600]),
-                          layer_outputs_batch(net, advs), fitted_banks, CascadeConfig(seed=5))
+    model = train_cascade(stat_rows(net, corpus.normal_bank[:600], fitted_banks),
+                          stat_rows(net, advs, fitted_banks), fitted_banks, CascadeConfig(seed=5))
     cal_normals = corpus.normal_bank[600:900]
     cal_advs = np.stack([r.image.array for r in corpus.successful[400:550]])
     scores = np.concatenate([

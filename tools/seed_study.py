@@ -61,7 +61,7 @@ def draw(victim_seed: int) -> dict:
                                        evolutionary_attack_batch, gradient_box_attack_batch)
     from cascade_guard.cascade import CascadeConfig, roc_auc, score_batch, train_cascade
     from cascade_guard.dataio import synth_dataset
-    from cascade_guard.featstats import fit_pca_bank
+    from cascade_guard.featstats import fit_pca_bank, stat_matrix
     from cascade_guard.victim import (TrainConfig, default_victim_spec, layer_outputs_batch,
                                       predict_batch, train_victim)
 
@@ -85,6 +85,10 @@ def draw(victim_seed: int) -> dict:
                                    AttackConfig(kind="evolutionary", seed=202))
     ea_imgs = np.stack([r.image.array for r in ea if r.success])
 
+    def stat_rows(images):
+        return [stat_matrix(layer, bank)
+                for layer, bank in zip(layer_outputs_batch(net, images), banks)]
+
     result = {"victim_seed": victim_seed, "accuracy": net.metadata["test_accuracy"],
               "successful": len(successful), "ea_successful": len(ea_imgs),
               "auc": [], "ea_auc": [], "box_stage1": [], "ea_stage1": []}
@@ -97,8 +101,7 @@ def draw(victim_seed: int) -> dict:
         hold_advs = np.stack([successful[i].image.array for i in adv_order[1000:1300]])
         norm_order = rng.permutation(len(normal_bank))
         pool, holdout = normal_bank[norm_order[:1500]], normal_bank[norm_order[1500:2000]]
-        model = train_cascade(layer_outputs_batch(net, pool),
-                              layer_outputs_batch(net, train_advs), banks,
+        model = train_cascade(stat_rows(pool), stat_rows(train_advs), banks,
                               CascadeConfig(seed=seed))
         normal_scores = score_batch(model, net, holdout).score
         for key, share, advs in (("auc", "box_stage1", hold_advs),
