@@ -10,6 +10,7 @@ import base64
 import dataclasses
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -216,8 +217,10 @@ def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair into a Dataset.
 
     Big-endian magic 0x00000803 / 0x00000801, big-endian dimension sizes,
-    unsigned-byte pixels scaled by 1/255. Every image is tagged train, and the
-    class count is one more than the largest label.
+    unsigned-byte pixels scaled by 1/255. The image file must hold exactly the
+    pixels its header counts, of images at least one pixel high and wide.
+    Every image is tagged train, and the class count is one more than the
+    largest label.
     """
     images_path = Path(images_path)
     labels_path = Path(labels_path)
@@ -231,6 +234,15 @@ def load_idx(images_path, labels_path) -> Dataset:
         n = _read_u32(f, images_path)
         h = _read_u32(f, images_path)
         w = _read_u32(f, images_path)
+        if h == 0 or w == 0:
+            raise FormatError(f"IDX file {images_path} declares {h}x{w} images")
+        # Checked before the read, which would allocate what the header counts.
+        extra = os.fstat(f.fileno()).st_size - f.tell() - n * h * w
+        if extra < 0:
+            raise FormatError(f"truncated IDX file {images_path}")
+        if extra > 0:
+            raise FormatError(f"IDX file {images_path} has {extra} bytes after "
+                              f"the {n}x{h}x{w} pixels its header counts")
         pixels = _read_exact(f, n * h * w, images_path)
     with open(labels_path, "rb") as f:
         magic = _read_u32(f, labels_path)
@@ -246,6 +258,9 @@ def load_idx(images_path, labels_path) -> Dataset:
                 f"but {n_labels} labels in {labels_path}"
             )
         raw_labels = _read_exact(f, n_labels, labels_path)
+    # Not scaled in place: an attack that follows a load in the same process
+    # runs faster on the heap that the freed first copy leaves (ROADMAP's
+    # measured dead ends).
     images = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64)
     images = images.reshape(n, h, w, 1) / 255.0
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
@@ -253,14 +268,23 @@ def load_idx(images_path, labels_path) -> Dataset:
                    {"source": str(images_path)})
 
 
+def _quantized_chunks(images: np.ndarray):
+    """The images' pixels as bytes, round(x * 255), 64 images at a time; the
+    chunks joined are the bytes of the whole array quantized at once."""
+    from .victim import _CHUNK_ROWS
+
+    for start in range(0, len(images), _CHUNK_ROWS):
+        yield np.round(images[start : start + _CHUNK_ROWS] * 255.0).astype(np.uint8).tobytes()
+
+
 def _write_idx_images(path, images: np.ndarray):
     n, h, w, c = images.shape
     if c != 1:
         raise ValidationError("IDX export supports single-channel images only")
-    pixels = np.round(images[:, :, :, 0] * 255.0).astype(np.uint8)
     with open(path, "wb") as f:
         f.write(struct.pack(">IIII", _IDX_IMAGES_MAGIC, n, h, w))
-        f.write(pixels.tobytes())
+        for pixels in _quantized_chunks(images):
+            f.write(pixels)
 
 
 def _write_idx_labels(path, labels: np.ndarray):
@@ -315,7 +339,8 @@ def load_dataset(dir_path) -> Dataset:
 def dataset_fingerprint(dataset: Dataset) -> str:
     """Stable sha256 over quantized pixels and labels."""
     h = hashlib.sha256()
-    h.update(np.round(dataset.images * 255.0).astype(np.uint8).tobytes())
+    for pixels in _quantized_chunks(dataset.images):
+        h.update(pixels)
     h.update(dataset.labels.astype(np.int64).tobytes())
     return h.hexdigest()
 

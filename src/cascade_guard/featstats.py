@@ -8,10 +8,11 @@ channel extrema and percentiles. All extractors are order statistics or
 absolute means, so nothing here is differentiable end to end and the module
 never touches gradient machinery.
 
-fit_pca_bank is the one bank fit. It leaves its input as it is and holds no
-array of the input's size: the covariance and the projection stds are sums
-over blocks of 16,384 centered sample rows. stat_matrix fills its rows 64
-images at a time.
+fit_pca_bank is the one bank fit. It takes a layer's outputs as one array or
+as a stream of chunks that it reads three times, leaves them as they are and
+holds no array of their size: the mean is a running sum, and the covariance
+and the projection stds are sums over blocks of 16,384 centered sample rows.
+stat_matrix fills its rows 64 images at a time.
 """
 from __future__ import annotations
 
@@ -80,30 +81,81 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sample_chunks(stream):
+    """Each (n, H, W, K) chunk of the stream as its (n * H * W, K) pixel
+    samples; every chunk must be 4-D with the first chunk's K."""
+    k = None
+    for chunk in stream():
+        chunk = np.asarray(chunk, dtype=np.float64)
+        if chunk.ndim != 4:
+            raise ValidationError(f"layer outputs must be N x H x W x K, got shape {chunk.shape}")
+        if k is not None and chunk.shape[3] != k:
+            raise ValidationError(f"layer output chunks have {k} and {chunk.shape[3]} channels")
+        k = chunk.shape[3]
+        yield chunk.reshape(-1, k)
+
+
+def _in_order_sum(samples, total):
+    # total (None for none) plus the sample rows, added row after row. numpy
+    # sums axis 0 of an (n, K) array row by row for K > 1 but pairwise for
+    # K = 1, where the running sum is the cumulative sum's last row.
+    rows = samples if total is None else np.concatenate((total[None], samples))
+    return rows.sum(axis=0) if rows.shape[1] > 1 else np.cumsum(rows, axis=0)[-1]
+
+
+def _sample_blocks(stream):
+    """The stream's samples in consecutive blocks of 16,384 rows (the last may
+    be shorter): a view where a block lies in one chunk, else a copy into one
+    buffer, which the next such block overwrites."""
+    parts, rows, buffer = [], 0, None
+    for samples in _sample_chunks(stream):
+        start = 0
+        while start < len(samples):
+            take = min(_STD_BLOCK_ROWS - rows, len(samples) - start)
+            parts.append(samples[start : start + take])
+            rows, start = rows + take, start + take
+            if buffer is None and len(parts) > 1:
+                buffer = np.empty((_STD_BLOCK_ROWS, samples.shape[1]))
+            if rows == _STD_BLOCK_ROWS:
+                yield parts[0] if len(parts) == 1 else np.concatenate(parts, out=buffer)
+                parts, rows = [], 0
+    if rows:
+        yield parts[0] if len(parts) == 1 else np.concatenate(parts, out=buffer[:rows])
+
+
 def fit_pca_bank(layer_outputs, layer_index: int) -> PcaBank:
     """Fit mean, projection and stds from normal-image layer outputs.
 
     layer_outputs is an (N, H, W, K) array, as layer_outputs_batch returns per
-    conv layer; every pixel of every image is one sample. Requires at least K
-    samples. Stds are floored at 1e-8, which the bank records as its epsilon.
-    The input is left as it is. The covariance and the projection moments are
-    summed over blocks of 16,384 centered samples, so beyond the input the fit
-    holds a few blocks, no array of the input's size; a fit of one block gives
-    the bytes of the whole-array formulas.
+    conv layer, or a stream of such outputs: a function of no arguments that
+    returns a fresh iterator of (n, H, W, K) chunks each time, which the fit
+    calls three times. An array is a stream of one chunk. Every pixel of every
+    image is one sample. Requires at least K samples. Stds are floored at
+    1e-8, which the bank records as its epsilon.
+
+    The input is left as it is. The mean sums each chunk onto the running
+    total row after row, so for K > 1 it has the bytes of the whole array's
+    mean, and for an array those bytes at any K; a stream of several chunks
+    with K = 1 gives the in-order sum over N, where numpy's mean of the whole
+    array would sum pairwise. The covariance and the projection moments are
+    summed over the same blocks of 16,384 centered samples, whatever the
+    chunks; a block that spans chunks is copied into one reused buffer. So
+    beyond the input the fit holds a few blocks, no array of the input's size,
+    and a fit of one block gives the bytes of the whole-array formulas.
     """
-    batch = np.asarray(layer_outputs, dtype=np.float64)
-    if batch.ndim != 4:
-        raise ValidationError(f"layer outputs must be N x H x W x K, got shape {batch.shape}")
-    k = batch.shape[3]
-    samples = batch.reshape(-1, k)
-    n = len(samples)
-    if n < k:
-        raise ValidationError(f"need at least {k} pixel samples, got {n}")
-    mean = samples.mean(axis=0)
+    stream = layer_outputs if callable(layer_outputs) else lambda: iter((layer_outputs,))
+    total, n, chunks, k = None, 0, 0, 0
+    for chunks, samples in enumerate(_sample_chunks(stream), 1):
+        total = _in_order_sum(samples, total)
+        n, k = n + len(samples), samples.shape[1]
+    if n < max(k, 1):
+        raise ValidationError(f"need at least {max(k, 1)} pixel samples, got {n}")
+    mean = (samples.sum(axis=0) if chunks == 1 else total) / n
+    del samples
 
     def centered_blocks():
-        for start in range(0, n, _STD_BLOCK_ROWS):
-            yield samples[start : start + _STD_BLOCK_ROWS] - mean
+        for block in _sample_blocks(stream):
+            yield block - mean
 
     eigvals, eigvecs = np.linalg.eigh(sum(b.T @ b for b in centered_blocks()) / n)
     components = _fix_signs(eigvecs[:, np.argsort(-eigvals, kind="stable")])

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import shutil
+import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -159,18 +160,25 @@ def fit_sizes(pipeline):
     return n_train, n_advs
 
 
+def chunk_rows(n):
+    """Images in each 64-image chunk of an n-image forward."""
+    return [min(64, n - start) for start in range(0, n, 64)]
+
+
 class TestFitDetector:
     def test_each_image_is_forwarded_once(self, pipeline, tmp_path, monkeypatch):
-        # Each pool image is forwarded once per conv layer, only up to that
-        # layer's captured ReLU (layers 0-1, then 0-4, of the desk network);
-        # each adversarial once, through the whole network.
+        # The pool is forwarded in chunks up to conv layer 1's captured ReLU
+        # (layers 0-1 of the desk network) once for each of the layer-1 bank
+        # fit's three passes, then once through the whole network, as is each
+        # adversarial. No image is forwarded to layer 2's ReLU (depth 5) on
+        # its own: layer 2 comes from the whole-network pass.
         import cascade_guard.victim as victim_module
 
-        rows = {}
+        calls = []
         original = victim_module.forward_pass
 
         def counting(layers, weights, x, *args, **kwargs):
-            rows[len(layers)] = rows.get(len(layers), 0) + len(x)
+            calls.append((len(layers), len(x)))
             return original(layers, weights, x, *args, **kwargs)
 
         monkeypatch.setattr(victim_module, "forward_pass", counting)
@@ -180,7 +188,25 @@ class TestFitDetector:
                     "--seed", 2, "--out", tmp_path / "det.json"]) == 0
         monkeypatch.undo()
         n_train, n_advs = fit_sizes(pipeline)
-        assert rows == {2: n_train, 5: n_train, 8: n_advs}
+        assert calls == ([(2, rows) for rows in chunk_rows(n_train) * 3]
+                         + [(8, rows) for rows in chunk_rows(n_train) + chunk_rows(n_advs)])
+        assert (tmp_path / "det.json").read_bytes() == (pipeline / "det.json").read_bytes()
+
+    def test_peak_memory_below_the_pools_layer_1_activations(self, pipeline, tmp_path):
+        # A fit that held the pool's conv-layer-1 activations (1,050 x 26 x
+        # 26 x 8 doubles, 45.4 MB) fails; the largest array is layer 2's
+        # (16.3 MB), beside the pool images and a chunk's forward.
+        n_train, _ = fit_sizes(pipeline)
+        tracemalloc.start()
+        try:
+            assert run(["fit-detector", "--net", pipeline / "net.json",
+                        "--normals", pipeline / "bank", "--split", "train",
+                        "--adversarials", pipeline / "advs_train",
+                        "--seed", 2, "--out", tmp_path / "det.json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_train * 26 * 26 * 8 * 8
         assert (tmp_path / "det.json").read_bytes() == (pipeline / "det.json").read_bytes()
 
     @pytest.mark.parametrize("libc", ["glibc", "no-malloc-trim", "no-libc"])
@@ -207,10 +233,11 @@ class TestFitDetector:
             monkeypatch.setattr(cli_module, name, call)
 
         monkeypatch.setattr(cli_module.ctypes, "CDLL", cdll)
-        logged("_chunked_forward", lambda net, images, depth=None: (len(images), depth))
-        logged("fit_pca_bank", lambda layer, index: (len(layer), index))
+        logged("fit_pca_bank", lambda layer, index: (
+            "stream" if callable(layer) else len(layer), index))
         logged("stat_matrix", lambda layer, bank: (len(layer), bank.layer_index))
-        logged("_forward_chunks", lambda net, images, capture_conv: len(images))
+        logged("_forward_chunks", lambda net, images, depth=None, capture_conv=False: (
+            len(images), depth, capture_conv))
         logged("train_cascade", lambda pool_stats, adv_stats, banks, config: (
             [len(rows) for rows in pool_stats], [len(rows) for rows in adv_stats]))
         assert run(["fit-detector", "--net", pipeline / "net.json",
@@ -218,22 +245,23 @@ class TestFitDetector:
                     "--adversarials", pipeline / "advs_train",
                     "--seed", 2, "--out", tmp_path / "det.json"]) == 0
         monkeypatch.undo()
-        # Once before each conv layer's pool forward (to the layer's captured
-        # ReLU: 2, then 5 layers deep), whose bank fit and statistic rows take
-        # the whole layer array; once before the adversarials' one chunked
-        # forward, whose statistics come a chunk at a time; and once before the
-        # training.
+        # Once before the layer-1 bank fit, whose three passes each forward
+        # the pool to layer 1's captured ReLU (2 layers deep) a chunk at a
+        # time; once before the pool's one forward through the whole network,
+        # whose chunks give their layer-1 rows and fill layer 2's array, from
+        # which the layer-2 bank and rows are taken; once before the
+        # adversarials' forward, whose statistics come a chunk at a time; and
+        # once before the training.
         n_train, n_advs = fit_sizes(pipeline)
         trim = [("malloc_trim", 0)] if libc == "glibc" else []
-        chunks = [min(64, n_advs - start) for start in range(0, n_advs, 64)]
-        assert len(chunks) > 1
+        assert len(chunk_rows(n_advs)) > 1
         assert events == (
-            trim + [("_chunked_forward", (n_train, 2)), ("fit_pca_bank", (n_train, 1)),
-                    ("stat_matrix", (n_train, 1))]
-            + trim + [("_chunked_forward", (n_train, 5)), ("fit_pca_bank", (n_train, 2)),
-                      ("stat_matrix", (n_train, 2))]
-            + trim + [("_forward_chunks", n_advs)]
-            + [("stat_matrix", (rows, m)) for rows in chunks for m in (1, 2)]
+            trim + [("fit_pca_bank", ("stream", 1))] + [("_forward_chunks", (n_train, 2, False))] * 3
+            + trim + [("_forward_chunks", (n_train, None, True))]
+            + [("stat_matrix", (rows, 1)) for rows in chunk_rows(n_train)]
+            + [("fit_pca_bank", (n_train, 2)), ("stat_matrix", (n_train, 2))]
+            + trim + [("_forward_chunks", (n_advs, None, True))]
+            + [("stat_matrix", (rows, m)) for rows in chunk_rows(n_advs) for m in (1, 2)]
             + trim + [("train_cascade", ([n_train] * 2, [n_advs] * 2))])
         assert (tmp_path / "det.json").read_bytes() == (pipeline / "det.json").read_bytes()
 
@@ -740,6 +768,26 @@ class TestExitCodes:
                     "--out", blocker / "sub"])
         assert code == 2
         assert capsys.readouterr().err.startswith("ERROR 2:")
+
+    @pytest.mark.parametrize("header", [(4294967295, 28, 28), (1500, 28, 0), (1500, 27, 28)],
+                             ids=["count-2**32-1", "zero-width", "too-few-pixels"])
+    def test_corrupt_image_header_is_validation_error(self, pipeline, tmp_path, capsys,
+                                                      header):
+        # Unchecked, the first two make evaluate exit 2 (a MemoryError with an
+        # empty message, a zero-size reduction), and the third loads
+        # misaligned pixels that only the network's input shape stops.
+        data = tmp_path / "bank"
+        shutil.copytree(pipeline / "bank", data)
+        raw = bytearray((data / "images.idx").read_bytes())
+        raw[4:16] = struct.pack(">III", *header)
+        (data / "images.idx").write_bytes(bytes(raw))
+        assert run(["evaluate", "--detector", pipeline / "det.json",
+                    "--net", pipeline / "net.json", "--normals", data,
+                    "--adversarials", pipeline / "advs_test",
+                    "--out-csv", tmp_path / "eval.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR 1:") and err.count("\n") == 1, err
+        assert not (tmp_path / "eval.csv").exists()
 
     @pytest.mark.parametrize("kind, field, corrupt", [
         ("pca_banks", "e", lambda v: v[:-1]),

@@ -1,8 +1,10 @@
 import base64
+import hashlib
 import json
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +107,40 @@ class TestIdx:
             dataio.load_idx(ip, lp)
 
 
+    def test_trailing_pixel_bytes_rejected(self, tmp_path):
+        ip = tmp_path / "img.idx"
+        ip.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + b"\x00" * 9)
+        lp = tmp_path / "lab.idx"
+        lp.write_bytes(struct.pack(">II", 0x801, 2) + b"\x00\x00")
+        with pytest.raises(FormatError, match="1 bytes after the 2x2x2 pixels"):
+            dataio.load_idx(ip, lp)
+
+    def test_header_counting_too_few_pixels_rejected(self, tmp_path):
+        # 28 x 28 images whose header says 27 x 28 would load misaligned.
+        ip, lp = write_idx_pair(tmp_path, np.zeros((20, 28, 28)), np.zeros(20))
+        raw = bytearray(ip.read_bytes())
+        raw[8:12] = struct.pack(">I", 27)
+        ip.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="560 bytes after the 20x27x28 pixels"):
+            dataio.load_idx(ip, lp)
+
+    def test_image_count_beyond_the_file_truncated(self, tmp_path):
+        # Reading the 4294967295 x 28 x 28 bytes the header counts would raise
+        # MemoryError; the file size is checked first.
+        ip, lp = write_idx_pair(tmp_path, np.zeros((2, 28, 28)), np.zeros(2))
+        raw = bytearray(ip.read_bytes())
+        raw[4:8] = struct.pack(">I", 4294967295)
+        ip.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="truncated"):
+            dataio.load_idx(ip, lp)
+
+    @pytest.mark.parametrize("h, w", [(0, 2), (2, 0), (0, 0)])
+    def test_zero_height_or_width_rejected(self, tmp_path, h, w):
+        ip, lp = write_idx_pair(tmp_path, np.zeros((2, h, w)), np.zeros(2))
+        with pytest.raises(FormatError, match=f"declares {h}x{w} images"):
+            dataio.load_idx(ip, lp)
+
+
 class TestDatasetRoundTrip:
     def test_save_load_save_byte_identical(self, tmp_path):
         ds = dataio.synth_dataset(3, 12)
@@ -130,6 +166,36 @@ class TestDatasetRoundTrip:
         manifest.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="'train' and 'test'"):
             dataio.load_dataset(tmp_path / "d")
+
+
+def traced_peak(fn):
+    """Peak bytes that fn() allocates, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDatasetMemory:
+    @pytest.mark.parametrize("step", ["dataset_fingerprint", "save_dataset"])
+    def test_no_whole_dataset_float_copy(self, tmp_path, step):
+        # Both quantize 64 images at a time; quantizing the whole array at
+        # once holds two float64 temporaries of its size (2.5 MB each here).
+        ds = dataio.synth_dataset(3, 40)
+        calls = {"dataset_fingerprint": lambda: dataio.dataset_fingerprint(ds),
+                 "save_dataset": lambda: dataio.save_dataset(ds, tmp_path / "d")}
+        assert traced_peak(calls[step]) < 2**20
+
+    def test_chunked_quantization_keeps_the_bytes(self, tmp_path):
+        # 130 images cross two 64-image chunk edges.
+        ds = dataio.synth_dataset(5, 13)
+        pixels = np.round(ds.images * 255.0).astype(np.uint8)
+        dataio.save_dataset(ds, tmp_path / "d")
+        assert (tmp_path / "d" / "images.idx").read_bytes()[16:] == pixels.tobytes()
+        want = hashlib.sha256(pixels.tobytes() + ds.labels.astype(np.int64).tobytes())
+        assert dataio.dataset_fingerprint(ds) == want.hexdigest()
 
 
 class TestTensorFile:

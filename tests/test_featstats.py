@@ -206,6 +206,78 @@ class TestFitPcaBank:
             fit_pca_bank(np.zeros((1, 1, 2, 4)), layer_index=1)
 
 
+def chunk_stream(outputs, size):
+    """A stream of the outputs in chunks of `size` images, as fit_pca_bank takes it."""
+    return lambda: (outputs[start : start + size] for start in range(0, len(outputs), size))
+
+
+def bank_bytes(bank):
+    return bank.mean.tobytes(), bank.components.tobytes(), bank.stds.tobytes()
+
+
+class TestStreamedFitPcaBank:
+    @pytest.mark.parametrize("k", [2, 3, 8, 16])
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_stream_bytes_equal_array_fit(self, k, size):
+        # 16 x 20 pixels per image: a 64-image chunk (20,480 rows) holds one
+        # 16,384-row block and straddles the next, and the fourth such chunk
+        # ends exactly on a block edge (256 images, 5 blocks), as do 1-image
+        # chunks there; 7-image chunks straddle block edges throughout. The
+        # 300 images end in a partial block.
+        rng = np.random.default_rng(10 * k + size)
+        outputs = rng.normal(size=(300, 16, 20, k)) * rng.uniform(0.1, 10.0, size=k) + 3.0
+        assert 256 * 16 * 20 % featstats._STD_BLOCK_ROWS == 0
+        whole = fit_pca_bank(outputs, layer_index=2)
+        streamed = fit_pca_bank(chunk_stream(outputs, size), layer_index=2)
+        assert streamed.layer_index == 2
+        assert bank_bytes(streamed) == bank_bytes(whole)
+
+    def test_stream_chunks_left_byte_identical(self):
+        rng = np.random.default_rng(11)
+        chunks = [np.maximum(rng.normal(size=(n, 13, 13, 3)), 0.0) for n in (64, 64, 40)]
+        before = [c.tobytes() for c in chunks]
+        fit_pca_bank(lambda: iter(chunks), layer_index=1)
+        assert [c.tobytes() for c in chunks] == before
+
+    def test_stream_peak_does_not_grow_with_its_length(self):
+        # Chunks are made as the fit reads them, so only what the fit keeps
+        # can grow: 40 chunks of 64 images (7.3 blocks of 16,384 rows) peak
+        # where 10 do.
+        def stream(count):
+            def chunks():
+                rng = np.random.default_rng(12)
+                for _ in range(count):
+                    yield rng.normal(size=(64, 13, 13, 4))
+            return chunks
+
+        short = traced_peak(fit_pca_bank, stream(10), 1)
+        assert traced_peak(fit_pca_bank, stream(40), 1) <= short + 64 * 1024
+
+    def test_one_channel_stream_mean_is_the_in_order_sum(self):
+        # numpy's mean of one channel sums pairwise; a stream of several
+        # chunks sums row after row, an array keeps numpy's bytes. The data
+        # are chosen so that the two sums differ.
+        rng = np.random.default_rng(13)
+        outputs = rng.normal(size=(200, 9, 9, 1)) * 7.0 + 3.0
+        samples = outputs.reshape(-1, 1)
+        in_order = np.cumsum(samples, axis=0)[-1] / len(samples)
+        assert in_order.tobytes() != samples.mean(axis=0).tobytes()
+        assert fit_pca_bank(outputs, 1).mean.tobytes() == samples.mean(axis=0).tobytes()
+        for size in (1, 7, 64):
+            bank = fit_pca_bank(chunk_stream(outputs, size), 1)
+            assert bank.mean.tobytes() == in_order.tobytes()
+
+    @pytest.mark.parametrize("chunks, match", [
+        ([np.zeros((2, 3, 3, 2)), np.zeros((2, 9, 2))], "N x H x W x K"),
+        ([np.zeros((2, 3, 3, 2)), np.zeros((2, 3, 3, 3))], "2 and 3 channels"),
+        ([np.zeros((1, 1, 1, 4)), np.zeros((1, 1, 2, 4))], "at least 4 pixel samples, got 3"),
+        ([], "at least 1 pixel samples, got 0"),
+    ])
+    def test_malformed_stream_rejected(self, chunks, match):
+        with pytest.raises(ValidationError, match=match):
+            fit_pca_bank(lambda: iter(chunks), layer_index=1)
+
+
 class TestPcaStatistic:
     def test_mean_valued_image_gives_zero_vector(self):
         rng = np.random.default_rng(4)
