@@ -97,9 +97,11 @@ def infer_shapes(input_dims, layers):
         if isinstance(layer, (ConvLayer, MaxPoolLayer)) and len(shape) != 3:
             raise ValidationError(f"{layer.kind} layer {pos} needs a spatial input, got {shape}")
         if isinstance(layer, ConvLayer):
-            if layer.filters < 1 or layer.kernel < 1 or layer.stride < 1 or layer.padding < 0:
-                raise ValidationError(
-                    f"conv layer {pos} has invalid filters/kernel/stride/padding")
+            # A padding of a whole kernel or more adds only outputs that see no input.
+            if (layer.filters < 1 or layer.kernel < 1 or layer.stride < 1
+                    or not 0 <= layer.padding < layer.kernel):
+                raise ValidationError(f"conv layer {pos} has invalid filters/kernel/stride/"
+                                      "padding (0 <= padding < kernel)")
             shape = (*_conv_out_dims(shape[0], shape[1], layer.kernel, layer.kernel,
                                      layer.stride, layer.padding), layer.filters)
         elif isinstance(layer, MaxPoolLayer):

@@ -295,16 +295,13 @@ def _one_malloc_arena():
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
 
 
-def _stat_rows(net, images, banks, deepest=None):
+def _stat_rows(net, images, banks):
     """Each bank's statistic rows of the images, from one chunked forward of
-    the whole network; with `deepest`, the deepest conv layer's captured
-    activations are copied into it as well."""
+    the whole network."""
     stats = [np.empty((len(images), 6 * bank.k)) for bank in banks]
     for rows, _, captured in _forward_chunks(net, images, capture_conv=True):
         for m, bank in enumerate(banks):
             stats[m][rows] = stat_matrix(captured[m], bank)
-        if deepest is not None:
-            deepest[rows] = captured[-1]
         del captured
     return stats
 
@@ -317,31 +314,18 @@ def _cmd_fit_detector(args):
     adv_images = _as_batch(net.spec, adv_images)
     pool = _as_batch(net.spec, _split_images(normals, args.split)[0])
     fingerprint = dataio.dataset_fingerprint(normals)
-    # No step holds the pool's activations of any conv layer but the deepest,
-    # or more than one chunk of anything else. The bank of each shallower
-    # layer is fitted from a stream that forwards the pool 64 images at a
-    # time, up to that layer's activation, once for each of the fit's three
-    # passes. One pass of the pool through the whole network then gives each
-    # chunk's statistic rows of those layers and fills the deepest layer's
-    # array, whose bank and rows are taken from it. The adversarials pass
-    # through the whole network once, each chunk giving its rows of every
-    # layer. Inputs are dropped once forwarded, and the heap is trimmed
-    # before each large step, so no step runs beside dead arrays or freed
-    # pages.
+    # No step holds any conv layer's activations of more than one 64-image
+    # chunk. The bank fit forwards the pool through the whole network twice,
+    # and its second pass gives the pool's statistic rows of every layer. The
+    # adversarials pass through the network once, each chunk giving its rows
+    # of every layer. Inputs are dropped once forwarded, and the heap is
+    # trimmed before each large step, so no step runs beside dead arrays or
+    # freed pages.
     del normals
-    *streamed, last_tap = captured_layers(net.spec.layers)
-    banks = []
-    for m, tap in enumerate(streamed):
-        _trim_heap()
-        banks.append(fit_pca_bank(
-            lambda: (out for _, out, _ in _forward_chunks(net, pool, depth=tap + 1)), m + 1))
     _trim_heap()
-    layer = np.empty((len(pool),) + net.spec.shapes()[last_tap])
-    pool_stats = _stat_rows(net, pool, banks, layer)
+    banks, pool_stats = fit_pca_bank(
+        lambda: (captured for _, _, captured in _forward_chunks(net, pool, capture_conv=True)))
     del pool
-    banks.append(fit_pca_bank(layer, len(banks) + 1))
-    pool_stats.append(stat_matrix(layer, banks[-1]))
-    del layer
     _trim_heap()
     adv_stats = _stat_rows(net, adv_images, banks)
     del records, adv_images

@@ -8,11 +8,11 @@ channel extrema and percentiles. All extractors are order statistics or
 absolute means, so nothing here is differentiable end to end and the module
 never touches gradient machinery.
 
-fit_pca_bank is the one bank fit. It takes a layer's outputs as one array or
-as a stream of chunks that it reads three times, leaves them as they are and
-holds no array of their size: the mean is a running sum, and the covariance
-and the projection stds are sums over blocks of 16,384 centered sample rows.
-stat_matrix fills its rows 64 images at a time.
+fit_pca_bank is the one bank fit. It reads a stream of every conv layer's
+outputs, one chunk of images at a time, twice, and holds no array of their
+size: each chunk's moments, merged in order, give the banks, and the second
+pass also gives the images' statistic rows. stat_matrix fills its rows 64
+images at a time, with the same per-image formulas.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ __all__ = [
 
 PERCENTILES = (25.0, 50.0, 75.0)
 _STD_FLOOR = 1e-8  # projection stds are floored here so normalization never divides by 0
-_STD_BLOCK_ROWS = 16384  # sample rows per block of a bank fit's covariance and stds
 
 
 @dataclass(frozen=True)
@@ -81,96 +80,92 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sample_chunks(stream):
-    """Each (n, H, W, K) chunk of the stream as its (n * H * W, K) pixel
-    samples; every chunk must be 4-D with the first chunk's K."""
-    k = None
-    for chunk in stream():
-        chunk = np.asarray(chunk, dtype=np.float64)
-        if chunk.ndim != 4:
-            raise ValidationError(f"layer outputs must be N x H x W x K, got shape {chunk.shape}")
-        if k is not None and chunk.shape[3] != k:
-            raise ValidationError(f"layer output chunks have {k} and {chunk.shape[3]} channels")
-        k = chunk.shape[3]
-        yield chunk.reshape(-1, k)
+def _pixel_chunks(chunks):
+    """Each chunk of the stream as its list of (n, H * W, K) pixel views, one
+    per layer. Every layer output must be 4-D, and every chunk must hold the
+    first chunk's layers with their channel counts."""
+    ks = None
+    for captured in chunks():
+        layers = [np.asarray(layer, dtype=np.float64) for layer in captured]
+        if ks is not None and len(layers) != len(ks):
+            raise ValidationError(f"chunks capture {len(ks)} and {len(layers)} layers")
+        for m, layer in enumerate(layers):
+            if layer.ndim != 4:
+                raise ValidationError(
+                    f"layer outputs must be N x H x W x K, got shape {layer.shape}")
+            if ks is not None and layer.shape[3] != ks[m]:
+                raise ValidationError(
+                    f"layer {m + 1} output chunks have {ks[m]} and {layer.shape[3]} channels")
+        ks = [layer.shape[3] for layer in layers]
+        yield [layer.reshape(len(layer), -1, layer.shape[3]) for layer in layers]
 
 
-def _in_order_sum(samples, total):
-    # total (None for none) plus the sample rows, added row after row. numpy
-    # sums axis 0 of an (n, K) array row by row for K > 1 but pairwise for
-    # K = 1, where the running sum is the cumulative sum's last row.
-    rows = samples if total is None else np.concatenate((total[None], samples))
-    return rows.sum(axis=0) if rows.shape[1] > 1 else np.cumsum(rows, axis=0)[-1]
+def _merge(moments, samples, outer):
+    """(count, mean, scatter) of the (n, K) samples merged into the running
+    moments (None for none yet) by the pairwise update of Chan, Golub &
+    LeVeque (1979). The scatter of centered rows is their K x K outer-product
+    sum with outer, else its diagonal, the sum of their squares."""
+    mean = samples.mean(axis=0)
+    centered = samples - mean
+    scatter = centered.T @ centered if outer else np.square(centered, out=centered).sum(axis=0)
+    if moments is None:
+        return len(samples), mean, scatter
+    n_a, mean_a, scatter_a = moments
+    n_b, n = len(samples), n_a + len(samples)
+    delta = mean - mean_a
+    cross = np.multiply.outer(delta, delta) if outer else delta * delta
+    return n, mean_a + delta * (n_b / n), scatter_a + scatter + cross * (n_a * n_b / n)
 
 
-def _sample_blocks(stream):
-    """The stream's samples in consecutive blocks of 16,384 rows (the last may
-    be shorter): a view where a block lies in one chunk, else a copy into one
-    buffer, which the next such block overwrites."""
-    parts, rows, buffer = [], 0, None
-    for samples in _sample_chunks(stream):
-        start = 0
-        while start < len(samples):
-            take = min(_STD_BLOCK_ROWS - rows, len(samples) - start)
-            parts.append(samples[start : start + take])
-            rows, start = rows + take, start + take
-            if buffer is None and len(parts) > 1:
-                buffer = np.empty((_STD_BLOCK_ROWS, samples.shape[1]))
-            if rows == _STD_BLOCK_ROWS:
-                yield parts[0] if len(parts) == 1 else np.concatenate(parts, out=buffer)
-                parts, rows = [], 0
-    if rows:
-        yield parts[0] if len(parts) == 1 else np.concatenate(parts, out=buffer[:rows])
+def fit_pca_bank(chunks):
+    """Fit one bank per conv layer from normal images, with their statistic rows.
 
+    chunks is a function of no arguments that returns a fresh iterator over
+    the images' chunks, each a list of every conv layer's (n, H, W, K)
+    outputs; the fit calls it twice. Every pixel of every image is one sample
+    of its layer, and each layer needs at least K samples. Returns the banks
+    (layer_index 1, 2, ...) and each layer's (N, 6K) statistic rows, byte for
+    byte those that stat_matrix gives under its bank.
 
-def fit_pca_bank(layer_outputs, layer_index: int) -> PcaBank:
-    """Fit mean, projection and stds from normal-image layer outputs.
-
-    layer_outputs is an (N, H, W, K) array, as layer_outputs_batch returns per
-    conv layer, or a stream of such outputs: a function of no arguments that
-    returns a fresh iterator of (n, H, W, K) chunks each time, which the fit
-    calls three times. An array is a stream of one chunk. Every pixel of every
-    image is one sample. Requires at least K samples. Stds are floored at
-    1e-8, which the bank records as its epsilon.
-
-    The input is left as it is. The mean sums each chunk onto the running
-    total row after row, so for K > 1 it has the bytes of the whole array's
-    mean, and for an array those bytes at any K; a stream of several chunks
-    with K = 1 gives the in-order sum over N, where numpy's mean of the whole
-    array would sum pairwise. The covariance and the projection moments are
-    summed over the same blocks of 16,384 centered samples, whatever the
-    chunks; a block that spans chunks is copied into one reused buffer. So
-    beyond the input the fit holds a few blocks, no array of the input's size,
-    and a fit of one block gives the bytes of the whole-array formulas.
+    The first pass merges each chunk's sample mean and centered scatter per
+    layer in chunk order; the covariance's eigenvectors give the projection.
+    The second merges the projections' means and centered squares about the
+    merged mean the same way, for the stds (floored at 1e-8, the bank's
+    epsilon), and takes every image's rows. The chunks are left as they are,
+    and beyond the rows the fit holds one chunk's temporaries. The bytes
+    depend on the chunking; one chunk gives those of the whole-array formulas.
     """
-    stream = layer_outputs if callable(layer_outputs) else lambda: iter((layer_outputs,))
-    total, n, chunks, k = None, 0, 0, 0
-    for chunks, samples in enumerate(_sample_chunks(stream), 1):
-        total = _in_order_sum(samples, total)
-        n, k = n + len(samples), samples.shape[1]
-    if n < max(k, 1):
-        raise ValidationError(f"need at least {max(k, 1)} pixel samples, got {n}")
-    mean = (samples.sum(axis=0) if chunks == 1 else total) / n
-    del samples
-
-    def centered_blocks():
-        for block in _sample_blocks(stream):
-            yield block - mean
-
-    eigvals, eigvecs = np.linalg.eigh(sum(b.T @ b for b in centered_blocks()) / n)
-    components = _fix_signs(eigvecs[:, np.argsort(-eigvals, kind="stable")])
-    # var = E[z^2] - E[z]^2 per projection z; E[z] is at rounding level, as
-    # the samples are centered.
-    sums, squares = np.zeros(k), np.zeros(k)
-    for block in centered_blocks():
-        z = block @ components
-        sums += z.sum(axis=0)
-        squares += np.square(z, out=z).sum(axis=0)
-        del block, z  # freed before the generator builds the next block
-    mean_z = sums / n
-    var = np.maximum(squares / n - mean_z * mean_z, 0.0)
-    return PcaBank(layer_index=int(layer_index), mean=mean, components=components,
-                   stds=np.maximum(np.sqrt(var), _STD_FLOOR))
+    moments, images = {}, 0
+    for layers in _pixel_chunks(chunks):
+        images += len(layers[0])
+        for m, pixels in enumerate(layers):
+            moments[m] = _merge(moments.get(m), pixels.reshape(-1, pixels.shape[2]), outer=True)
+    if not moments:
+        raise ValidationError("need at least 1 pixel samples, got 0")
+    projections = []
+    for n, mean, scatter in moments.values():
+        if n < len(mean):
+            raise ValidationError(f"need at least {len(mean)} pixel samples, got {n}")
+        eigvals, eigvecs = np.linalg.eigh(scatter / n)
+        projections.append((mean, _fix_signs(eigvecs[:, np.argsort(-eigvals, kind="stable")])))
+    rows = [np.empty((images, 6 * len(mean))) for mean, _ in projections]
+    spreads, start = {}, 0
+    for layers in _pixel_chunks(chunks):
+        chunk, start = slice(start, start + len(layers[0])), start + len(layers[0])
+        for m, pixels in enumerate(layers):
+            k = pixels.shape[2]
+            rows[m][chunk, k:] = _order_rows(pixels)
+            z = _projections(pixels, *projections[m])
+            spreads[m] = _merge(spreads.get(m), z.reshape(-1, k), outer=False)
+            rows[m][chunk, :k] = _mean_abs(z)
+            del z  # freed before the next projections are formed
+    banks = []
+    for m, (mean, components) in enumerate(projections):
+        n, _, squares = spreads[m]
+        banks.append(PcaBank(layer_index=m + 1, mean=mean, components=components,
+                             stds=np.maximum(np.sqrt(squares / n), _STD_FLOOR)))
+        rows[m][:, : len(mean)] /= banks[m].stds
+    return banks, rows
 
 
 def _chunks(layer_batch: np.ndarray):
@@ -184,20 +179,29 @@ def _chunks(layer_batch: np.ndarray):
         yield rows, layer_batch[rows].reshape(-1, h * w, k)
 
 
-def _pca_rows(pixels: np.ndarray, bank: PcaBank) -> np.ndarray:
-    # (N, P, K) pixels -> (N, K) mean absolute std-normalized projections.
+def _projections(pixels: np.ndarray, mean: np.ndarray, components: np.ndarray) -> np.ndarray:
+    # (N, P, K) pixels -> (N, P, K) projections of the centered pixels.
     # Centering against a tiled row runs each subtraction over a whole image.
-    # The mean over P stays in the (N, P, K) layout: numpy sums that axis
+    n, npix, k = pixels.shape
+    centered = pixels.reshape(n, npix * k) - np.tile(mean, npix)
+    return centered.reshape(n, npix, k) @ components
+
+
+def _mean_abs(z: np.ndarray) -> np.ndarray:
+    # (N, P, K) projections -> (N, K) mean |z| per image, overwriting z. The
+    # mean over P stays in the (N, P, K) layout: numpy sums that axis
     # sequentially for K > 1 but pairwise for K = 1, so another layout would
     # change bits.
-    n, npix, k = pixels.shape
-    if k != bank.k:
-        raise ValidationError(f"layer output has {k} channels but bank expects {bank.k}")
-    centered = pixels.reshape(n, npix * k) - np.tile(bank.mean, npix)
-    z = (centered.reshape(n, npix, k) @ bank.components).reshape(n, npix * k)
-    z /= np.tile(bank.stds, npix)
-    np.abs(z, out=z)
-    return z.reshape(n, npix, k).mean(axis=1)
+    return np.abs(z, out=z).mean(axis=1)
+
+
+def _pca_rows(pixels: np.ndarray, bank: PcaBank) -> np.ndarray:
+    # (N, P, K) pixels -> (N, K) mean absolute projections over the bank's
+    # stds, as fit_pca_bank forms its rows.
+    if pixels.shape[2] != bank.k:
+        raise ValidationError(
+            f"layer output has {pixels.shape[2]} channels but bank expects {bank.k}")
+    return _mean_abs(_projections(pixels, bank.mean, bank.components)) / bank.stds
 
 
 def _order_rows(pixels: np.ndarray) -> np.ndarray:

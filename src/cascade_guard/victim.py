@@ -7,9 +7,8 @@ and the above-threshold prediction census.
 Every inference (predictions, accuracy, feature maps, the detector's fit
 and pass, and spectral's features) runs through one forward pass over
 64-image chunks, _forward_chunks. _chunked_forward gathers its chunks into
-whole-batch arrays; the detector's pass, the fit's streamed bank fits and
-its statistic rows read each chunk as it comes and keep none of its
-activations, but for the pool's deepest conv layer.
+whole-batch arrays; the detector's pass and its fit read each chunk as it
+comes and keep none of its activations.
 The layer kernels form each image's bytes on their own, so an image gets
 the same logits and feature maps alone, in a chunk or in any batch.
 """

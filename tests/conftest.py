@@ -18,6 +18,7 @@ from cascade_guard.dataio import synth_dataset
 from cascade_guard.featstats import fit_pca_bank, stat_matrix
 from cascade_guard.victim import (
     TrainConfig,
+    _forward_chunks,
     default_victim_spec,
     layer_outputs_batch,
     predict_batch,
@@ -95,11 +96,11 @@ def ea_records(victim_bundle):
 
 @pytest.fixture(scope="session")
 def fitted_banks(victim_bundle, corpus):
-    """Banks fitted on the first 500 never-attacked normals."""
-    net = victim_bundle.network
-    pool = corpus.normal_bank[:500]
-    return [fit_pca_bank(batch, layer_index=m + 1)
-            for m, batch in enumerate(layer_outputs_batch(net, pool))]
+    """Banks fitted on the first 500 never-attacked normals, from the
+    64-image capture stream that fit-detector fits from."""
+    net, pool = victim_bundle.network, corpus.normal_bank[:500]
+    return fit_pca_bank(
+        lambda: (captured for _, _, captured in _forward_chunks(net, pool, capture_conv=True)))[0]
 
 
 @pytest.fixture(scope="session")

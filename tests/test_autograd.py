@@ -76,11 +76,16 @@ class TestInferShapes:
         with pytest.raises(ValidationError):
             infer_shapes((4, 4, 1), (DenseLayer(2), ConvLayer(1, 1)))
 
-    @pytest.mark.parametrize("layer", [ConvLayer(1, 3, stride=0), ConvLayer(1, 3, padding=-1)],
-                             ids=["stride-zero", "padding-negative"])
+    @pytest.mark.parametrize("layer", [ConvLayer(1, 3, stride=0), ConvLayer(1, 3, padding=-1),
+                                       ConvLayer(1, 3, padding=3), ConvLayer(1, 3, padding=2**62)],
+                             ids=["stride-zero", "padding-negative", "padding-kernel",
+                                  "padding-2-to-the-62"])
     def test_bad_conv_stride_or_padding_rejected(self, layer):
         with pytest.raises(ValidationError, match="stride/padding"):
             infer_shapes((6, 6, 1), (layer,))
+
+    def test_padding_one_below_the_kernel_accepted(self):
+        assert infer_shapes((6, 6, 1), (ConvLayer(1, 3, padding=2),)) == [(8, 8, 1)]
 
 
 class TestBackward:

@@ -216,8 +216,8 @@ class TestTrainCascade:
         shapes = ((12, 12, 4), (5, 5, 6))
         pool = [np.maximum(rng.normal(0.0, 1.0, size=(1024,) + s), 0.0) for s in shapes]
         advs = [np.maximum(rng.normal(0.3, 1.0, size=(64,) + s), 0.0) for s in shapes]
-        banks = [fit_pca_bank(layer, m + 1) for m, layer in enumerate(pool)]
-        model = train_cascade([stat_matrix(layer, bank) for layer, bank in zip(pool, banks)],
+        banks, pool_stats = fit_pca_bank(lambda: iter([pool]))
+        model = train_cascade(pool_stats,
                               [stat_matrix(layer, bank) for layer, bank in zip(advs, banks)],
                               banks, CascadeConfig(seed=3))
         assert (len(model.stages), model.metadata["pool_survivors"]) == (1, 0)
@@ -228,8 +228,7 @@ class TestTrainCascade:
     def test_malformed_statistic_rows_rejected(self, case):
         rng = np.random.default_rng(1)
         pool = [rng.random((40, 4, 4, k)) for k in (3, 5)]
-        banks = [fit_pca_bank(layer, m + 1) for m, layer in enumerate(pool)]
-        pool_stats = [stat_matrix(layer, bank) for layer, bank in zip(pool, banks)]
+        banks, pool_stats = fit_pca_bank(lambda: iter([pool]))
         adv_stats = [rows[:20] for rows in pool_stats]
         train_cascade(pool_stats, adv_stats, banks, CascadeConfig())  # well-formed
         if case == "layer-counts-differ":

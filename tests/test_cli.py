@@ -167,11 +167,8 @@ def chunk_rows(n):
 
 class TestFitDetector:
     def test_each_image_is_forwarded_once(self, pipeline, tmp_path, monkeypatch):
-        # The pool is forwarded in chunks up to conv layer 1's captured ReLU
-        # (layers 0-1 of the desk network) once for each of the layer-1 bank
-        # fit's three passes, then once through the whole network, as is each
-        # adversarial. No image is forwarded to layer 2's ReLU (depth 5) on
-        # its own: layer 2 comes from the whole-network pass.
+        # The pool is forwarded in chunks through the whole network once for
+        # each of the bank fit's two passes, and each adversarial once.
         import cascade_guard.victim as victim_module
 
         calls = []
@@ -188,14 +185,14 @@ class TestFitDetector:
                     "--seed", 2, "--out", tmp_path / "det.json"]) == 0
         monkeypatch.undo()
         n_train, n_advs = fit_sizes(pipeline)
-        assert calls == ([(2, rows) for rows in chunk_rows(n_train) * 3]
-                         + [(8, rows) for rows in chunk_rows(n_train) + chunk_rows(n_advs)])
+        assert calls == [(8, rows) for rows in chunk_rows(n_train) * 2 + chunk_rows(n_advs)]
         assert (tmp_path / "det.json").read_bytes() == (pipeline / "det.json").read_bytes()
 
     def test_peak_memory_below_the_pools_layer_1_activations(self, pipeline, tmp_path):
         # A fit that held the pool's conv-layer-1 activations (1,050 x 26 x
-        # 26 x 8 doubles, 45.4 MB) fails; the largest array is layer 2's
-        # (16.3 MB), beside the pool images and a chunk's forward.
+        # 26 x 8 doubles, 45.4 MB) fails. No step holds more than one chunk
+        # of any layer's: the traced peak reads 21.8 MB, where holding layer
+        # 2's (16.3 MB) beside it read 36.1 MB.
         n_train, _ = fit_sizes(pipeline)
         tracemalloc.start()
         try:
@@ -233,8 +230,7 @@ class TestFitDetector:
             monkeypatch.setattr(cli_module, name, call)
 
         monkeypatch.setattr(cli_module.ctypes, "CDLL", cdll)
-        logged("fit_pca_bank", lambda layer, index: (
-            "stream" if callable(layer) else len(layer), index))
+        logged("fit_pca_bank", lambda chunks: "stream" if callable(chunks) else chunks)
         logged("stat_matrix", lambda layer, bank: (len(layer), bank.layer_index))
         logged("_forward_chunks", lambda net, images, depth=None, capture_conv=False: (
             len(images), depth, capture_conv))
@@ -245,21 +241,15 @@ class TestFitDetector:
                     "--adversarials", pipeline / "advs_train",
                     "--seed", 2, "--out", tmp_path / "det.json"]) == 0
         monkeypatch.undo()
-        # Once before the layer-1 bank fit, whose three passes each forward
-        # the pool to layer 1's captured ReLU (2 layers deep) a chunk at a
-        # time; once before the pool's one forward through the whole network,
-        # whose chunks give their layer-1 rows and fill layer 2's array, from
-        # which the layer-2 bank and rows are taken; once before the
-        # adversarials' forward, whose statistics come a chunk at a time; and
-        # once before the training.
+        # Once before the bank fit, whose two passes each forward the pool
+        # through the whole network a chunk at a time, the second giving the
+        # pool's statistic rows; once before the adversarials' forward, whose
+        # statistics come a chunk at a time; and once before the training.
         n_train, n_advs = fit_sizes(pipeline)
         trim = [("malloc_trim", 0)] if libc == "glibc" else []
         assert len(chunk_rows(n_advs)) > 1
         assert events == (
-            trim + [("fit_pca_bank", ("stream", 1))] + [("_forward_chunks", (n_train, 2, False))] * 3
-            + trim + [("_forward_chunks", (n_train, None, True))]
-            + [("stat_matrix", (rows, 1)) for rows in chunk_rows(n_train)]
-            + [("fit_pca_bank", (n_train, 2)), ("stat_matrix", (n_train, 2))]
+            trim + [("fit_pca_bank", "stream")] + [("_forward_chunks", (n_train, None, True))] * 2
             + trim + [("_forward_chunks", (n_advs, None, True))]
             + [("stat_matrix", (rows, m)) for rows in chunk_rows(n_advs) for m in (1, 2)]
             + trim + [("train_cascade", ([n_train] * 2, [n_advs] * 2))])
@@ -295,12 +285,11 @@ class TestEvaluate:
             self, pipeline, tmp_path, capsys, monkeypatch, channels):
         import cascade_guard.victim as victim_module
         from cascade_guard.cascade import CascadeConfig, train_cascade
-        from cascade_guard.featstats import fit_pca_bank, stat_matrix
+        from cascade_guard.featstats import fit_pca_bank
 
         rng = np.random.default_rng(0)
         pool = [rng.random((40, 4, 4, k)) for k in channels]
-        banks = [fit_pca_bank(layer, m + 1) for m, layer in enumerate(pool)]
-        pool_stats = [stat_matrix(layer, bank) for layer, bank in zip(pool, banks)]
+        banks, pool_stats = fit_pca_bank(lambda: iter([pool]))
         # Adversarials drawn like the pool keep most of it alive at every stage.
         model = train_cascade(pool_stats, [rows[:20] for rows in pool_stats], banks,
                               CascadeConfig())
@@ -527,6 +516,14 @@ class TestTrainVictimSpec:
         assert code == 1, err
         assert err.startswith("ERROR 1:") and err.count("\n") == 1, err
         assert not (tmp_path / "net.json").exists()
+
+    def test_largest_conv_padding_trains_and_loads(self, trained, tmp_path):
+        spec = copy.deepcopy(SPEC_OF_EVERY_KIND)
+        spec["layers"][0]["padding"] = spec["layers"][0]["kernel"] - 1
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert run(["train-victim", "--data", trained / "data", "--spec", tmp_path / "spec.json",
+                    "--epochs", 1, "--out", tmp_path / "net.json"]) == 0
+        assert dataio.spec_to_json(dataio.load_network(tmp_path / "net.json").spec) == spec
 
 
 class TestReproducibility:
@@ -904,6 +901,26 @@ class TestExitCodes:
         assert code == 1, err
         assert err.startswith("ERROR 1:") and err.count("\n") == 1
         assert not (tmp_path / "census.csv").exists()
+
+    @pytest.mark.parametrize("padding", [3, 2**62], ids=["kernel", "2-to-the-62"])
+    @pytest.mark.parametrize("command", ["evaluate", "census"])
+    def test_conv_padding_of_a_kernel_or_more_is_validation_error(
+            self, pipeline, tmp_path, capsys, command, padding):
+        # The desk network's first conv has a 3 x 3 kernel. A padding of 2**62
+        # once passed the spec check and failed on an array shape (exit 2).
+        payload = json.loads((pipeline / "net.json").read_text())
+        payload["spec"]["layers"][0]["padding"] = padding
+        (tmp_path / "net.json").write_text(json.dumps(payload))
+        inputs = {"evaluate": ["--detector", pipeline / "det.json",
+                               "--adversarials", pipeline / "advs_test"],
+                  "census": []}[command]
+        code = run([command, "--net", tmp_path / "net.json", "--normals", pipeline / "bank",
+                    *inputs, "--out-csv", tmp_path / "out.csv"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err == ("ERROR 1: conv layer 0 has invalid filters/kernel/stride/padding "
+                       "(0 <= padding < kernel)\n")
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("flag, value", [("--eq", "-1"), ("--ea-range", "-2:8:3")],
                              ids=["eq-negative", "ea-range-negative"])

@@ -315,12 +315,11 @@ class TestAdversarialBatch:
 class TestDetectorArtifact:
     def test_stage_width_that_does_not_fit_the_banks_rejected(self, tmp_path):
         from cascade_guard.cascade import CascadeConfig, train_cascade
-        from cascade_guard.featstats import fit_pca_bank, stat_matrix
+        from cascade_guard.featstats import fit_pca_bank
 
         rng = np.random.default_rng(0)
         pool = [rng.random((40, 4, 4, k)) for k in (3, 5)]
-        banks = [fit_pca_bank(layer, m + 1) for m, layer in enumerate(pool)]
-        pool_stats = [stat_matrix(layer, bank) for layer, bank in zip(pool, banks)]
+        banks, pool_stats = fit_pca_bank(lambda: iter([pool]))
         model = train_cascade(pool_stats, [rows[:20] for rows in pool_stats], banks,
                               CascadeConfig())
         assert [s.svm.dim for s in model.stages] == [18, 48]

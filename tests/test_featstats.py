@@ -79,7 +79,7 @@ def whole_batch_stat_rows(layer_batch, bank):
     """The (N, 6K) statistic rows computed over the whole batch at once."""
     n, h, w, k = layer_batch.shape
     pixels = layer_batch.reshape(n, h * w, k)
-    z = (pixels - bank.mean) @ bank.components / bank.stds
+    z = (pixels - bank.mean) @ bank.components
     sorted_vals = np.sort(pixels, axis=1)
     pcs = []
     for p in PERCENTILES:
@@ -90,7 +90,7 @@ def whole_batch_stat_rows(layer_batch, bank):
             pcs.append(lo_vals)
         else:
             pcs.append(lo_vals + (sorted_vals[:, lo + 1, :] - lo_vals) * (rank - lo))
-    return np.concatenate([np.abs(z).mean(axis=1), pixels.min(axis=1),
+    return np.concatenate([np.abs(z).mean(axis=1) / bank.stds, pixels.min(axis=1),
                            pixels.max(axis=1)] + pcs, axis=1)
 
 
@@ -104,62 +104,82 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def chunk_stream(*layers, size=None):
+    """A stream of the layers' outputs in chunks of `size` images (one chunk
+    by default), as fit_pca_bank takes it."""
+    size = size or len(layers[0])
+    return lambda: ([layer[start : start + size] for layer in layers]
+                    for start in range(0, len(layers[0]), size))
+
+
+def fit_layer(outputs, size=None):
+    """The bank fit_pca_bank fits to one layer's outputs, streamed in chunks of `size` images."""
+    (bank,), _ = fit_pca_bank(chunk_stream(outputs, size=size))
+    return bank
+
+
+def bank_bytes(bank):
+    return bank.mean.tobytes(), bank.components.tobytes(), bank.stds.tobytes()
+
+
 class TestFitPcaBank:
     def test_bytes_equal_whole_batch_fit(self):
+        # A stream of one chunk has nothing to merge.
         outputs = np.random.default_rng(4).normal(size=(50, 6, 6, 4))
-        bank = fit_pca_bank(outputs, layer_index=1)
+        bank = fit_layer(outputs)
         for got, want in zip((bank.mean, bank.components, bank.stds),
                              whole_batch_fit(outputs)):
             assert got.tobytes() == want.tobytes()
 
     def test_peak_memory_below_two_and_a_half_inputs(self):
-        # Beside the input the fit holds a few blocks of centered samples and
-        # their projections, no array of the input's size: the input is
-        # 4.7 MB, a 16,384-row block of 4 channels 0.5 MB. A fit of a
-        # centered copy would hold more than one input.
+        # Beside the input and its rows the fit holds a few arrays of one
+        # 64-image chunk's size: the input is 4.7 MB, a chunk 0.3 MB. A fit
+        # of a centered copy would hold more than one input.
         outputs = np.random.default_rng(5).normal(size=(1024, 12, 12, 4))
-        assert traced_peak(fit_pca_bank, outputs, 1) < 0.5 * outputs.nbytes
+        assert traced_peak(fit_layer, outputs, 64) < 0.5 * outputs.nbytes
 
     def test_peak_memory_two_block_arrays(self):
-        # The stds pass frees each block and its projection before the next
-        # block is built, so at most two 16,384-row arrays of 4 channels
-        # (0.5 MB each) are live at once: in the covariance pass the previous
-        # block and the next, in the stds pass a block and its projection.
-        # Holding a third array (the previous block beside the next) fails.
+        # The blocks are the stream's chunks. Beside the rows (1024 x 24
+        # doubles) at most two arrays of one 64-image chunk's size (0.3 MB)
+        # are live at once: a chunk's projections and the centered pixels
+        # they are formed from, or the projections and their centered copy.
+        # Holding a third, such as the previous chunk's projections, fails.
         outputs = np.random.default_rng(5).normal(size=(1024, 12, 12, 4))
-        block = featstats._STD_BLOCK_ROWS * outputs.shape[3] * outputs.itemsize
-        assert traced_peak(fit_pca_bank, outputs, 1) <= 2 * block + 256 * 1024
+        chunk = outputs[:64].nbytes
+        rows = len(outputs) * 6 * outputs.shape[3] * outputs.itemsize
+        assert traced_peak(fit_layer, outputs, 64) <= 2 * chunk + rows + 256 * 1024
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
     @pytest.mark.parametrize("m", ["below", "block-1", "block", "block+1", "blocks+rest"])
     def test_blockwise_stds_bytes_equal_whole_projection_std(self, k, m):
-        # The covariance and the projection moments are summed over blocks,
-        # and the stds come from E[z^2] - E[z]^2, so only the mean keeps the
-        # whole array's bytes. The components agree within 1e-12 and the stds
-        # within 1e-13 relative (the largest gaps on this grid are 4e-14 and
-        # 7e-15); the large last sample makes a one-row remainder count.
-        block = featstats._STD_BLOCK_ROWS
+        # m one-pixel images around 256 chunks of 64 (16,384 rows): the last
+        # chunk holds 40, 63, 64, 1 and 17 images. The merged moments agree
+        # with the whole-array formulas within 1e-13 relative (mean, stds)
+        # and 1e-12 (components); the largest gaps on this grid are 1.4e-14,
+        # 5.7e-15 and 5.8e-14. The large last sample makes a one-row chunk
+        # count.
+        block = 256 * 64
         m = {"below": 1000, "block-1": block - 1, "block": block, "block+1": block + 1,
              "blocks+rest": 3 * block + 849}[m]
         rng = np.random.default_rng(m + k)
         outputs = rng.normal(size=(m, 1, 1, k)) * rng.uniform(0.1, 10.0, size=k) + 3.0
         outputs[-1] *= 100.0
-        bank = fit_pca_bank(outputs, layer_index=1)
+        bank = fit_layer(outputs, 64)
         mean, components, stds = whole_batch_fit(outputs)
-        assert bank.mean.tobytes() == mean.tobytes()
+        np.testing.assert_allclose(bank.mean, mean, rtol=1e-13, atol=0)
         np.testing.assert_allclose(bank.components, components, rtol=0, atol=1e-12)
         np.testing.assert_allclose(bank.stds, stds, rtol=1e-13, atol=0)
 
     def test_input_left_byte_identical(self):
         outputs = np.maximum(np.random.default_rng(8).normal(size=(40, 5, 5, 3)), 0.0)
         before = outputs.tobytes()
-        fit_pca_bank(outputs, layer_index=1)
+        fit_layer(outputs, 16)
         assert outputs.tobytes() == before
 
     def test_training_projections_centered_and_unit_std(self):
         rng = np.random.default_rng(0)
         outputs = rng.normal(size=(6, 5, 5, 4))
-        bank = fit_pca_bank(outputs, layer_index=1)
+        bank = fit_layer(outputs, 4)
         samples = outputs.reshape(-1, 4)
         proj = (samples - bank.mean) @ bank.components / bank.stds
         assert np.abs(proj.mean(axis=0)).max() < 1e-10
@@ -167,7 +187,7 @@ class TestFitPcaBank:
 
     def test_orthonormal_projection(self):
         rng = np.random.default_rng(1)
-        bank = fit_pca_bank(rng.normal(size=(4, 6, 6, 5)), layer_index=1)
+        bank = fit_layer(rng.normal(size=(4, 6, 6, 5)), 3)
         gram = bank.components.T @ bank.components
         assert np.abs(gram - np.eye(5)).max() < 1e-8
 
@@ -177,7 +197,7 @@ class TestFitPcaBank:
         rng = np.random.default_rng(2)
         t = rng.normal(size=4000)
         pts = np.stack([t, 2 * t], axis=1) + rng.normal(0, 1e-3, (4000, 2))
-        bank = fit_pca_bank(pts.reshape(1, 80, 50, 2), layer_index=1)
+        bank = fit_layer(pts.reshape(1, 80, 50, 2))
         v = bank.components[:, 0]
         want = np.array([1.0, 2.0]) / np.sqrt(5.0)
         angle = np.degrees(np.arccos(np.clip(abs(v @ want), -1, 1)))
@@ -187,7 +207,7 @@ class TestFitPcaBank:
         rng = np.random.default_rng(3)
         outputs = rng.normal(size=(3, 4, 4, 3))
         outputs[:, :, :, 1] = 2.5
-        bank = fit_pca_bank(outputs, layer_index=1)
+        bank = fit_layer(outputs, 2)
         assert (bank.stds >= bank.epsilon).all()
         assert np.isfinite(bank.components).all()
         stat = pca_columns(outputs[0], bank)
@@ -199,97 +219,85 @@ class TestFitPcaBank:
         outputs = np.random.default_rng(9).normal(size=(3, 4, 4, 2))
         outputs[0, 0, 0, 0] = value
         with pytest.raises(ValidationError, match="finite"):
-            fit_pca_bank(outputs, layer_index=1)
+            fit_layer(outputs)
 
     def test_fewer_samples_than_channels_rejected(self):
         with pytest.raises(ValidationError, match="samples"):
-            fit_pca_bank(np.zeros((1, 1, 2, 4)), layer_index=1)
-
-
-def chunk_stream(outputs, size):
-    """A stream of the outputs in chunks of `size` images, as fit_pca_bank takes it."""
-    return lambda: (outputs[start : start + size] for start in range(0, len(outputs), size))
-
-
-def bank_bytes(bank):
-    return bank.mean.tobytes(), bank.components.tobytes(), bank.stds.tobytes()
+            fit_layer(np.zeros((1, 1, 2, 4)))
 
 
 class TestStreamedFitPcaBank:
     @pytest.mark.parametrize("k", [2, 3, 8, 16])
     @pytest.mark.parametrize("size", [1, 7, 64])
     def test_stream_bytes_equal_array_fit(self, k, size):
-        # 16 x 20 pixels per image: a 64-image chunk (20,480 rows) holds one
-        # 16,384-row block and straddles the next, and the fourth such chunk
-        # ends exactly on a block edge (256 images, 5 blocks), as do 1-image
-        # chunks there; 7-image chunks straddle block edges throughout. The
-        # 300 images end in a partial block.
+        # A stream of two layers of 300 images in chunks of `size`; the last
+        # chunk is ragged. The rows the fit returns are stat_matrix's rows of
+        # each whole layer under its bank, byte for byte. A second fit of the
+        # stream gives the same bank bytes; other chunkings give other bytes,
+        # which agree with the whole-array formulas within the tolerances of
+        # the grid above.
         rng = np.random.default_rng(10 * k + size)
         outputs = rng.normal(size=(300, 16, 20, k)) * rng.uniform(0.1, 10.0, size=k) + 3.0
-        assert 256 * 16 * 20 % featstats._STD_BLOCK_ROWS == 0
-        whole = fit_pca_bank(outputs, layer_index=2)
-        streamed = fit_pca_bank(chunk_stream(outputs, size), layer_index=2)
-        assert streamed.layer_index == 2
-        assert bank_bytes(streamed) == bank_bytes(whole)
+        second = np.maximum(rng.normal(size=(300, 5, 4, 3)), 0.0)
+        stream = chunk_stream(outputs, second, size=size)
+        banks, rows = fit_pca_bank(stream)
+        assert [bank.layer_index for bank in banks] == [1, 2]
+        for layer, bank, got in zip((outputs, second), banks, rows):
+            assert got.tobytes() == stat_matrix(layer, bank).tobytes()
+        assert [bank_bytes(b) for b in fit_pca_bank(stream)[0]] == [bank_bytes(b) for b in banks]
+        mean, components, stds = whole_batch_fit(outputs)
+        np.testing.assert_allclose(banks[0].mean, mean, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(banks[0].components, components, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(banks[0].stds, stds, rtol=1e-13, atol=0)
 
     def test_stream_chunks_left_byte_identical(self):
         rng = np.random.default_rng(11)
-        chunks = [np.maximum(rng.normal(size=(n, 13, 13, 3)), 0.0) for n in (64, 64, 40)]
-        before = [c.tobytes() for c in chunks]
-        fit_pca_bank(lambda: iter(chunks), layer_index=1)
-        assert [c.tobytes() for c in chunks] == before
+        chunks = [[np.maximum(rng.normal(size=(n, 13, 13, 3)), 0.0),
+                   np.maximum(rng.normal(size=(n, 5, 5, 4)), 0.0)] for n in (64, 64, 40)]
+        before = [[layer.tobytes() for layer in chunk] for chunk in chunks]
+        fit_pca_bank(lambda: iter(chunks))
+        assert [[layer.tobytes() for layer in chunk] for chunk in chunks] == before
 
     def test_stream_peak_does_not_grow_with_its_length(self):
         # Chunks are made as the fit reads them, so only what the fit keeps
-        # can grow: 40 chunks of 64 images (7.3 blocks of 16,384 rows) peak
-        # where 10 do.
+        # can grow: beyond the rows it returns (24 doubles an image), 40
+        # chunks of 64 images peak where 10 do.
         def stream(count):
             def chunks():
                 rng = np.random.default_rng(12)
                 for _ in range(count):
-                    yield rng.normal(size=(64, 13, 13, 4))
+                    yield [rng.normal(size=(64, 13, 13, 4))]
             return chunks
 
-        short = traced_peak(fit_pca_bank, stream(10), 1)
-        assert traced_peak(fit_pca_bank, stream(40), 1) <= short + 64 * 1024
+        def beyond_rows(count):
+            return traced_peak(fit_pca_bank, stream(count)) - count * 64 * 24 * 8
 
-    def test_one_channel_stream_mean_is_the_in_order_sum(self):
-        # numpy's mean of one channel sums pairwise; a stream of several
-        # chunks sums row after row, an array keeps numpy's bytes. The data
-        # are chosen so that the two sums differ.
-        rng = np.random.default_rng(13)
-        outputs = rng.normal(size=(200, 9, 9, 1)) * 7.0 + 3.0
-        samples = outputs.reshape(-1, 1)
-        in_order = np.cumsum(samples, axis=0)[-1] / len(samples)
-        assert in_order.tobytes() != samples.mean(axis=0).tobytes()
-        assert fit_pca_bank(outputs, 1).mean.tobytes() == samples.mean(axis=0).tobytes()
-        for size in (1, 7, 64):
-            bank = fit_pca_bank(chunk_stream(outputs, size), 1)
-            assert bank.mean.tobytes() == in_order.tobytes()
+        assert beyond_rows(40) <= beyond_rows(10) + 64 * 1024
 
     @pytest.mark.parametrize("chunks, match", [
-        ([np.zeros((2, 3, 3, 2)), np.zeros((2, 9, 2))], "N x H x W x K"),
-        ([np.zeros((2, 3, 3, 2)), np.zeros((2, 3, 3, 3))], "2 and 3 channels"),
-        ([np.zeros((1, 1, 1, 4)), np.zeros((1, 1, 2, 4))], "at least 4 pixel samples, got 3"),
+        ([[np.zeros((2, 3, 3, 2))], [np.zeros((2, 9, 2))]], "N x H x W x K"),
+        ([[np.zeros((2, 3, 3, 2))], [np.zeros((2, 3, 3, 3))]], "2 and 3 channels"),
+        ([[np.zeros((1, 1, 1, 4))], [np.zeros((1, 1, 2, 4))]], "at least 4 pixel samples, got 3"),
         ([], "at least 1 pixel samples, got 0"),
+        ([[np.zeros((2, 3, 3, 2))], [np.zeros((2, 3, 3, 2))] * 2], "capture 1 and 2 layers"),
     ])
     def test_malformed_stream_rejected(self, chunks, match):
         with pytest.raises(ValidationError, match=match):
-            fit_pca_bank(lambda: iter(chunks), layer_index=1)
+            fit_pca_bank(lambda: iter(chunks))
 
 
 class TestPcaStatistic:
     def test_mean_valued_image_gives_zero_vector(self):
         rng = np.random.default_rng(4)
         outputs = rng.normal(size=(5, 3, 3, 4))
-        bank = fit_pca_bank(outputs, layer_index=1)
+        bank = fit_layer(outputs)
         flat_mean = np.broadcast_to(bank.mean, (3, 3, 4)).copy()
         assert (pca_columns(flat_mean, bank) == 0.0).all()
 
     def test_single_pixel_hand_projection_oracle(self):
         rng = np.random.default_rng(5)
         outputs = rng.normal(size=(8, 4, 4, 3))
-        bank = fit_pca_bank(outputs, layer_index=1)
+        bank = fit_layer(outputs)
         pixel = rng.normal(size=3)
         got = pca_columns(pixel.reshape(1, 1, 3), bank)
         want = np.abs((pixel - bank.mean) @ bank.components / bank.stds)
@@ -298,7 +306,7 @@ class TestPcaStatistic:
     def test_invariant_to_spatial_permutation(self):
         rng = np.random.default_rng(6)
         outputs = rng.normal(size=(5, 4, 4, 3))
-        bank = fit_pca_bank(outputs, layer_index=1)
+        bank = fit_layer(outputs)
         img = rng.normal(size=(4, 4, 3))
         perm = rng.permutation(16)
         shuffled = img.reshape(16, 3)[perm].reshape(4, 4, 3)
@@ -307,7 +315,7 @@ class TestPcaStatistic:
 
     def test_channel_mismatch_rejected(self):
         rng = np.random.default_rng(7)
-        bank = fit_pca_bank(rng.normal(size=(4, 3, 3, 2)), layer_index=1)
+        bank = fit_layer(rng.normal(size=(4, 3, 3, 2)))
         with pytest.raises(ValidationError, match="channels"):
             pca_columns(rng.normal(size=(3, 3, 5)), bank)
 
@@ -359,14 +367,14 @@ class TestStatMatrix:
     def test_chunked_rows_bytes_equal_whole_batch_formula(self):
         # 600 images cross nine 64-image chunk boundaries.
         outputs = np.maximum(np.random.default_rng(6).normal(size=(600, 6, 6, 4)), 0.0)
-        bank = fit_pca_bank(outputs, layer_index=1)
+        bank = fit_layer(outputs)
         got = stat_matrix(outputs, bank)
         assert got.shape == (600, 24)
         assert got.tobytes() == whole_batch_stat_rows(outputs, bank).tobytes()
 
     def test_peak_memory_below_one_input(self):
         outputs = np.random.default_rng(7).normal(size=(1024, 12, 12, 4))
-        bank = fit_pca_bank(outputs, layer_index=1)
+        bank = fit_layer(outputs)
         assert traced_peak(stat_matrix, outputs, bank) < outputs.nbytes
 
     @settings(max_examples=40, deadline=None)

@@ -62,8 +62,8 @@ def draw(victim_seed: int) -> dict:
     from cascade_guard.cascade import CascadeConfig, roc_auc, score_batch, train_cascade
     from cascade_guard.dataio import synth_dataset
     from cascade_guard.featstats import fit_pca_bank, stat_matrix
-    from cascade_guard.victim import (TrainConfig, default_victim_spec, layer_outputs_batch,
-                                      predict_batch, train_victim)
+    from cascade_guard.victim import (TrainConfig, _forward_chunks, default_victim_spec,
+                                      layer_outputs_batch, predict_batch, train_victim)
 
     net = train_victim(synth_dataset(DATA_SEED, 200), default_victim_spec(),
                        TrainConfig(epochs=12, seed=victim_seed))
@@ -79,8 +79,9 @@ def draw(victim_seed: int) -> dict:
             original_labels=labels[start : start + 200]))
     successful = [r for r in records if r.success]
     normal_bank = bank.images[1400:3400]
-    banks = [fit_pca_bank(batch, layer_index=m + 1)
-             for m, batch in enumerate(layer_outputs_batch(net, normal_bank[:500]))]
+    pool = normal_bank[:500]
+    banks = fit_pca_bank(  # from the 64-image capture stream that fit-detector fits from
+        lambda: (captured for _, _, captured in _forward_chunks(net, pool, capture_conv=True)))[0]
     ea = evolutionary_attack_batch(net, [t % 10 for t in range(150)],
                                    AttackConfig(kind="evolutionary", seed=202))
     ea_imgs = np.stack([r.image.array for r in ea if r.success])
